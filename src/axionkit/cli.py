@@ -28,22 +28,7 @@ from .config import (
 )
 from .constants import SIDEREAL_DAY_S, YEAR_S, uev_to_hz
 from .halo import fractional_linewidth_v0, lineshape_support, shm_lineshape
-from .timeseries import TimeSeries
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+from .timeseries import TimeSeries, write_columns
 
 
 def _write_json(path: Path, record: dict) -> None:
@@ -85,20 +70,20 @@ class _Runner:
             return self.manifest_args[name]
         return default
 
-    def csv(self, name: str, header: str, rows) -> None:
-        if "csv" in self.formats:
-            _write_csv(self.outdir / name, header, rows)
+    def save(self, name: str, write) -> None:
+        """write(path) the artifact if its suffix is a requested format."""
+        if Path(name).suffix[1:] in self.formats:
+            write(self.outdir / name)
             self.written.append(name)
+
+    def csv(self, name: str, header: str, columns) -> None:
+        self.save(name, lambda path: write_columns(path, header, columns))
 
     def json(self, name: str, record: dict) -> None:
-        if "json" in self.formats:
-            _write_json(self.outdir / name, record)
-            self.written.append(name)
+        self.save(name, lambda path: _write_json(path, record))
 
     def svg(self, name: str, curves, **kwargs) -> None:
-        if "svg" in self.formats:
-            svgplot.line_plot(self.outdir / name, curves, **kwargs)
-            self.written.append(name)
+        self.save(name, lambda path: svgplot.line_plot(path, curves, **kwargs))
 
     def manifest(self, subcommand: str, used_args: dict) -> None:
         record = {
@@ -114,7 +99,7 @@ class _Runner:
         self.written.append("manifest.json")
 
     def coefficients(self) -> geometry.ModulationCoefficients:
-        return signals._geometry_coefficients(
+        return geometry.modulation_coefficients(
             self.cfg.geometry, self.cfg.ephemeris, self.cfg.halo.v_ref
         )
 
@@ -130,14 +115,14 @@ def cmd_envelope(run: _Runner) -> dict:
     run.csv(
         "envelope_daily.csv",
         "day,env_min,env_max",
-        zip(days.astype(int), lo, hi),
+        (days.astype(int), lo, hi),
     )
 
     t = np.arange(0.0, span_days * SIDEREAL_DAY_S, dt)
     beta_abs = np.abs(
         geometry.beta_ratio(t, cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
     )
-    run.csv("beta_instantaneous.csv", "t_s,abs_beta_ratio", zip(t, beta_abs))
+    run.csv("beta_instantaneous.csv", "t_s,abs_beta_ratio", (t, beta_abs))
     run.json(
         "coefficients.json",
         {"schema": "axionkit-coefficients/1", **dataclasses.asdict(coeffs)},
@@ -189,7 +174,7 @@ def cmd_daily_rms(run: _Runner) -> dict:
     run.csv(
         "daily_rms.csv",
         "day,theory_norm,mc_mean,mc_sigma,trial0",
-        zip(days.astype(int), theory_norm, mc_mean, mc_sigma, per_trial[0]),
+        (days.astype(int), theory_norm, mc_mean, mc_sigma, per_trial[0]),
     )
     run.svg(
         "daily_rms.svg",
@@ -220,7 +205,7 @@ def cmd_psd(run: _Runner) -> dict:
 
     f_star = cfg.ephemeris.omega_sidereal / (2 * np.pi)
     f_a = cfg.ephemeris.omega_annual / (2 * np.pi)
-    run.csv("psd.csv", "f_hz,psd", zip(spectrum.frequencies, spectrum.psd))
+    run.save("psd.csv", spectrum.to_csv)
     run.json(
         "psd_markers.json",
         {
@@ -285,11 +270,11 @@ def cmd_triplet(run: _Runner) -> dict:
     run.csv(
         "triplet.csv",
         "component,frequency_hz,power",
-        [
-            ("star", result.f_star, result.x_star),
-            ("plus", result.f_plus, result.x_plus),
-            ("minus", result.f_minus, result.x_minus),
-        ],
+        (
+            ("star", "plus", "minus"),
+            (result.f_star, result.f_plus, result.f_minus),
+            (result.x_star, result.x_plus, result.x_minus),
+        ),
     )
     return used
 
@@ -297,7 +282,7 @@ def cmd_triplet(run: _Runner) -> dict:
 def cmd_linewidth(run: _Runner) -> dict:
     masses = [float(m) for m in str(run.arg("masses", "1,5,10")).split(",")]
     cfg = run.cfg
-    rows = []
+    blocks = []
     curves = []
     for mass in masses:
         axion = dataclasses.replace(cfg.axion, mass_uev=mass)
@@ -306,9 +291,9 @@ def cmd_linewidth(run: _Runner) -> dict:
         span = (hi - lo) * 1.05
         offsets = np.linspace(-0.02 * span, span, 1500)
         density = shm_lineshape(nu_a + offsets, axion, cfg.halo)
-        rows.extend((mass, off, dens) for off, dens in zip(offsets, density))
+        blocks.append((np.full(offsets.size, mass), offsets, density))
         curves.append({"x": offsets, "y": density, "label": f"{mass:g} ueV"})
-    run.csv("linewidth.csv", "mass_uev,offset_hz,density_per_hz", rows)
+    run.csv("linewidth.csv", "mass_uev,offset_hz,density_per_hz", np.hstack(blocks))
     run.json(
         "linewidth_meta.json",
         {
@@ -353,36 +338,28 @@ def cmd_sensitivity(run: _Runner) -> dict:
         raise ConfigError(f"unknown gains mode {gains_mode!r} (use none, matched or all)")
 
     masses = np.geomspace(mass_lo, mass_hi, n_points)
-    curve = sensitivity.g_min_curve(
-        masses, qubit, cfg.halo, cfg.search, gains=gain_for[gains_mode]
-    )
+    variants = {
+        mode: sensitivity.g_min_curve(masses, qubit, cfg.halo, cfg.search, gains=gains)
+        for mode, gains in gain_for.items()
+    }
+    curve = variants[gains_mode]
     flat = sensitivity.g_min_curve(
         masses, qubit, cfg.halo, cfg.search,
         gains=gain_for[gains_mode], mass_dependent=False,
     )
-
-    if "csv" in run.formats:
-        curve.to_csv(run.outdir / "sensitivity_shm.csv")
-        flat.to_csv(run.outdir / "sensitivity_flat.csv")
-        run.written += ["sensitivity_shm.csv", "sensitivity_flat.csv"]
-
-    variants = {
-        mode: sensitivity.g_min_curve(
-            masses, qubit, cfg.halo, cfg.search, gains=gain_for[mode]
-        ).g_min
-        for mode in ("none", "matched", "all")
-    }
+    run.save("sensitivity_shm.csv", curve.to_csv)
+    run.save("sensitivity_flat.csv", flat.to_csv)
     run.csv(
         "sensitivity_variants.csv",
         "m_a_uev,g_min_baseline,g_min_matched,g_min_all_gains,regime",
-        zip(masses, variants["none"], variants["matched"], variants["all"], curve.regime),
+        (masses, *(v.g_min for v in variants.values()), curve.regime),
     )
 
     dfsz_lo, dfsz_hi, dfsz_bench = sensitivity.dfsz_band(masses)
     run.csv(
         "dfsz.csv",
         "m_a_uev,g_low,g_high,g_tan_beta_1",
-        zip(masses, dfsz_lo, dfsz_hi, dfsz_bench),
+        (masses, dfsz_lo, dfsz_hi, dfsz_bench),
     )
     run.json(
         "sensitivity.json",
@@ -397,9 +374,9 @@ def cmd_sensitivity(run: _Runner) -> dict:
     run.svg(
         "sensitivity.svg",
         [
-            {"x": masses, "y": variants["none"], "label": "baseline"},
-            {"x": masses, "y": variants["matched"], "label": "matched weighting"},
-            {"x": masses, "y": variants["all"], "label": "all gains"},
+            {"x": masses, "y": variants["none"].g_min, "label": "baseline"},
+            {"x": masses, "y": variants["matched"].g_min, "label": "matched weighting"},
+            {"x": masses, "y": variants["all"].g_min, "label": "all gains"},
             {"x": masses, "y": dfsz_bench, "label": "benchmark model"},
         ],
         xlabel="mass (ueV)",

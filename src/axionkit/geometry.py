@@ -22,10 +22,11 @@ orbital velocity on a circular ecliptic orbit.
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .constants import OBLIQUITY_DEG, OMEGA_ANNUAL, OMEGA_SIDEREAL, SIDEREAL_DAY_S
+from .constants import OBLIQUITY_DEG, OMEGA_ANNUAL, OMEGA_SIDEREAL, SIDEREAL_DAY_S, YEAR_S
 
 
 class DegenerateFitError(ValueError):
@@ -320,6 +321,17 @@ def fit_modulation_coefficients(
         phase_annual=phase_annual,
         residual_rms=float(np.sqrt(np.mean(resid**2))),
     )
+
+
+@lru_cache(maxsize=16)
+def modulation_coefficients(
+    site: SiteGeometry, eph: EphemerisConstants, v_ref: float
+) -> ModulationCoefficients:
+    """Year-long harmonic fit of the normalized signal amplitude for the
+    given geometry, cached per (site, ephemeris, reference speed)."""
+    dt = SIDEREAL_DAY_S / 16.0
+    t = np.arange(0.0, YEAR_S, dt)
+    return fit_modulation_coefficients(t, beta_ratio(t, site, eph, v_ref), eph)
 
 
 def daily_mean_and_excursion(

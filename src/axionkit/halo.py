@@ -121,8 +121,7 @@ def coherence_time(axion: AxionParams, halo: HaloParams) -> float:
     tau scales exactly as 1/mass.  About 3 ms at 1 ueV for the default
     halo.
     """
-    dnu = axion.frequency_hz * fractional_linewidth_second_moment(halo)
-    return 1.0 / (np.pi * dnu)
+    return coherence_time_at_frequency(axion.frequency_hz, halo)
 
 
 def coherence_time_at_frequency(nu_hz: float, halo: HaloParams) -> float:

@@ -15,7 +15,6 @@ anywhere.  The SNR is linear in the coupling through the effective
 field, so the inversion is closed-form.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -26,6 +25,7 @@ from .constants import uev_to_hz
 from .geometry import GeometricGains
 from .halo import HaloParams, AxionParams, coherence_time_at_frequency, effective_field
 from .signals import QubitParams
+from .timeseries import write_columns
 
 
 @dataclass(frozen=True)
@@ -101,22 +101,7 @@ class SensitivityCurve:
     config: dict
 
     def to_csv(self, path) -> None:
-        lines = ["m_a_uev,g_min,regime"]
-        for m, g, r in zip(self.mass_uev, self.g_min, self.regime):
-            lines.append(f"{float(m)!r},{float(g)!r},{r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def to_json(self, path) -> None:
-        record = {
-            "schema": "axionkit-sensitivity/1",
-            "gains_applied": self.gains_applied,
-            "config": self.config,
-            "n_points": int(len(self.mass_uev)),
-        }
-        with open(path, "w") as fh:
-            json.dump(record, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_columns(path, "m_a_uev,g_min,regime", (self.mass_uev, self.g_min, self.regime))
 
 
 def _total_gain(gains) -> tuple[float, dict]:

@@ -12,13 +12,12 @@ of a single master seed, so records are bit-reproducible.
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sps
 
 from . import geometry
-from .constants import SIDEREAL_DAY_S, YEAR_S
+from .constants import SIDEREAL_DAY_S
 from .halo import AxionParams, HaloParams, effective_field
 from .timeseries import TimeSeries, short_hash
 
@@ -259,18 +258,6 @@ def readout_channel(
     return (2.0 * p_hat - 1.0) / scale
 
 
-@lru_cache(maxsize=16)
-def _geometry_coefficients(
-    site: geometry.SiteGeometry, eph: geometry.EphemerisConstants, v_ref: float
-) -> geometry.ModulationCoefficients:
-    """Year-long harmonic fit of the normalized signal amplitude for the
-    given geometry, cached per (site, ephemeris, reference speed)."""
-    dt = SIDEREAL_DAY_S / 16.0
-    t = np.arange(0.0, YEAR_S, dt)
-    series = geometry.beta_ratio(t, site, eph, v_ref)
-    return geometry.fit_modulation_coefficients(t, series, eph)
-
-
 def synthesize_observable(
     site: geometry.SiteGeometry,
     eph: geometry.EphemerisConstants,
@@ -306,7 +293,7 @@ def synthesize_observable(
         raise ValueError(f"record of {n} samples exceeds the synthesis guard")
 
     if coeffs is None:
-        coeffs = _geometry_coefficients(site, eph, halo.v_ref)
+        coeffs = geometry.modulation_coefficients(site, eph, halo.v_ref)
     t = t0 + dt * np.arange(n)
     clean = geometry.modulation_model(t, coeffs, eph)
     beta0 = modulation_index(axion, halo, qubit, 1.0, halo.v_ref)

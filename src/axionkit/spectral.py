@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .geometry import EphemerisConstants
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, write_columns
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,7 @@ class Spectrum:
         return float(np.interp(f, self.frequencies, self.psd))
 
     def to_csv(self, path) -> None:
-        lines = ["f_hz,psd"]
-        for f, p in zip(self.frequencies, self.psd):
-            lines.append(f"{float(f)!r},{float(p)!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_columns(path, "f_hz,psd", (self.frequencies, self.psd))
 
     def to_json(self, path) -> None:
         record = {

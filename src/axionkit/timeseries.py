@@ -7,6 +7,9 @@ Two on-disk representations, both versioned:
   complex data).
 * binary, same schema tag: a single JSON header line followed by the raw
   little-endian sample bytes.
+
+Readers check each file against its own header: ``n``, ``t0``, ``dt``
+and ``dtype`` fix the row count, the ``t`` column and the payload size.
 """
 
 import hashlib
@@ -17,6 +20,9 @@ import numpy as np
 
 TIMESERIES_SCHEMA = "axionkit-timeseries/1"
 
+# largest |t_k - (t0 + k*dt)| a CSV time column may show, in units of dt
+T_GRID_TOLERANCE = 1e-6
+
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text for hashing and manifests."""
@@ -26,6 +32,28 @@ def canonical_json(obj) -> str:
 def short_hash(obj) -> str:
     """Stable 12-hex-digit digest of a JSON-serializable object."""
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
+
+
+def _cells(column) -> list:
+    values = np.asarray(column)
+    if values.dtype.kind == "U":
+        return values.tolist()
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return list(map(repr, values.astype(float, copy=False).tolist()))
+
+
+def write_columns(path, header: str, columns, comment: str | None = None) -> None:
+    """Write equal-length columns as CSV under a header row.
+
+    Floats are written as their shortest round-trip ``repr``, integer
+    arrays with ``str`` and strings unchanged, so a reader recovers every
+    value exactly.  comment, when given, becomes a leading ``# `` line.
+    """
+    lines = [header] if comment is None else ["# " + comment, header]
+    lines.extend(map(",".join, zip(*map(_cells, columns), strict=True)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass
@@ -52,7 +80,7 @@ class TimeSeries:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.samples.size)
+        return self.t0 + self.dt * np.arange(self.samples.size, dtype=float)
 
     @property
     def span(self) -> float:
@@ -73,17 +101,11 @@ class TimeSeries:
         }
 
     def to_csv(self, path) -> None:
-        lines = ["# " + canonical_json(self._header())]
         if self.is_complex:
-            lines.append("t,re,im")
-            for t, v in zip(self.times, self.samples):
-                lines.append(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}")
+            header, values = "t,re,im", (self.samples.real, self.samples.imag)
         else:
-            lines.append("t,value")
-            for t, v in zip(self.times, self.samples):
-                lines.append(f"{float(t)!r},{float(v)!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            header, values = "t,value", (self.samples.astype(float, copy=False),)
+        write_columns(path, header, (self.times, *values), canonical_json(self._header()))
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
@@ -95,12 +117,16 @@ class TimeSeries:
             if header.get("schema") != TIMESERIES_SCHEMA:
                 raise ValueError(f"{path}: unsupported schema {header.get('schema')}")
             fh.readline()  # column names
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        if header["dtype"] == "complex128":
-            samples = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-        else:
-            samples = np.array([float(r[1]) for r in rows])
-        return cls(t0=header["t0"], dt=header["dt"], samples=samples, meta=header["meta"])
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        n, t0, dt = header["n"], header["t0"], header["dt"]
+        width = 3 if header["dtype"] == "complex128" else 2
+        if data.shape != (n, width):
+            raise ValueError(f"{path}: table of shape {data.shape}, header says ({n}, {width})")
+        offset = np.abs(data[:, 0] - (t0 + dt * np.arange(n, dtype=float)))
+        if np.any(offset > T_GRID_TOLERANCE * dt):
+            raise ValueError(f"{path}: t column leaves t0 + k*dt at row {np.argmax(offset)}")
+        samples = data[:, 1:].copy().view(np.complex128 if width == 3 else np.float64)[:, 0]
+        return cls(t0=t0, dt=dt, samples=samples, meta=header["meta"])
 
     def to_binary(self, path) -> None:
         data = np.ascontiguousarray(
@@ -116,5 +142,9 @@ class TimeSeries:
             header = json.loads(fh.readline().decode())
             if header.get("schema") != TIMESERIES_SCHEMA:
                 raise ValueError(f"{path}: unsupported schema {header.get('schema')}")
-            samples = np.frombuffer(fh.read(), dtype=header["dtype"], count=header["n"])
-        return cls(t0=header["t0"], dt=header["dt"], samples=samples.copy(), meta=header["meta"])
+            payload = fh.read()
+        n, dtype = header["n"], np.dtype(header["dtype"])
+        if len(payload) != n * dtype.itemsize:
+            raise ValueError(f"{path}: {len(payload)} payload bytes, header says {n} x {dtype}")
+        samples = np.frombuffer(payload, dtype=dtype).copy()
+        return cls(t0=header["t0"], dt=header["dt"], samples=samples, meta=header["meta"])

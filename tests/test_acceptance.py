@@ -247,7 +247,7 @@ class TestCriterion6DailyRmsRobustness:
         per_day = 48
         dt = SIDEREAL_DAY_S / per_day
 
-        coeffs = sig._geometry_coefficients(site, eph, halo.v_ref)
+        coeffs = geo.modulation_coefficients(site, eph, halo.v_ref)
         days = np.arange(365.0)
         theory = geo.daily_rms(days + 0.5, coeffs, eph)
         theory_norm = theory / theory.mean()

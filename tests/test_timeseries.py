@@ -1,8 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from axionkit import TimeSeries
-from axionkit.timeseries import canonical_json, short_hash
+from axionkit.timeseries import canonical_json, short_hash, write_columns
+
+# finite float64 values, with signed zero, subnormals and the range ends drawn often
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+REAL = st.integers(2, 40).flatmap(lambda n: hnp.arrays(np.float64, n, elements=FLOATS))
+# pairs of floats reinterpreted as complex keep both parts bit for bit
+COMPLEX = st.integers(2, 40).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, 2), elements=FLOATS)
+).map(lambda pairs: pairs.view(np.complex128)[:, 0])
+TABLES = st.tuples(st.integers(0, 30), st.integers(1, 4)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=FLOATS)
+)
 
 
 @pytest.fixture
@@ -65,6 +82,55 @@ class TestCsvFormat:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             TimeSeries.from_csv(path)
+
+    @given(samples=st.one_of(REAL, COMPLEX))
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_is_bit_exact(self, samples, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "series.csv"
+        TimeSeries(-3.0, 0.25, samples, {"kind": "property"}).to_csv(path)
+        back = TimeSeries.from_csv(path)
+        assert back.samples.dtype == samples.dtype
+        assert back.samples.tobytes() == samples.tobytes()
+
+    @given(table=TABLES)
+    @settings(max_examples=80, deadline=None)
+    def test_write_columns_matches_row_formatter(self, table, tmp_path_factory):
+        header = ",".join(f"c{j}" for j in range(table.shape[1]))
+        path = tmp_path_factory.mktemp("csv") / "table.csv"
+        write_columns(path, header, table.T)
+        rows = [",".join(repr(float(v)) for v in row) for row in table]
+        assert path.read_bytes() == ("\n".join([header, *rows]) + "\n").encode()
+
+
+class TestHeaderChecks:
+    def test_csv_row_count_must_match_n(self, real_series, tmp_path):
+        path = tmp_path / "series.csv"
+        real_series.to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match="series.csv"):
+            TimeSeries.from_csv(path)
+
+    def test_csv_t_column_must_follow_grid(self, real_series, tmp_path):
+        path = tmp_path / "series.csv"
+        real_series.to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        # t grid is 10.0, 10.5, 11.0, 11.5 (dt = 0.5); tolerance is 1e-6 dt
+        lines[-1] = "11.5000001,0.0\n"
+        path.write_text("".join(lines))
+        assert TimeSeries.from_csv(path).samples[-1] == 0.0
+        lines[-1] = "12.0,0.0\n"  # one missing sample: the last row sits a step late
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="series.csv"):
+            TimeSeries.from_csv(path)
+
+    def test_binary_payload_must_match_n(self, complex_series, tmp_path):
+        path = tmp_path / "series.bin"
+        complex_series.to_binary(path)
+        with open(path, "ab") as fh:
+            fh.write(bytes(16))
+        with pytest.raises(ValueError, match="series.bin"):
+            TimeSeries.from_binary(path)
 
 
 class TestBinaryFormat:
