@@ -124,11 +124,13 @@ def coherence_time(axion: AxionParams, halo: HaloParams) -> float:
     return coherence_time_at_frequency(axion.frequency_hz, halo)
 
 
-def coherence_time_at_frequency(nu_hz: float, halo: HaloParams) -> float:
+def coherence_time_at_frequency(nu_hz, halo: HaloParams):
     """Coherence time for a field oscillating at nu_hz (same convention
-    as :func:`coherence_time`, parameterized by frequency)."""
-    if nu_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {nu_hz}")
+    as :func:`coherence_time`, parameterized by frequency); elementwise
+    over an array of frequencies."""
+    not_positive = np.asarray(nu_hz) <= 0
+    if np.any(not_positive):
+        raise ValueError(f"frequency must be positive, got {np.extract(not_positive, nu_hz)[0]}")
     return 1.0 / (np.pi * nu_hz * fractional_linewidth_second_moment(halo))
 
 

@@ -58,35 +58,43 @@ PRESETS = {
 }
 
 
-def adaptive_segment(nu_hz: float, cfg: SearchConfig, halo: HaloParams) -> float:
+def adaptive_segment(nu_hz, cfg: SearchConfig, halo: HaloParams):
     """Coherent segment length min(eps * tau(nu), T_cap), seconds.
 
     Continuous in frequency and never exceeds either bound; the safety
     factor keeps segments strictly inside the field coherence time.
+    Elementwise over an array of frequencies.
     """
-    return min(cfg.epsilon_safety * coherence_time_at_frequency(nu_hz, halo), cfg.t_cap_s)
+    return np.minimum(cfg.epsilon_safety * coherence_time_at_frequency(nu_hz, halo), cfg.t_cap_s)
 
 
-def _gaussian_tail_quantile_from_log(log_p: float) -> float:
+# per-trial levels below this go through the asymptotic tail inversion
+LOG_P_FLOOR = math.log(1e-280)
+
+
+def _gaussian_tail_quantile_from_log(log_p):
     # asymptotic inversion of p = exp(-z^2/2)/(z sqrt(2 pi)), iterated
-    z = math.sqrt(-2.0 * log_p)
+    z = np.sqrt(-2.0 * log_p)
     for _ in range(4):
-        z = math.sqrt(2.0 * (-log_p - math.log(z) - 0.5 * math.log(2.0 * math.pi)))
+        z = np.sqrt(2.0 * (-log_p - np.log(z) - 0.5 * math.log(2.0 * math.pi)))
     return z
 
 
-def trials_threshold(nu_hz: float, cfg: SearchConfig, halo: HaloParams) -> float:
+def trials_threshold(nu_hz, cfg: SearchConfig, halo: HaloParams):
     """One-sided z threshold at per-trial level alpha/N_trials, with
     N_trials = bandwidth * T_seg(nu).  Monotone in both knobs; switches
     to the asymptotic tail inversion when the per-trial level underflows.
+    Elementwise over an array of frequencies.
     """
     n_trials = cfg.bandwidth_hz * adaptive_segment(nu_hz, cfg, halo)
-    if n_trials < 1.0:
-        raise ValueError(f"bandwidth * T_seg = {n_trials} < 1 trial")
-    log_p = math.log(cfg.alpha) - math.log(n_trials)
-    if log_p < math.log(1e-280):
-        return _gaussian_tail_quantile_from_log(log_p)
-    return float(stats.norm.isf(math.exp(log_p)))
+    too_few = n_trials < 1.0
+    if np.any(too_few):
+        raise ValueError(f"bandwidth * T_seg = {np.extract(too_few, n_trials)[0]} < 1 trial")
+    log_p = math.log(cfg.alpha) - np.log(n_trials)
+    z = stats.norm.isf(np.exp(log_p))
+    # the tail branch sees at most LOG_P_FLOOR, where its iteration is defined
+    tail = _gaussian_tail_quantile_from_log(np.minimum(log_p, LOG_P_FLOOR))
+    return np.where(log_p < LOG_P_FLOOR, tail, z)[()]
 
 
 @dataclass
@@ -154,32 +162,27 @@ def g_min_curve(
     eta_eff = qubit.eta_b_t_rthz / math.sqrt(qubit.n_spins)
     b_per_g = effective_field(AxionParams(mass_uev=1.0, g_ae=1.0), halo, halo.v_ref)
 
-    g_min = np.empty_like(masses)
-    regime = []
-    for i, m in enumerate(masses):
-        nu = uev_to_hz(m)
-        t_seg = adaptive_segment(nu, cfg, halo)
-        tau = coherence_time_at_frequency(nu, halo)
-        t_coh = cfg.t_cap_s if not mass_dependent else min(t_seg, tau)
-        regime.append(
-            "flat"
-            if (not mass_dependent or cfg.epsilon_safety * tau >= cfg.t_cap_s)
-            else "tau_limited"
-        )
-        if stacking == "stack":
-            time_factor = math.sqrt(t_coh * cfg.t_tot_s / cfg.t_cap_s)
-        else:
-            time_factor = (t_coh * cfg.t_tot_s) ** 0.25
-        z_req = max(cfg.n_sigma, trials_threshold(nu, cfg, halo))
-        g = z_req * eta_eff / (b_per_g * time_factor * gain_total)
-        if not np.isfinite(g) or g <= 0:
-            raise ValueError(f"non-physical coupling at m={m} ueV")
-        g_min[i] = g
+    nu = uev_to_hz(masses)
+    tau = coherence_time_at_frequency(nu, halo)
+    flat = (cfg.epsilon_safety * tau >= cfg.t_cap_s) | (not mass_dependent)
+    if mass_dependent:  # eps < 1 keeps the segment inside tau
+        t_coh = adaptive_segment(nu, cfg, halo)
+    else:
+        t_coh = np.full_like(masses, cfg.t_cap_s)
+    if stacking == "stack":
+        time_factor = np.sqrt(t_coh * cfg.t_tot_s / cfg.t_cap_s)
+    else:
+        time_factor = (t_coh * cfg.t_tot_s) ** 0.25
+    z_req = np.maximum(cfg.n_sigma, trials_threshold(nu, cfg, halo))
+    g_min = z_req * eta_eff / (b_per_g * time_factor * gain_total)
+    bad = ~(np.isfinite(g_min) & (g_min > 0))
+    if np.any(bad):
+        raise ValueError(f"non-physical coupling at m={np.extract(bad, masses)[0]} ueV")
 
     return SensitivityCurve(
         mass_uev=masses,
         g_min=g_min,
-        regime=regime,
+        regime=np.where(flat, "flat", "tau_limited").tolist(),
         gains_applied=gain_record,
         config={
             **asdict(cfg),

@@ -204,6 +204,16 @@ class TestCli:
         inside = np.abs(mc_mean - theory) <= 5 * mc_sigma
         assert np.mean(inside) >= 0.95
 
+    def test_degenerate_readout_fidelities_exit_code(self, tmp_path, capsys):
+        # f0 + f1 = 1 makes the readout debias divide by zero
+        out = tmp_path / "rms0"
+        assert self.run("daily-rms", "--out", str(out), "--trials", "2",
+                        "--set", "noise.readout_f0=0.5",
+                        "--set", "noise.readout_f1=0.5") == 2
+        err = capsys.readouterr().err
+        assert "readout_f0" in err and "readout_f1" in err
+        assert not (out / "daily_rms.csv").exists()
+
     def test_config_file_and_overrides(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"halo": {"v0": 220.0}}))

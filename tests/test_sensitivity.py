@@ -1,16 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
-from axionkit import HaloParams, QubitParams, SearchConfig, SiteGeometry
+from axionkit import AxionParams, HaloParams, QubitParams, SearchConfig, SiteGeometry
 from axionkit import sensitivity as sens
 from axionkit.constants import uev_to_hz
 from axionkit.geometry import geometric_gains
-from axionkit.halo import coherence_time_at_frequency
+from axionkit.halo import coherence_time_at_frequency, effective_field
 
 
 def gaussian_tail_quantile_oracle(p):
@@ -23,6 +24,28 @@ def gaussian_tail_quantile_oracle(p):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def g_min_loop_reference(masses, qubit, halo, cfg, gain_total, stacking, mass_dependent):
+    """The per-mass scalar loop that g_min_curve vectorizes (no tail branch)."""
+    eta_eff = qubit.eta_b_t_rthz / math.sqrt(qubit.n_spins)
+    b_per_g = effective_field(AxionParams(mass_uev=1.0, g_ae=1.0), halo, halo.v_ref)
+    g_min, regime = [], []
+    for m in masses:
+        nu = uev_to_hz(m)
+        tau = coherence_time_at_frequency(nu, halo)
+        t_seg = min(cfg.epsilon_safety * tau, cfg.t_cap_s)
+        t_coh = min(t_seg, tau) if mass_dependent else cfg.t_cap_s
+        flat = not mass_dependent or cfg.epsilon_safety * tau >= cfg.t_cap_s
+        regime.append("flat" if flat else "tau_limited")
+        if stacking == "stack":
+            time_factor = math.sqrt(t_coh * cfg.t_tot_s / cfg.t_cap_s)
+        else:
+            time_factor = (t_coh * cfg.t_tot_s) ** 0.25
+        log_p = math.log(cfg.alpha) - math.log(cfg.bandwidth_hz * t_seg)
+        z_req = max(cfg.n_sigma, float(stats.norm.isf(math.exp(log_p))))
+        g_min.append(z_req * eta_eff / (b_per_g * time_factor * gain_total))
+    return np.array(g_min), regime
 
 
 @pytest.fixture
@@ -93,6 +116,26 @@ class TestTrialsThreshold:
         cfg = SearchConfig(bandwidth_hz=1.0, t_cap_s=1e-3)
         with pytest.raises(ValueError, match="trial"):
             sens.trials_threshold(uev_to_hz(1.0), cfg, halo)
+
+    def test_array_matches_scalar_calls_across_both_branches(self, halo):
+        # per-trial levels straddle the underflow switch at 1e-280
+        cfg = SearchConfig(bandwidth_hz=1e284)
+        nus = np.geomspace(1e6, 1e14, 60)
+        z = sens.trials_threshold(nus, cfg, halo)
+        n_trials = cfg.bandwidth_hz * sens.adaptive_segment(nus, cfg, halo)
+        log_p = math.log(cfg.alpha) - np.log(n_trials)
+        tail = log_p < sens.LOG_P_FLOOR
+        assert tail.any() and not tail.all()
+        np.testing.assert_array_equal(z, [sens.trials_threshold(nu, cfg, halo) for nu in nus])
+        assert np.all(np.diff(z) <= 0)  # fewer trials at shorter segments
+
+    def test_array_rejection_names_first_offender(self, halo):
+        cfg = SearchConfig(bandwidth_hz=1500.0, t_cap_s=1e-3)
+        nus = uev_to_hz(np.array([1.0, 10.0, 20.0, 30.0]))
+        t_seg = sens.adaptive_segment(nus, cfg, halo)
+        first = cfg.bandwidth_hz * t_seg[cfg.bandwidth_hz * t_seg < 1.0][0]
+        with pytest.raises(ValueError, match=re.escape(f"= {first} < 1 trial")):
+            sens.trials_threshold(nus, cfg, halo)
 
 
 class TestGminCurve:
@@ -173,6 +216,29 @@ class TestGminCurve:
     def test_empty_grid_rejected(self, cfg, halo, qubit):
         with pytest.raises(ValueError, match="empty"):
             sens.g_min_curve(np.array([]), qubit, halo, cfg)
+
+    @pytest.mark.parametrize("preset", ["current", "future"])
+    @pytest.mark.parametrize("stacking", ["stack", "radiometer"])
+    @pytest.mark.parametrize("mass_dependent", [True, False])
+    def test_matches_scalar_loop(self, cfg, halo, preset, stacking, mass_dependent):
+        qubit = sens.PRESETS[preset]
+        gains = geometric_gains(SiteGeometry())
+        grids = [
+            (np.geomspace(1.0, 10.0, 50), (None, gains.g_daily, gains)),
+            (np.geomspace(0.05, 200.0, 150), (None,)),
+        ]
+        for masses, gain_options in grids:
+            for gain in gain_options:
+                total = sens._total_gain(gain)[0]
+                curve = sens.g_min_curve(masses, qubit, halo, cfg, gains=gain,
+                                         stacking=stacking, mass_dependent=mass_dependent)
+                g_ref, regime_ref = g_min_loop_reference(
+                    masses, qubit, halo, cfg, total, stacking, mass_dependent)
+                assert curve.regime == regime_ref
+                if stacking == "stack":  # same arithmetic, same bits
+                    np.testing.assert_array_equal(curve.g_min, g_ref)
+                else:  # numpy's vector pow may differ from libm's by an ulp
+                    np.testing.assert_allclose(curve.g_min, g_ref, rtol=8 * np.finfo(float).eps)
 
     def test_current_vs_future_ordering(self, cfg, halo):
         masses = np.geomspace(1.0, 10.0, 8)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,11 @@ class TestNoiseConfig:
         with pytest.raises(ValueError):
             NoiseConfig(readout_f1=1.2)
 
+    def test_fidelity_sum_must_exceed_one(self):
+        with pytest.raises(ValueError, match="readout_f0 \\+ readout_f1"):
+            NoiseConfig(readout_f0=0.5, readout_f1=0.5)
+        assert NoiseConfig(readout_f0=0.5, readout_f1=0.51).readout_f1 == 0.51
+
     def test_negative_amplitudes_rejected(self):
         with pytest.raises(ValueError):
             NoiseConfig(white_psd=-1.0)
@@ -331,6 +338,64 @@ class TestHeterodyne:
     def test_bandwidth_guard(self):
         with pytest.raises(ValueError, match="bandwidth"):
             sig.heterodyne(self._tone_record(2.0), 2.0, 5.0)
+
+    @staticmethod
+    def _filtfilt_oracle(series, out):
+        """filtfilt on the full-rate mixed record, taps rebuilt from meta."""
+        h = out.meta["heterodyne"]
+        fs = 1.0 / series.dt
+        _, beta = sps.kaiserord(80.0, h["bandwidth"] / 4.0 / (fs / 2.0))
+        taps = sps.firwin(h["numtaps"], h["cutoff_hz"], window=("kaiser", beta), fs=fs)
+        mixed = 2.0 * series.samples * np.exp(-2j * np.pi * h["f_center"] * series.times)
+        return sps.filtfilt(taps, [1.0], mixed)[:: h["decimation"]]
+
+    @given(
+        stretch=st.floats(0.0, 5.0),
+        f_center=st.floats(2.0, 9.0),
+        bandwidth=st.floats(0.8, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_filtfilt_at_every_sample(self, stretch, f_center, bandwidth, seed):
+        dt = 0.05
+        numtaps = sps.kaiserord(80.0, bandwidth / 4.0 / (0.5 / dt))[0] | 1
+        n = 3 * numtaps + 1 + int(stretch * 3 * numtaps)  # just above the guard and up
+        rng = np.random.default_rng(seed)
+        t = dt * np.arange(n)
+        x = rng.normal(0.0, 1.0, n) + 2.0 * np.cos(2 * np.pi * (f_center + 0.1) * t)
+        series = TimeSeries(0.0, dt, x, {"kind": "noise"})
+        out = sig.heterodyne(series, f_center, bandwidth)
+        assert out.meta["heterodyne"]["numtaps"] == numtaps
+        oracle = self._filtfilt_oracle(series, out)
+        assert out.samples.shape == oracle.shape
+        # every sample, the first and last 3*numtaps included
+        assert np.max(np.abs(out.samples - oracle)) <= 1e-12 * np.max(np.abs(x))
+
+    def test_narrow_band_at_high_rate(self):
+        # 5 Hz at 10 kHz: about 40k taps, where filtfilt's lfilter_zi would
+        # solve a (numtaps-1)^2 system of 12.9 GB
+        fs, sigma, f_c, bw, n = 10_000.0, 0.8, 1000.0, 5.0, 1_000_000
+        ratios = []
+        for seed in range(8):
+            noise = np.random.default_rng(700 + seed).normal(0.0, sigma, n)
+            series = TimeSeries(0.0, 1.0 / fs, noise, {"kind": "noise"})
+            if seed == 0:
+                tracemalloc.start()
+                bb = sig.heterodyne(series, f_c, bw)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            else:
+                bb = sig.heterodyne(series, f_c, bw)
+            h = bb.meta["heterodyne"]
+            assert h["enbw_converged"]
+            assert h["enbw_hz"] == pytest.approx(bw, rel=1e-4)
+            # outputs whose kernel support lies inside the record
+            edge = -(-h["numtaps"] // h["decimation"])
+            z = bb.samples[edge:-edge]
+            ratios.append(np.mean(np.abs(z) ** 2) / (4.0 * sigma**2 * bw / fs))
+        assert np.mean(ratios) == pytest.approx(1.0, rel=0.05)
+        # a dozen complex record-length buffers at most: O(N + numtaps)
+        assert peak <= 12 * 16 * (n + h["numtaps"])
 
 
 class TestQubitParams:
