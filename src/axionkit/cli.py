@@ -21,10 +21,9 @@ from .config import (
     MANIFEST_SCHEMA,
     ConfigError,
     RunConfig,
-    apply_overrides,
-    build_config,
     config_to_dict,
     list_config_keys,
+    load_config,
 )
 from .constants import SIDEREAL_DAY_S, YEAR_S, uev_to_hz
 from .halo import fractional_linewidth_v0, lineshape_support, shm_lineshape
@@ -263,10 +262,15 @@ def cmd_triplet(run: _Runner) -> dict:
     result = spectral.triplet_statistic(
         ts, cfg.ephemeris, float(psi_daily), float(psi_annual)
     )
-    record = json.loads(result.to_json())
-    record["psi_daily"] = float(psi_daily)
-    record["psi_annual"] = float(psi_annual)
-    run.json("triplet.json", record)
+    run.json(
+        "triplet.json",
+        {
+            "schema": "axionkit-triplet/1",
+            **dataclasses.asdict(result),
+            "psi_daily": float(psi_daily),
+            "psi_annual": float(psi_annual),
+        },
+    )
     run.csv(
         "triplet.csv",
         "component,frequency_hz,power",
@@ -457,22 +461,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        raw = {}
-        manifest_args = {}
-        if args.config:
-            try:
-                with open(args.config) as fh:
-                    raw = json.load(fh)
-            except FileNotFoundError as exc:
-                raise ConfigError(f"config file not found: {args.config}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
-            if isinstance(raw, dict) and raw.get("schema") == MANIFEST_SCHEMA:
-                manifest_args = dict(raw.get("args", {}))
-                manifest_args["seed"] = raw.get("seed")
-                raw = raw.get("config", {})
-        raw = apply_overrides(raw, args.set)
-        cfg = build_config(raw)
+        cfg, manifest_args = load_config(args.config, args.set)
     except ConfigError as exc:
         print(f"axionkit: config error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ A run configuration is a JSON object with one section per parameter
 group.  Unknown keys anywhere are rejected with the offending dotted
 path; every field has a default, so the empty object is a valid
 configuration.  A previously written run manifest can be passed in
-place of a configuration; its embedded config is extracted.
+place of a configuration file; load_config extracts its config, its
+subcommand arguments and its seed.
 """
 
 import dataclasses
@@ -98,11 +99,13 @@ def _build_section(cls, data: dict, section: str):
 
 
 def build_config(data: dict) -> RunConfig:
-    """Construct a validated RunConfig from a plain dictionary."""
+    """Construct a validated RunConfig from a plain configuration object.
+
+    halo.v_ref and ephemeris.v_sun are both the Sun's speed through the
+    halo, so a configuration where they differ is rejected.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"configuration root must be an object, got {type(data).__name__}")
-    if data.get("schema") == MANIFEST_SCHEMA:
-        data = data.get("config", {})
     unknown = set(data) - set(_SECTIONS)
     if unknown:
         raise ConfigError(
@@ -114,18 +117,40 @@ def build_config(data: dict) -> RunConfig:
         if not isinstance(payload, dict):
             raise ConfigError(f"{name}: expected an object")
         sections[name] = _build_section(factory, payload, name)
+    v_ref, v_sun = sections["halo"].v_ref, sections["ephemeris"].v_sun
+    if v_ref != v_sun:
+        raise ConfigError(
+            f"halo.v_ref ({v_ref}) and ephemeris.v_sun ({v_sun}) must be equal: "
+            "both are the Sun's speed through the halo, so set them together"
+        )
     return RunConfig(**sections)
 
 
-def load_config(path) -> RunConfig:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return build_config(data)
+def load_config(path, overrides=()) -> tuple[RunConfig, dict]:
+    """Read a config file, or a run manifest, and apply --set overrides.
+
+    path None means no file: the defaults.  Returns the validated
+    RunConfig and the run arguments a manifest carries (its subcommand
+    arguments plus "seed"); a plain config file carries none.
+    """
+    data, run_args = {}, {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read ({exc})") from exc
+        if isinstance(data, dict) and data.get("schema") == MANIFEST_SCHEMA:
+            args = data.get("args", {})
+            if not isinstance(args, dict):
+                raise ConfigError(f"{path}: manifest args must be an object")
+            run_args = {**args, "seed": data.get("seed")}
+            data = data.get("config", {})
+    return build_config(apply_overrides(data, overrides)), run_args
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -143,6 +168,8 @@ def apply_overrides(data: dict, overrides) -> dict:
 
     Values parse as JSON literals, falling back to bare strings.
     """
+    if not isinstance(data, dict):
+        raise ConfigError(f"configuration root must be an object, got {type(data).__name__}")
     result = json.loads(json.dumps(data))  # deep copy
     for item in overrides:
         if "=" not in item:
@@ -155,7 +182,10 @@ def apply_overrides(data: dict, overrides) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        result.setdefault(parts[0], {})[parts[1]] = value
+        section = result.setdefault(parts[0], {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{parts[0]}: expected an object, got {type(section).__name__}")
+        section[parts[1]] = value
     return result
 
 

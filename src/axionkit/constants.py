@@ -40,8 +40,3 @@ def uev_to_hz(mass_uev: float) -> float:
 def uev_to_rad_s(mass_uev: float) -> float:
     """Angular oscillation frequency (rad/s) for a mass in ueV."""
     return mass_uev * 1e-6 * EV_TO_RAD_S
-
-
-def hz_to_uev(freq_hz: float) -> float:
-    """Inverse of :func:`uev_to_hz`."""
-    return freq_hz / UEV_TO_HZ

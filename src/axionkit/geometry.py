@@ -19,9 +19,8 @@ The wind vector is v_sun * w_hat - u_orbit(t), u_orbit being Earth's
 orbital velocity on a circular ecliptic orbit.
 """
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -73,7 +72,11 @@ class SiteGeometry:
 @dataclass(frozen=True)
 class EphemerisConstants:
     """Angular rates and orbital speeds fixing the deterministic
-    modulation frequencies."""
+    modulation frequencies.
+
+    v_sun is the Sun's speed through the halo, the same speed as
+    HaloParams.v_ref; a run configuration must set the two equal.
+    """
 
     omega_sidereal: float = OMEGA_SIDEREAL
     omega_annual: float = OMEGA_ANNUAL
@@ -125,13 +128,6 @@ class ModulationCoefficients:
         if depth >= 0:
             return depth, self.phase_annual
         return -depth, (self.phase_annual + math.pi) % (2.0 * math.pi)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModulationCoefficients":
-        return cls(**json.loads(text))
 
 
 def wind_unit_equatorial(site: SiteGeometry) -> np.ndarray:
@@ -237,7 +233,7 @@ def projection(t, site: SiteGeometry, eph: EphemerisConstants, axis=None):
     return np.einsum("...i,...i->...", direction, q)
 
 
-def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float = 230.0):
+def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
     """Normalized signal amplitude (v_lab/v_ref) * cos(theta).
 
     This is the quantity whose daily series and envelope make up the
@@ -249,10 +245,8 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float = 23
     return (speed / v_ref) * np.einsum("...i,...i->...", direction, q)
 
 
-def modulation_model(t, coeffs: ModulationCoefficients, eph: EphemerisConstants | None = None):
+def modulation_model(t, coeffs: ModulationCoefficients, eph: EphemerisConstants):
     """Evaluate the harmonic model defined by a coefficient set."""
-    if eph is None:
-        eph = EphemerisConstants()
     t = np.asarray(t, dtype=float)
     daily = np.cos(eph.omega_sidereal * t - coeffs.phase_daily)
     annual = np.cos(eph.omega_annual * t - coeffs.phase_annual)
@@ -264,9 +258,7 @@ def modulation_model(t, coeffs: ModulationCoefficients, eph: EphemerisConstants 
     )
 
 
-def fit_modulation_coefficients(
-    t, series, eph: EphemerisConstants | None = None
-) -> ModulationCoefficients:
+def fit_modulation_coefficients(t, series, eph: EphemerisConstants) -> ModulationCoefficients:
     """Least-squares harmonic fit of a projection series.
 
     The basis is {1, cos/sin(Os t), cos/sin(Oa t)} plus the four mixed
@@ -277,8 +269,6 @@ def fit_modulation_coefficients(
     Raises DegenerateFitError if the design matrix is rank deficient
     (for example when the sampling aliases the sidereal rate).
     """
-    if eph is None:
-        eph = EphemerisConstants()
     t = np.asarray(t, dtype=float)
     y = np.asarray(series, dtype=float)
     if t.ndim != 1 or t.shape != y.shape:
@@ -334,14 +324,10 @@ def modulation_coefficients(
     return fit_modulation_coefficients(t, beta_ratio(t, site, eph, v_ref), eph)
 
 
-def daily_mean_and_excursion(
-    day, coeffs: ModulationCoefficients, eph: EphemerisConstants | None = None
-):
+def daily_mean_and_excursion(day, coeffs: ModulationCoefficients, eph: EphemerisConstants):
     """Slow components at the given (fractional) sidereal day index:
     daily mean mu(t) = c0 + c_annual cos(Oa t - phase_annual) and daily
     excursion K(t) = c_daily + c_cross cos(Oa t - phase_annual)."""
-    if eph is None:
-        eph = EphemerisConstants()
     t = np.asarray(day, dtype=float) * SIDEREAL_DAY_S
     annual = np.cos(eph.omega_annual * t - coeffs.phase_annual)
     mu = coeffs.c0 + coeffs.c_annual * annual
@@ -349,17 +335,13 @@ def daily_mean_and_excursion(
     return mu, k
 
 
-def daily_envelope(
-    day, coeffs: ModulationCoefficients, eph: EphemerisConstants | None = None
-):
+def daily_envelope(day, coeffs: ModulationCoefficients, eph: EphemerisConstants):
     """(min, max) of the daily waveform on the given day: mu -/+ |K|."""
     mu, k = daily_mean_and_excursion(day, coeffs, eph)
     return mu - np.abs(k), mu + np.abs(k)
 
 
-def daily_rms(
-    day, coeffs: ModulationCoefficients, eph: EphemerisConstants | None = None
-):
+def daily_rms(day, coeffs: ModulationCoefficients, eph: EphemerisConstants):
     """RMS over one sidereal day of mu + K cos(Os t' - phase):
     sqrt(mu^2 + K^2/2)."""
     mu, k = daily_mean_and_excursion(day, coeffs, eph)
@@ -377,9 +359,6 @@ class GeometricGains:
     g_three_axis: float
     g_total: float
     n_axes: int = 3
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def geometric_gains(site: SiteGeometry, n_axes: int = 3) -> GeometricGains:

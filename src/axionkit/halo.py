@@ -3,9 +3,8 @@
 The local dark-matter speed distribution is a truncated Maxwell-Boltzmann,
 f(v) ~ v^2 exp(-v^2/v0^2) for v < v_esc.  From it follow the mean-square
 speed, the fractional linewidth of the oscillating field, its coherence
-time and quality factor, the spectral line shape seen by a narrowband
-receiver, and the magnitude of the effective magnetic field acting on an
-electron spin.
+time, the spectral line shape seen by a narrowband receiver, and the
+magnitude of the effective magnetic field acting on an electron spin.
 
 All functions are pure; arrays pass through elementwise where sensible.
 """
@@ -38,7 +37,8 @@ class HaloParams:
     at which the fractional linewidth is 3.9e-7, the coherence time at
     1 ueV 3.3 ms and the FWHM at 1 ueV 117 Hz.  v_ref is the Sun's speed
     through the halo, v0 plus the solar peculiar motion (about 232 km/s),
-    rounded to 230 km/s like EphemerisConstants.v_sun.
+    rounded to 230 km/s.  It is the same speed as EphemerisConstants.v_sun,
+    which sets the lab wind; a run configuration must set the two equal.
     """
 
     v0: float = 220.0
@@ -138,11 +138,6 @@ def coherence_time_at_frequency(nu_hz, halo: HaloParams):
     if np.any(not_positive):
         raise ValueError(f"frequency must be positive, got {np.extract(not_positive, nu_hz)[0]}")
     return 1.0 / (np.pi * nu_hz * fractional_linewidth_second_moment(halo))
-
-
-def quality_factor(halo: HaloParams) -> float:
-    """Field quality factor Q = 2 c^2 / <v^2>, of order 1e6."""
-    return 2.0 * C_KM_S**2 / mean_square_speed(halo)
 
 
 def shm_lineshape(nu_hz, axion: AxionParams, halo: HaloParams) -> np.ndarray:

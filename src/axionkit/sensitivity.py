@@ -8,18 +8,17 @@ non-coherently in power over the T_tot/T_cap capture intervals
 multiplies by sqrt(T_tot/T_cap), so the curve scales with the full
 observing time as sqrt(T_tot) and inherits the mass dependence of the
 field coherence time: g_min ~ sqrt(m) where the coherence limit binds,
-flat where the capture cap does.  A radiometer-style alternative,
-(T_coh * T_tot)^(1/4), sits behind the stacking flag.  Power within the
-field linewidth is summed optimally, so no sqrt(n_bins) penalty appears
-anywhere.  The SNR is linear in the coupling through the effective
-field, so the inversion is closed-form.
+flat where the capture cap does.  Power within the field linewidth is
+summed optimally, so no sqrt(n_bins) penalty appears anywhere.  The SNR
+is linear in the coupling through the effective field, so the inversion
+is closed-form.
 """
 
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .constants import uev_to_hz
 from .geometry import GeometricGains
@@ -91,7 +90,7 @@ def trials_threshold(nu_hz, cfg: SearchConfig, halo: HaloParams):
     if np.any(too_few):
         raise ValueError(f"bandwidth * T_seg = {np.extract(too_few, n_trials)[0]} < 1 trial")
     log_p = math.log(cfg.alpha) - np.log(n_trials)
-    z = stats.norm.isf(np.exp(log_p))
+    z = -special.ndtri(np.exp(log_p))
     # the tail branch sees at most LOG_P_FLOOR, where its iteration is defined
     tail = _gaussian_tail_quantile_from_log(np.minimum(log_p, LOG_P_FLOOR))
     return np.where(log_p < LOG_P_FLOOR, tail, z)[()]
@@ -134,7 +133,6 @@ def g_min_curve(
     halo: HaloParams,
     cfg: SearchConfig,
     gains=None,
-    stacking: str = "stack",
     mass_dependent: bool = True,
 ) -> SensitivityCurve:
     """Minimum detectable coupling over the mass grid.
@@ -146,17 +144,12 @@ def g_min_curve(
     g_min directly.  gains may be a GeometricGains record or a plain
     factor; it divides g_min uniformly.  mass_dependent=False freezes
     T_coh at the capture cap, producing the coherence-blind variant.
-
-    stacking="radiometer" replaces the accumulated time factor by
-    (T_coh * T_tot)^(1/4).
     """
     masses = np.asarray(mass_uev, dtype=float)
     if masses.size == 0:
         raise ValueError("empty mass grid")
     if np.any(np.diff(masses) <= 0):
         raise ValueError("mass grid must be strictly increasing")
-    if stacking not in ("stack", "radiometer"):
-        raise ValueError(f"unknown stacking mode {stacking!r}")
 
     gain_total, gain_record = _total_gain(gains)
     eta_eff = qubit.eta_b_t_rthz / math.sqrt(qubit.n_spins)
@@ -169,10 +162,7 @@ def g_min_curve(
         t_coh = adaptive_segment(nu, cfg, halo)
     else:
         t_coh = np.full_like(masses, cfg.t_cap_s)
-    if stacking == "stack":
-        time_factor = np.sqrt(t_coh * cfg.t_tot_s / cfg.t_cap_s)
-    else:
-        time_factor = (t_coh * cfg.t_tot_s) ** 0.25
+    time_factor = np.sqrt(t_coh * cfg.t_tot_s / cfg.t_cap_s)
     z_req = np.maximum(cfg.n_sigma, trials_threshold(nu, cfg, halo))
     g_min = z_req * eta_eff / (b_per_g * time_factor * gain_total)
     bad = ~(np.isfinite(g_min) & (g_min > 0))
@@ -188,7 +178,7 @@ def g_min_curve(
             **asdict(cfg),
             "qubit": asdict(qubit),
             "halo": asdict(halo),
-            "stacking": stacking,
+            "stacking": "stack",
             "mass_dependent": mass_dependent,
         },
     )

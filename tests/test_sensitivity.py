@@ -26,7 +26,7 @@ def gaussian_tail_quantile_oracle(p):
     return 0.5 * (lo + hi)
 
 
-def g_min_loop_reference(masses, qubit, halo, cfg, gain_total, stacking, mass_dependent):
+def g_min_loop_reference(masses, qubit, halo, cfg, gain_total, mass_dependent):
     """The per-mass scalar loop that g_min_curve vectorizes (no tail branch)."""
     eta_eff = qubit.eta_b_t_rthz / math.sqrt(qubit.n_spins)
     b_per_g = effective_field(AxionParams(mass_uev=1.0, g_ae=1.0), halo, halo.v_ref)
@@ -38,10 +38,7 @@ def g_min_loop_reference(masses, qubit, halo, cfg, gain_total, stacking, mass_de
         t_coh = min(t_seg, tau) if mass_dependent else cfg.t_cap_s
         flat = not mass_dependent or cfg.epsilon_safety * tau >= cfg.t_cap_s
         regime.append("flat" if flat else "tau_limited")
-        if stacking == "stack":
-            time_factor = math.sqrt(t_coh * cfg.t_tot_s / cfg.t_cap_s)
-        else:
-            time_factor = (t_coh * cfg.t_tot_s) ** 0.25
+        time_factor = math.sqrt(t_coh * cfg.t_tot_s / cfg.t_cap_s)
         log_p = math.log(cfg.alpha) - math.log(cfg.bandwidth_hz * t_seg)
         z_req = max(cfg.n_sigma, float(stats.norm.isf(math.exp(log_p))))
         g_min.append(z_req * eta_eff / (b_per_g * time_factor * gain_total))
@@ -199,13 +196,6 @@ class TestGminCurve:
         b.to_csv(tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_radiometer_flag_changes_tau_slope(self, cfg, halo, qubit):
-        masses = np.geomspace(3.0, 50.0, 20)
-        curve = sens.g_min_curve(masses, qubit, halo, cfg, stacking="radiometer")
-        tau = np.array([r == "tau_limited" for r in curve.regime])
-        slope = np.polyfit(np.log(curve.mass_uev[tau]), np.log(curve.g_min[tau]), 1)[0]
-        assert slope == pytest.approx(0.25, abs=0.05)
-
     def test_mass_independent_variant_is_flat(self, cfg, halo, qubit):
         masses = np.geomspace(0.1, 50.0, 20)
         curve = sens.g_min_curve(masses, qubit, halo, cfg, mass_dependent=False)
@@ -218,9 +208,8 @@ class TestGminCurve:
             sens.g_min_curve(np.array([]), qubit, halo, cfg)
 
     @pytest.mark.parametrize("preset", ["current", "future"])
-    @pytest.mark.parametrize("stacking", ["stack", "radiometer"])
     @pytest.mark.parametrize("mass_dependent", [True, False])
-    def test_matches_scalar_loop(self, cfg, halo, preset, stacking, mass_dependent):
+    def test_matches_scalar_loop(self, cfg, halo, preset, mass_dependent):
         qubit = sens.PRESETS[preset]
         gains = geometric_gains(SiteGeometry())
         grids = [
@@ -231,14 +220,11 @@ class TestGminCurve:
             for gain in gain_options:
                 total = sens._total_gain(gain)[0]
                 curve = sens.g_min_curve(masses, qubit, halo, cfg, gains=gain,
-                                         stacking=stacking, mass_dependent=mass_dependent)
+                                         mass_dependent=mass_dependent)
                 g_ref, regime_ref = g_min_loop_reference(
-                    masses, qubit, halo, cfg, total, stacking, mass_dependent)
+                    masses, qubit, halo, cfg, total, mass_dependent)
                 assert curve.regime == regime_ref
-                if stacking == "stack":  # same arithmetic, same bits
-                    np.testing.assert_array_equal(curve.g_min, g_ref)
-                else:  # numpy's vector pow may differ from libm's by an ulp
-                    np.testing.assert_allclose(curve.g_min, g_ref, rtol=8 * np.finfo(float).eps)
+                np.testing.assert_array_equal(curve.g_min, g_ref)  # same arithmetic, same bits
 
     def test_current_vs_future_ordering(self, cfg, halo):
         masses = np.geomspace(1.0, 10.0, 8)
