@@ -136,8 +136,31 @@ class TripletResult:
     mode: str = "phase-locked"
 
 
-def _demodulate(t, y, omega: float) -> complex:
-    return complex(np.sum(y * np.exp(-1j * omega * t)))
+# samples per block of the blocked line sums; a private constant that sets
+# the shape of the (blocks x _BLOCK) @ (_BLOCK x lines) product
+_BLOCK = 4096
+
+
+def _line_sums(t, dt: float, y, omega: float, offsets) -> np.ndarray:
+    """sum_k y_k exp(-i (omega + d_j) t_k) for each offset d_j.
+
+    t must be the uniform grid t_k = t[0] + k dt.  The record is mixed
+    once with exp(-i omega t).  With k = b _BLOCK + m, exp(-i d t_k)
+    splits into the per-block phase exp(-i d t[b _BLOCK]) and the
+    in-block phase exp(-i d m dt), so all sums are one matrix product of
+    the mixed record, zero-padded to whole blocks, followed by a
+    phase-weighted sum over blocks.
+    """
+    n = y.size
+    blocks = -(-n // _BLOCK)
+    phase = omega * t
+    mixed = np.zeros(blocks * _BLOCK, dtype=complex)
+    np.multiply(y, np.cos(phase), out=mixed.real[:n])
+    np.multiply(y, -np.sin(phase), out=mixed.imag[:n])
+    d = np.asarray(offsets, dtype=float)
+    in_block = np.exp(-1j * np.outer(dt * np.arange(_BLOCK), d))
+    per_block = np.exp(-1j * np.outer(t[::_BLOCK], d))
+    return np.sum(per_block * (mixed.reshape(blocks, _BLOCK) @ in_block), axis=0)
 
 
 def triplet_statistic(
@@ -148,6 +171,12 @@ def triplet_statistic(
 ) -> TripletResult:
     """Heterodyned powers X = |sum y exp(-i Omega t)|^2 at the three
     target frequencies, plus an annual-depth estimate.
+
+    The record is mixed once with exp(-i Os t); every line is then
+    Os + d for a small offset d (0 and +/-Oa for the triplet, multiples
+    of the comb spacing for the noise floor), and the eleven sums come
+    out of one blocked matrix product on the uniform time grid (see
+    _line_sums), equal to the direct sums to rounding.
 
     The depth comes from a least-squares fit of the two-template model
 
@@ -165,18 +194,17 @@ def triplet_statistic(
 
     om_s, om_a = eph.omega_sidereal, eph.omega_annual
     omega_plus, omega_minus = om_s + om_a, om_s - om_a
-    x_star = abs(_demodulate(t, y, om_s)) ** 2
-    x_plus = abs(_demodulate(t, y, omega_plus)) ** 2
-    x_minus = abs(_demodulate(t, y, omega_minus)) ** 2
 
     # noise floor from a comb of off-target frequencies, spaced by the
     # larger of the annual rate and the record's own resolution; the
     # sqrt(2) puts the figures in the matched-filter amplitude convention
     span = t[-1] - t[0]
     base = max(om_a, 2.0 * math.pi / span)
-    off = [om_s + k * base for k in (-7, -5, -4, -3, 3, 4, 5, 7)]
-    x_off = np.mean([abs(_demodulate(t, y, om)) ** 2 for om in off])
-    floor = max(x_off, 1e-300)
+    comb = [k * base for k in (-7, -5, -4, -3, 3, 4, 5, 7)]
+    lines = _line_sums(t, baseband.dt, y, om_s, [0.0, om_a, -om_a, *comb])
+    power = np.abs(lines) ** 2
+    x_star, x_plus, x_minus = power[:3]
+    floor = max(np.mean(power[3:]), 1e-300)
     snr_star = math.sqrt(2.0 * x_star / floor)
     snr_pm = math.sqrt(x_plus + x_minus) / math.sqrt(floor)
 

@@ -3,8 +3,10 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from axionkit import TimeSeries, WindowSpec
+from axionkit import EphemerisConstants, TimeSeries, WindowSpec
 from axionkit import spectral as spec
 from axionkit.constants import YEAR_S
 
@@ -207,6 +209,45 @@ class TestTripletStatistic:
         record = asdict(spec.triplet_statistic(ts, eph, 0.0, 0.0))
         assert json.loads(json.dumps(record)) == record
         assert record["mode"] == "phase-locked"
+
+
+def direct_line_sum(t, y, omega):
+    """The oracle: the sum evaluated term by term at the full frequency."""
+    return complex(np.sum(y * np.exp(-1j * omega * t)))
+
+
+class TestBlockedLineSums:
+    @given(
+        t0=st.floats(0.0, YEAR_S),
+        dt=st.floats(1.0, 1800.0),
+        n=st.sampled_from([2, 1000, spec._BLOCK, 3 * spec._BLOCK, 3 * spec._BLOCK + 17]),
+        spacing=st.floats(1e-9, 5e-6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_direct_sums(self, t0, dt, n, spacing, seed):
+        eph = EphemerisConstants()
+        t = t0 + dt * np.arange(n, dtype=float)
+        y = np.random.default_rng(seed).normal(size=n)
+        om_s = eph.omega_sidereal
+        offsets = [0.0, eph.omega_annual, -eph.omega_annual]
+        offsets += [k * spacing for k in (-7, -5, -4, -3, 3, 4, 5, 7)]
+        blocked = spec._line_sums(t, dt, y, om_s, offsets)
+        direct = np.array([direct_line_sum(t, y, om_s + d) for d in offsets])
+        # both sides round omega * t, up to 6e3 rad here, to about 5e-13
+        assert np.max(np.abs(blocked - direct)) <= 1e-12 * np.sum(np.abs(y))
+
+    def test_triplet_powers_match_direct_sums(self, eph, rng):
+        # a record whose length is no multiple of the block, off the epoch
+        ts = triplet_record(eph, 0.2, 3 * spec._BLOCK * 600.0 + 7 * 600.0, 600.0, t0=1234.5)
+        ts = TimeSeries(ts.t0, ts.dt, ts.samples + rng.normal(size=ts.samples.size), ts.meta)
+        res = spec.triplet_statistic(ts, eph, 0.0, 0.0)
+        om_s, om_a = eph.omega_sidereal, eph.omega_annual
+        for power, omega in (
+            (res.x_star, om_s), (res.x_plus, om_s + om_a), (res.x_minus, om_s - om_a)
+        ):
+            oracle = abs(direct_line_sum(ts.times, ts.samples, omega)) ** 2
+            assert power == pytest.approx(oracle, rel=1e-10)
 
 
 class TestResolvability:
