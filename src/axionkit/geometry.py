@@ -1,10 +1,11 @@
-"""Lab-frame wind geometry: rotation chain, projections, modulation fit.
+"""Lab-frame wind geometry: projections and the modulation fit.
 
 A fixed mean-wind direction, given in equatorial coordinates (right
 ascension, declination), is combined with the annually rotating orbital
-velocity and rotated into the local horizontal frame at the observing
-site.  The projection of the wind direction onto the sensor axis is the
-slowly varying geometric factor that amplitude-modulates the measurable
+velocity.  The sensor axis, fixed in the local horizontal frame at the
+observing site, is rotated into the equatorial frame at each local
+sidereal time.  The projection of the wind direction onto that axis is
+the slowly varying geometric factor that amplitude-modulates the measurable
 signal; its harmonic content at the sidereal and annual frequencies is
 summarized by a small set of modulation coefficients.
 
@@ -166,45 +167,6 @@ def wind_velocity_equatorial(t, site: SiteGeometry, eph: EphemerisConstants) -> 
     return w - orbital_velocity_equatorial(t, eph)
 
 
-def equatorial_to_horizontal(lst_rad, latitude_deg: float) -> np.ndarray:
-    """Rotation matrix from the equatorial frame to (east, north, up).
-
-    Rows are the horizontal basis vectors expressed in equatorial
-    coordinates; orthonormal with determinant +1.  Shape (..., 3, 3) for
-    array input.
-    """
-    lst = np.asarray(lst_rad, dtype=float)
-    lam = math.radians(latitude_deg)
-    sin_l, cos_l = math.sin(lam), math.cos(lam)
-    r = np.empty(lst.shape + (3, 3))
-    r[..., 0, 0] = -np.sin(lst)
-    r[..., 0, 1] = np.cos(lst)
-    r[..., 0, 2] = 0.0
-    r[..., 1, 0] = -sin_l * np.cos(lst)
-    r[..., 1, 1] = -sin_l * np.sin(lst)
-    r[..., 1, 2] = cos_l
-    r[..., 2, 0] = cos_l * np.cos(lst)
-    r[..., 2, 1] = cos_l * np.sin(lst)
-    r[..., 2, 2] = sin_l
-    return r
-
-
-def lab_wind(t, site: SiteGeometry, eph: EphemerisConstants):
-    """Wind direction in the horizontal frame and wind speed.
-
-    Returns (direction, speed): direction has shape (..., 3) with unit
-    norm, speed is in km/s.
-    """
-    t = np.asarray(t, dtype=float)
-    v_eq = wind_velocity_equatorial(t, site, eph)
-    speed = np.linalg.norm(v_eq, axis=-1)
-    lst = site.lst0_rad + eph.omega_sidereal * t
-    rot = equatorial_to_horizontal(lst, site.latitude_deg)
-    v_enu = np.einsum("...ij,...j->...i", rot, v_eq)
-    direction = v_enu / speed[..., np.newaxis]
-    return direction, speed
-
-
 def device_axis(t, site: SiteGeometry) -> np.ndarray:
     """Sensor axis in the horizontal frame, including turntable rotation."""
     t = np.asarray(t, dtype=float)
@@ -217,32 +179,69 @@ def device_axis(t, site: SiteGeometry) -> np.ndarray:
     return q
 
 
+# samples per chunk of the projection kernel; bounds its temporaries at a
+# few MB whatever the length of t
+_CHUNK = 1 << 16
+
+
+def _axis_dot_wind(t, site: SiteGeometry, eph: EphemerisConstants, axis, v_ref):
+    """q . v_lab / v_ref for the sensor axis q (the site's device axis
+    when axis is None) and the wind v_lab in the horizontal frame; over
+    |v_lab| instead when v_ref is None.
+
+    The rotation R from the equatorial to the horizontal frame is never
+    formed: q . (R v_eq) = (R^T q) . v_eq, and with h = cos(lat) q_u -
+    sin(lat) q_n and s, c the sine and cosine of the local sidereal time,
+    R^T q = (h c - q_e s, h s + q_e c, cos(lat) q_n + sin(lat) q_u).  The
+    samples are taken in chunks of _CHUNK into one output array.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    out = np.empty(flat.shape)
+    lam = math.radians(site.latitude_deg)
+    sin_l, cos_l = math.sin(lam), math.cos(lam)
+    for start in range(0, flat.size, _CHUNK):
+        tc = flat[start : start + _CHUNK]
+        q = device_axis(tc, site) if axis is None else axis
+        q_e, q_n, q_u = q[..., 0], q[..., 1], q[..., 2]
+        lst = site.lst0_rad + eph.omega_sidereal * tc
+        s, c = np.sin(lst), np.cos(lst)
+        h = cos_l * q_u - sin_l * q_n
+        v = wind_velocity_equatorial(tc, site, eph)
+        dot = (h * c - q_e * s) * v[:, 0]
+        dot += (h * s + q_e * c) * v[:, 1]
+        dot += (cos_l * q_n + sin_l * q_u) * v[:, 2]
+        dot /= np.linalg.norm(v, axis=-1) if v_ref is None else v_ref
+        out[start : start + tc.size] = dot
+    return out.reshape(t.shape)[()]
+
+
 def projection(t, site: SiteGeometry, eph: EphemerisConstants, axis=None):
     """cos(theta) between the wind direction and the sensor axis.
 
     axis, if given, is a unit vector in the horizontal frame overriding
-    the site's device pointing.  Always within [-1, 1].
+    the site's device pointing.  Computed as q . v_lab / |v_lab| and
+    clipped to [-1, 1], so always within that range.
     """
-    direction, _ = lab_wind(t, site, eph)
-    if axis is None:
-        q = device_axis(t, site)
-    else:
-        q = np.asarray(axis, dtype=float)
-        if abs(np.linalg.norm(q) - 1.0) > 1e-9:
+    if axis is not None:
+        axis = np.asarray(axis, dtype=float)
+        if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
             raise ValueError("axis must be unit-norm")
-    return np.einsum("...i,...i->...", direction, q)
+    return np.clip(_axis_dot_wind(t, site, eph, axis, None), -1.0, 1.0)
 
 
 def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
     """Normalized signal amplitude (v_lab/v_ref) * cos(theta).
 
+    The lab speed cancels against the normalization of the wind
+    direction, so this is the sensor axis rotated into the equatorial
+    frame, dotted with the wind velocity v_sun w_hat - u_orbit(t), over
+    v_ref (see _axis_dot_wind); no rotation matrix per sample is formed.
     This is the quantity whose daily series and envelope make up the
     year-long geometric modulation; it can exceed one in magnitude when
     the lab speed tops the reference speed.
     """
-    direction, speed = lab_wind(t, site, eph)
-    q = device_axis(t, site)
-    return (speed / v_ref) * np.einsum("...i,...i->...", direction, q)
+    return _axis_dot_wind(t, site, eph, None, v_ref)
 
 
 def modulation_model(t, coeffs: ModulationCoefficients, eph: EphemerisConstants):

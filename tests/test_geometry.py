@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -16,11 +17,49 @@ def fit_grid(samples_per_day=16, days=366):
     return np.arange(0, days * samples_per_day) * (SIDEREAL_DAY_S / samples_per_day)
 
 
+def equatorial_to_horizontal(lst_rad, latitude_deg):
+    """Oracle: rotation matrix from the equatorial frame to (east, north,
+    up); rows are the horizontal basis vectors in equatorial coordinates.
+    Shape (..., 3, 3) for array input."""
+    lst = np.asarray(lst_rad, dtype=float)
+    lam = math.radians(latitude_deg)
+    sin_l, cos_l = math.sin(lam), math.cos(lam)
+    r = np.empty(lst.shape + (3, 3))
+    r[..., 0, 0] = -np.sin(lst)
+    r[..., 0, 1] = np.cos(lst)
+    r[..., 0, 2] = 0.0
+    r[..., 1, 0] = -sin_l * np.cos(lst)
+    r[..., 1, 1] = -sin_l * np.sin(lst)
+    r[..., 1, 2] = cos_l
+    r[..., 2, 0] = cos_l * np.cos(lst)
+    r[..., 2, 1] = cos_l * np.sin(lst)
+    r[..., 2, 2] = sin_l
+    return r
+
+
+def lab_wind(t, site, eph):
+    """Oracle: wind direction in the horizontal frame, through one
+    rotation matrix per sample, and wind speed in km/s."""
+    t = np.asarray(t, dtype=float)
+    v_eq = geo.wind_velocity_equatorial(t, site, eph)
+    speed = np.linalg.norm(v_eq, axis=-1)
+    lst = site.lst0_rad + eph.omega_sidereal * t
+    rot = equatorial_to_horizontal(lst, site.latitude_deg)
+    v_enu = np.einsum("...ij,...j->...i", rot, v_eq)
+    return v_enu / speed[..., np.newaxis], speed
+
+
+def rotation_stack_beta(t, site, eph, v_ref):
+    direction, speed = lab_wind(t, site, eph)
+    q = geo.device_axis(t, site)
+    return (speed / v_ref) * np.einsum("...i,...i->...", direction, q)
+
+
 class TestRotationChain:
     @given(lst=st.floats(0, 2 * np.pi), lat=st.floats(-90.0, 90.0))
     @settings(max_examples=60, deadline=None)
     def test_orthonormal_unit_determinant(self, lst, lat):
-        r = geo.equatorial_to_horizontal(np.array([lst]), lat)[0]
+        r = equatorial_to_horizontal(np.array([lst]), lat)[0]
         assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-12
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
@@ -28,7 +67,7 @@ class TestRotationChain:
         # horizontal basis = rotate equatorial frame by LST about z, then
         # tilt by (90 deg - latitude) about the new east axis
         lst, lat = 1.234, 39.9042
-        r_mine = geo.equatorial_to_horizontal(np.array([lst]), lat)[0]
+        r_mine = equatorial_to_horizontal(np.array([lst]), lat)[0]
         r_oracle = (
             Rotation.from_euler("zx", [-(np.degrees(lst) + 90.0), np.degrees(lat) - 90.0], degrees=True)
         ).as_matrix()
@@ -52,14 +91,14 @@ class TestRotationChain:
         assert np.max(np.abs(p - np.sin(np.radians(30.0)))) < 1e-9
 
     def test_sidereal_periodicity_without_orbit(self, site, eph_no_orbit):
-        d0, s0 = geo.lab_wind(0.0, site, eph_no_orbit)
-        d1, s1 = geo.lab_wind(SIDEREAL_DAY_S, site, eph_no_orbit)
+        d0, s0 = lab_wind(0.0, site, eph_no_orbit)
+        d1, s1 = lab_wind(SIDEREAL_DAY_S, site, eph_no_orbit)
         assert np.max(np.abs(d0 - d1)) < 1e-9
         assert s0 == pytest.approx(s1, rel=1e-12)
 
     def test_unit_norm_direction(self, site, eph):
         t = np.linspace(0, YEAR_S, 1000)
-        direction, _ = geo.lab_wind(t, site, eph)
+        direction, _ = lab_wind(t, site, eph)
         assert np.max(np.abs(np.linalg.norm(direction, axis=-1) - 1.0)) < 1e-12
 
     def test_speed_envelope_against_vector_oracle(self, site, eph):
@@ -72,7 +111,7 @@ class TestRotationChain:
         u = eph.v_orbit * orbit_plane @ tilt.T
         w = eph.v_sun * geo.wind_unit_equatorial(site) - u
         oracle_speed = np.linalg.norm(w, axis=-1)
-        _, speed = geo.lab_wind(t, site, eph)
+        _, speed = lab_wind(t, site, eph)
         assert np.max(np.abs(speed - oracle_speed)) < 1e-9
         # annual envelope approx v_sun +/- v_orbit cos(ecliptic latitude)
         eps = np.radians(eph.obliquity_deg)
@@ -84,17 +123,51 @@ class TestRotationChain:
         assert speed.min() == pytest.approx(eph.v_sun - half_span, rel=0.01)
 
 
+angles = st.floats(0.0, 360.0)
+sites = st.builds(
+    SiteGeometry,
+    latitude_deg=st.floats(-90.0, 90.0),
+    wind_ra_deg=angles,
+    wind_dec_deg=st.floats(-90.0, 90.0),
+    elevation_deg=st.floats(-90.0, 90.0),
+    azimuth_deg=angles,
+    turntable_rate_rad_s=st.floats(-1e-2, 1e-2),
+    lst0_rad=st.floats(0.0, 2 * np.pi),
+)
+
+
 class TestProjection:
-    @given(
-        t=st.floats(0.0, 10 * YEAR_S),
-        lat=st.floats(-89.0, 89.0),
-        dec=st.floats(-89.0, 89.0),
-    )
+    @given(t=st.floats(0.0, 10 * YEAR_S), site=sites)
     @settings(max_examples=80, deadline=None)
-    def test_bounded(self, t, lat, dec):
-        site = SiteGeometry(latitude_deg=lat, wind_dec_deg=dec)
+    def test_bounded(self, t, site):
         p = geo.projection(np.array([t]), site, EphemerisConstants())[0]
         assert -1.0 <= p <= 1.0
+
+    @given(
+        site=sites,
+        t=st.lists(st.floats(0.0, 10 * YEAR_S), min_size=1, max_size=20),
+        v_orbit=st.floats(0.0, 60.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_against_rotation_stack(self, site, t, v_orbit):
+        eph = EphemerisConstants(v_orbit=v_orbit)
+        t = np.array(t)
+        beta = geo.beta_ratio(t, site, eph, 230.0)
+        assert np.max(np.abs(beta - rotation_stack_beta(t, site, eph, 230.0))) <= 2e-15
+        direction, _ = lab_wind(t, site, eph)
+        oracle = np.einsum("...i,...i->...", direction, geo.device_axis(t, site))
+        assert np.max(np.abs(geo.projection(t, site, eph) - oracle)) <= 2e-15
+
+    def test_chunks_and_shapes(self, site, eph):
+        # a grid longer than one chunk, the same grid as a 2-D array, a scalar
+        t = np.arange(geo._CHUNK + 123) * 10.0
+        beta = geo.beta_ratio(t, site, eph, 230.0)
+        assert np.max(np.abs(beta - rotation_stack_beta(t, site, eph, 230.0))) <= 2e-15
+        np.testing.assert_array_equal(
+            geo.beta_ratio(t[:-1].reshape(-1, 2), site, eph, 230.0), beta[:-1].reshape(-1, 2)
+        )
+        scalar = geo.beta_ratio(t[-1], site, eph, 230.0)
+        assert np.ndim(scalar) == 0 and scalar == beta[-1]
 
     def test_perpendicular_axis_zero(self, eph_no_orbit):
         # equatorial site, polar wind, horizon-pointing axis toward east
