@@ -131,7 +131,8 @@ def load_config(path, overrides=()) -> tuple[RunConfig, dict]:
 
     path None means no file: the defaults.  Returns the validated
     RunConfig and the run arguments a manifest carries (its subcommand
-    arguments plus "seed"); a plain config file carries none.
+    arguments plus "seed", None or a non-negative integer); a plain
+    config file carries none.
     """
     data, run_args = {}, {}
     if path is not None:
@@ -148,7 +149,12 @@ def load_config(path, overrides=()) -> tuple[RunConfig, dict]:
             args = data.get("args", {})
             if not isinstance(args, dict):
                 raise ConfigError(f"{path}: manifest args must be an object")
-            run_args = {**args, "seed": data.get("seed")}
+            seed = data.get("seed")
+            if seed is not None and (
+                isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+            ):
+                raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
+            run_args = {**args, "seed": seed}
             data = data.get("config", {})
     return build_config(apply_overrides(data, overrides)), run_args
 

@@ -262,6 +262,16 @@ class TestCli:
         assert err.startswith("axionkit: config error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["abc", 1.5, -1, True])
+    def test_bad_manifest_seed_exit_code(self, tmp_path, capsys, seed):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"schema": "axionkit-manifest/1", "seed": seed}))
+        out = tmp_path / "out"
+        assert self.run("linewidth", "--config", str(manifest), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("axionkit: config error: seed")
+        assert not out.exists()
+
     def test_sun_speed_mismatch_exit_code(self, tmp_path, capsys):
         out = tmp_path / "vref"
         assert self.run("linewidth", "--out", str(out), "--set", "halo.v_ref=220") == 2
