@@ -470,7 +470,7 @@ def main(argv=None) -> int:
     command, _ = _COMMANDS[args.subcommand]
     try:
         used_args = command(runner)
-    except ConfigError as exc:
+    except (ConfigError, signals.UnrealizableNoiseError) as exc:
         print(f"axionkit: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical or I/O failure

@@ -24,6 +24,11 @@ from .timeseries import TimeSeries, short_hash
 SYNTH_SCHEMA = "axionkit-baseband/1"
 
 
+class UnrealizableNoiseError(ValueError):
+    """A noise setting that passed validation cannot be realized on the
+    requested record; the message names the configuration key."""
+
+
 @dataclass(frozen=True)
 class QubitParams:
     """Sensor parameters: gyromagnetic ratio in Hz/T, coherence times in
@@ -202,14 +207,25 @@ def pink_noise(
     drawn with variance matching the target density, the DC term is
     zeroed, and the record is transformed back.  Exact PSD control at
     arbitrary record length, deterministic per generator state.
+
+    Raises UnrealizableNoiseError, naming noise.pink_exponent, when the
+    target density is not finite on the record's frequency grid (a steep
+    exponent overflows at the lowest frequency, 1/(n dt)).
     """
     if amp_psd_1hz <= 0:
         return np.zeros(n)
     freqs = np.fft.rfftfreq(n, dt)
     target = np.zeros_like(freqs)
-    target[1:] = amp_psd_1hz / freqs[1:] ** exponent
-    # one-sided PSD S relates to rfft coefficients via E|X_k|^2 = S_k n / (2 dt)
-    scale = np.sqrt(target * n / (2.0 * dt))
+    with np.errstate(divide="ignore", over="ignore"):
+        target[1:] = amp_psd_1hz / freqs[1:] ** exponent
+        # one-sided PSD S relates to rfft coefficients via E|X_k|^2 = S_k n / (2 dt)
+        scale = np.sqrt(target * n / (2.0 * dt))
+    if not np.all(np.isfinite(scale)):
+        raise UnrealizableNoiseError(
+            f"noise.pink_exponent = {exponent:g}: the 1/f^{exponent:g} density "
+            f"(amplitude {amp_psd_1hz:g} at 1 Hz) is not finite down to this record's "
+            f"lowest frequency {freqs[1]:.3g} Hz; lower the exponent"
+        )
     z = rng.normal(size=freqs.size) + 1j * rng.normal(size=freqs.size)
     z *= scale / math.sqrt(2.0)
     z[0] = 0.0

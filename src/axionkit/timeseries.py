@@ -49,7 +49,15 @@ def write_columns(path, header: str, columns, comment: str | None = None) -> Non
     Floats are written as their shortest round-trip ``repr``, integer
     arrays with ``str`` and strings unchanged, so a reader recovers every
     value exactly.  comment, when given, becomes a leading ``# `` line.
+
+    A float column holding NaN or infinity raises ValueError naming the
+    file and the column, before the file is opened.
     """
+    columns = [np.asarray(column) for column in columns]
+    for name, values in zip(header.split(","), columns):
+        if values.dtype.kind in "fc" and not np.all(np.isfinite(values)):
+            bad = int(np.sum(~np.isfinite(values)))
+            raise ValueError(f"{path}: column {name} has {bad} non-finite values")
     lines = [header] if comment is None else ["# " + comment, header]
     lines.extend(map(",".join, zip(*map(_cells, columns), strict=True)))
     with open(path, "w") as fh:

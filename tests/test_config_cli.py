@@ -221,6 +221,14 @@ class TestCli:
         assert "readout_f0" in err and "readout_f1" in err
         assert not (out / "daily_rms.csv").exists()
 
+    def test_unrealizable_pink_exponent_exit_code(self, tmp_path, capsys):
+        # a validated exponent whose 1/f density overflows on the record's grid
+        out = tmp_path / "pink"
+        assert self.run("psd", "--out", str(out), "--set", "noise.pink_exponent=40") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("axionkit: config error: noise.pink_exponent")
+        assert not (out / "psd.csv").exists()
+
     def test_config_file_and_overrides(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"halo": {"v0": 230.0}}))

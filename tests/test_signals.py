@@ -149,6 +149,12 @@ class TestNoiseGenerators:
         f, p = sps.welch(x, fs=1 / dt, nperseg=1024)
         assert np.mean(p[5:-5]) == pytest.approx(2 * sigma**2 * dt, rel=0.05)
 
+    def test_pink_rejects_nonfinite_density(self):
+        # 1/f^40 at the lowest frequency of a four-year record overflows
+        rng = np.random.default_rng(0)
+        with pytest.raises(sig.UnrealizableNoiseError, match="noise.pink_exponent"):
+            sig.pink_noise(rng, 126_230, 1000.0, 1e-3, exponent=40.0)
+
     def test_zero_amplitudes_give_zero(self):
         rng = np.random.default_rng(0)
         assert np.all(sig.pink_noise(rng, 256, 1.0, 0.0) == 0.0)

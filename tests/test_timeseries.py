@@ -102,6 +102,14 @@ class TestCsvFormat:
         assert path.read_bytes() == ("\n".join([header, *rows]) + "\n").encode()
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_columns_refuses_nonfinite(self, bad, tmp_path):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match=r"table\.csv: column psd has 1 non-finite"):
+            write_columns(path, "f_hz,psd", (np.arange(3.0), np.array([1.0, bad, 2.0])))
+        assert not path.exists()
+
+
 class TestHeaderChecks:
     def test_csv_row_count_must_match_n(self, real_series, tmp_path):
         path = tmp_path / "series.csv"
