@@ -2,8 +2,11 @@
 
 Each subcommand writes CSV (authoritative), JSON records, optional SVG
 inspection plots, and a run manifest that echoes the fully resolved
-configuration, subcommand arguments and seed.  Passing a manifest back
-as --config reproduces the artifacts byte for byte.
+configuration, subcommand arguments and seed, and records the axionkit,
+numpy, python and scipy versions that byte identity depends on.  Passing
+a manifest back as --config reproduces the artifacts byte for byte; the
+versions are not read back, so older manifests without some of them
+still load.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -11,10 +14,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 import argparse
 import dataclasses
 import json
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, geometry, sensitivity, signals, spectral, svgplot
 from .config import (
@@ -91,7 +96,12 @@ class _Runner:
             "config": config_to_dict(self.cfg),
             "args": used_args,
             "seed": self.seed,
-            "versions": {"axionkit": __version__, "numpy": np.__version__},
+            "versions": {
+                "axionkit": __version__,
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+                "scipy": scipy.__version__,
+            },
             "outputs": sorted(self.written),
         }
         _write_json(self.outdir / "manifest.json", record)

@@ -303,6 +303,28 @@ class TestCli:
         for name in ("envelope_daily.csv", "beta_instantaneous.csv", "envelope.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_manifest_records_versions(self, tmp_path):
+        import platform
+
+        import scipy
+
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert self.run("envelope", "--out", str(out1), "--span-days", "30") == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["versions"] == {
+            "axionkit": cli.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "scipy": scipy.__version__,
+        }
+        # a manifest written before python and scipy were recorded
+        del manifest["versions"]["python"], manifest["versions"]["scipy"]
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert self.run("envelope", "--config", str(old), "--out", str(out2)) == 0
+        for name in manifest["outputs"]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_formats_subset(self, tmp_path):
         out = tmp_path / "fmt"
         assert self.run("linewidth", "--out", str(out), "--formats", "csv") == 0
