@@ -5,9 +5,9 @@ ascension, declination), is combined with the annually rotating orbital
 velocity.  The sensor axis, fixed in the local horizontal frame at the
 observing site, is rotated into the equatorial frame at each local
 sidereal time.  The projection of the wind direction onto that axis is
-the slowly varying geometric factor that amplitude-modulates the measurable
-signal; its harmonic content at the sidereal and annual frequencies is
-summarized by a small set of modulation coefficients.
+the slowly varying geometric factor that amplitude-modulates the
+measurable signal; its harmonic content at the sidereal and annual
+frequencies is summarized by a small set of modulation coefficients.
 
 Conventions
 -----------
@@ -195,6 +195,8 @@ def _axis_dot_wind(t, site: SiteGeometry, eph: EphemerisConstants, axis, v_ref):
     R^T q = (h c - q_e s, h s + q_e c, cos(lat) q_n + sin(lat) q_u).  The
     samples are taken in chunks of _CHUNK into one output array.
     """
+    if axis is None and site.turntable_rate_rad_s == 0.0:
+        axis = device_axis(0.0, site)  # a fixed pointing: one axis for all samples
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
     out = np.empty(flat.shape)
