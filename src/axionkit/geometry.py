@@ -195,8 +195,6 @@ def _axis_dot_wind(t, site: SiteGeometry, eph: EphemerisConstants, axis, v_ref):
     R^T q = (h c - q_e s, h s + q_e c, cos(lat) q_n + sin(lat) q_u).  The
     samples are taken in chunks of _CHUNK into one output array.
     """
-    if axis is None and site.turntable_rate_rad_s == 0.0:
-        axis = device_axis(0.0, site)  # a fixed pointing: one axis for all samples
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
     out = np.empty(flat.shape)
