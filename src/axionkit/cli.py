@@ -2,11 +2,18 @@
 
 Each subcommand writes CSV (authoritative), JSON records, optional SVG
 inspection plots, and a run manifest that echoes the fully resolved
-configuration, subcommand arguments and seed, and records the axionkit,
-numpy, python and scipy versions that byte identity depends on.  Passing
-a manifest back as --config reproduces the artifacts byte for byte; the
+configuration and subcommand arguments, and records the axionkit, numpy,
+python and scipy versions that byte identity depends on.  Passing a
+manifest back as --config reproduces the artifacts byte for byte; the
 versions are not read back, so older manifests without some of them
 still load.
+
+--seed N and --formats a,b are spellings of the configuration keys
+noise.seed and output.formats (--set noise.seed=N, --set
+output.formats=[...]), applied after every --set, so the manifest
+records the seed once, in config.noise.seed.  Each subcommand argument
+is declared once in _COMMANDS and resolved from the command line, then
+the manifest's args, then its default.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -49,34 +56,16 @@ def _daily_rms_debiased(samples: np.ndarray, per_day: int, noise_var: float) -> 
 class _Runner:
     """Shared plumbing for one subcommand invocation."""
 
-    def __init__(self, cfg: RunConfig, args, manifest_args: dict):
+    def __init__(self, cfg: RunConfig, args: dict, out):
         self.cfg = cfg
         self.args = args
-        self.manifest_args = manifest_args
-        outdir = args.out or cfg.output.directory
-        self.outdir = Path(outdir)
+        self.outdir = Path(out or cfg.output.directory)
         self.outdir.mkdir(parents=True, exist_ok=True)
-        self.formats = (
-            tuple(args.formats.split(",")) if args.formats else cfg.output.formats
-        )
-        seed = args.seed
-        if seed is None:
-            seed = manifest_args.get("seed")
-        self.seed = cfg.noise.seed if seed is None else int(seed)
-        self.noise = dataclasses.replace(cfg.noise, seed=self.seed)
         self.written: list[str] = []
-
-    def arg(self, name: str, default):
-        value = getattr(self.args, name.replace("-", "_"))
-        if value is not None:
-            return value
-        if name in self.manifest_args:
-            return self.manifest_args[name]
-        return default
 
     def save(self, name: str, write) -> None:
         """write(path) the artifact if its suffix is a requested format."""
-        if Path(name).suffix[1:] in self.formats:
+        if Path(name).suffix[1:] in self.cfg.output.formats:
             write(self.outdir / name)
             self.written.append(name)
 
@@ -89,13 +78,12 @@ class _Runner:
     def svg(self, name: str, curves, **kwargs) -> None:
         self.save(name, lambda path: svgplot.line_plot(path, curves, **kwargs))
 
-    def manifest(self, subcommand: str, used_args: dict) -> None:
+    def manifest(self, subcommand: str) -> None:
         record = {
             "schema": MANIFEST_SCHEMA,
             "subcommand": subcommand,
             "config": config_to_dict(self.cfg),
-            "args": used_args,
-            "seed": self.seed,
+            "args": self.args,
             "versions": {
                 "axionkit": __version__,
                 "numpy": np.__version__,
@@ -113,9 +101,8 @@ class _Runner:
         )
 
 
-def cmd_envelope(run: _Runner) -> dict:
-    span_days = float(run.arg("span-days", 366.0))
-    dt = float(run.arg("dt", 600.0))
+def cmd_envelope(run: _Runner) -> None:
+    span_days, dt = run.args["span-days"], run.args["dt"]
     cfg = run.cfg
     coeffs = run.coefficients()
 
@@ -147,15 +134,13 @@ def cmd_envelope(run: _Runner) -> dict:
         ylabel="normalized amplitude",
         title="daily modulation and its annual envelope",
     )
-    return {"span-days": span_days, "dt": dt}
 
 
-def cmd_daily_rms(run: _Runner) -> dict:
-    trials = int(run.arg("trials", 16))
+def cmd_daily_rms(run: _Runner) -> None:
+    trials = run.args["trials"]
     if trials < 2:
         raise ConfigError("daily-rms needs at least 2 trials for the ensemble sigma")
-    per_day = int(run.arg("samples-per-day", 48))
-    band_sigma = float(run.arg("band-sigma", 5.0))
+    per_day, band_sigma = run.args["samples-per-day"], run.args["band-sigma"]
     cfg = run.cfg
     dt = SIDEREAL_DAY_S / per_day
     coeffs = run.coefficients()
@@ -164,10 +149,10 @@ def cmd_daily_rms(run: _Runner) -> dict:
     theory = geometry.daily_rms(days + 0.5, coeffs, cfg.ephemeris)
     theory_norm = theory / np.mean(theory)
 
-    child_seeds = np.random.SeedSequence(run.seed).generate_state(trials)
+    child_seeds = np.random.SeedSequence(cfg.noise.seed).generate_state(trials)
     per_trial = []
     for child in child_seeds:
-        noise = dataclasses.replace(run.noise, seed=int(child))
+        noise = dataclasses.replace(cfg.noise, seed=int(child))
         ts = signals.synthesize_observable(
             cfg.geometry, cfg.ephemeris, cfg.axion, cfg.halo, cfg.qubit,
             noise, YEAR_S, dt, coeffs=coeffs, readout=True,
@@ -197,16 +182,13 @@ def cmd_daily_rms(run: _Runner) -> dict:
         ylabel="normalized daily RMS",
         title="daily RMS with readout and noise",
     )
-    return {"trials": trials, "samples-per-day": per_day, "band-sigma": band_sigma}
 
 
-def cmd_psd(run: _Runner) -> dict:
-    span_days = float(run.arg("span-days", 4 * 365.25))
-    dt = float(run.arg("dt", 1000.0))
+def cmd_psd(run: _Runner) -> None:
     cfg = run.cfg
     ts = signals.synthesize_observable(
         cfg.geometry, cfg.ephemeris, cfg.axion, cfg.halo, cfg.qubit,
-        run.noise, span_days * 86400.0, dt,
+        cfg.noise, run.args["span-days"] * 86400.0, run.args["dt"],
     )
     window = spectral.WindowSpec("rectangular", 0.0, 0.0)
     spectrum = spectral.periodogram(ts, window)
@@ -238,15 +220,12 @@ def cmd_psd(run: _Runner) -> dict:
         title="baseband PSD around the sidereal line",
         ylog=True,
     )
-    return {"span-days": span_days, "dt": dt}
 
 
-def cmd_triplet(run: _Runner) -> dict:
+def cmd_triplet(run: _Runner) -> None:
     cfg = run.cfg
-    data_path = run.arg("data", None)
-    psi_daily = run.arg("psi-daily", None)
-    psi_annual = run.arg("psi-annual", None)
-    used = {"data": data_path, "psi-daily": psi_daily, "psi-annual": psi_annual}
+    data_path = run.args["data"]
+    psi_daily, psi_annual = run.args["psi-daily"], run.args["psi-annual"]
 
     if data_path is not None:
         if psi_daily is None or psi_annual is None:
@@ -256,12 +235,9 @@ def cmd_triplet(run: _Runner) -> dict:
             )
         ts = TimeSeries.from_csv(data_path)
     else:
-        span_days = float(run.arg("span-days", 240.0))
-        dt = float(run.arg("dt", 1800.0))
-        used.update({"span-days": span_days, "dt": dt})
         ts = signals.synthesize_observable(
             cfg.geometry, cfg.ephemeris, cfg.axion, cfg.halo, cfg.qubit,
-            run.noise, span_days * 86400.0, dt,
+            cfg.noise, run.args["span-days"] * 86400.0, run.args["dt"],
         )
         coeffs = run.coefficients()
         if psi_daily is None:
@@ -269,9 +245,7 @@ def cmd_triplet(run: _Runner) -> dict:
         if psi_annual is None:
             _, psi_annual = coeffs.envelope_depth_and_phase
 
-    result = spectral.triplet_statistic(
-        ts, cfg.ephemeris, float(psi_daily), float(psi_annual)
-    )
+    result = spectral.triplet_statistic(ts, cfg.ephemeris, psi_daily, psi_annual)
     run.json(
         "triplet.json",
         {
@@ -290,11 +264,10 @@ def cmd_triplet(run: _Runner) -> dict:
             (result.x_star, result.x_plus, result.x_minus),
         ),
     )
-    return used
 
 
-def cmd_linewidth(run: _Runner) -> dict:
-    masses = [float(m) for m in str(run.arg("masses", "1,5,10")).split(",")]
+def cmd_linewidth(run: _Runner) -> None:
+    masses = [float(m) for m in run.args["masses"].split(",")]
     cfg = run.cfg
     blocks = []
     curves = []
@@ -324,15 +297,10 @@ def cmd_linewidth(run: _Runner) -> dict:
         ylabel="density (1/Hz)",
         title="halo line shapes",
     )
-    return {"masses": ",".join(f"{m:g}" for m in masses)}
 
 
-def cmd_sensitivity(run: _Runner) -> dict:
-    preset = str(run.arg("preset", "config"))
-    gains_mode = str(run.arg("gains", "all"))
-    mass_lo = float(run.arg("mass-min", 1.0))
-    mass_hi = float(run.arg("mass-max", 10.0))
-    n_points = int(run.arg("mass-points", 50))
+def cmd_sensitivity(run: _Runner) -> None:
+    preset, gains_mode = run.args["preset"], run.args["gains"]
     cfg = run.cfg
 
     if preset == "config":
@@ -351,7 +319,7 @@ def cmd_sensitivity(run: _Runner) -> dict:
     if gains_mode not in gain_for:
         raise ConfigError(f"unknown gains mode {gains_mode!r} (use none, matched or all)")
 
-    masses = np.geomspace(mass_lo, mass_hi, n_points)
+    masses = np.geomspace(run.args["mass-min"], run.args["mass-max"], run.args["mass-points"])
     variants = {
         mode: sensitivity.g_min_curve(masses, qubit, cfg.halo, cfg.search, gains=gains)
         for mode, gains in gain_for.items()
@@ -399,22 +367,64 @@ def cmd_sensitivity(run: _Runner) -> dict:
         xlog=True,
         ylog=True,
     )
-    return {
-        "preset": preset,
-        "gains": gains_mode,
-        "mass-min": mass_lo,
-        "mass-max": mass_hi,
-        "mass-points": n_points,
-    }
 
 
+_DT_HELP = "sample spacing in seconds"
+
+# subcommand -> (function, help, ((argument, type, default, help), ...))
 _COMMANDS = {
-    "envelope": (cmd_envelope, "daily min/max envelope and instantaneous amplitude over a year"),
-    "daily-rms": (cmd_daily_rms, "geometry-only daily RMS against noisy Monte-Carlo observations"),
-    "psd": (cmd_psd, "baseband power spectral density with the annual-splitting markers"),
-    "triplet": (cmd_triplet, "heterodyned three-line statistics and annual-depth estimate"),
-    "linewidth": (cmd_linewidth, "halo line shapes for a list of masses"),
-    "sensitivity": (cmd_sensitivity, "coupling sensitivity curves with gain and preset variants"),
+    "envelope": (
+        cmd_envelope,
+        "daily min/max envelope and instantaneous amplitude over a year",
+        (
+            ("span-days", float, 366.0, "record length in sidereal days"),
+            ("dt", float, 600.0, _DT_HELP),
+        ),
+    ),
+    "daily-rms": (
+        cmd_daily_rms,
+        "geometry-only daily RMS against noisy Monte-Carlo observations",
+        (
+            ("trials", int, 16, "Monte-Carlo ensemble size"),
+            ("samples-per-day", int, 48, "samples per sidereal day"),
+            ("band-sigma", float, 5.0, "band half-width in ensemble sigmas"),
+        ),
+    ),
+    "psd": (
+        cmd_psd,
+        "baseband power spectral density with the annual-splitting markers",
+        (
+            ("span-days", float, 4 * 365.25, "record length in days of 86,400 s"),
+            ("dt", float, 1000.0, _DT_HELP),
+        ),
+    ),
+    "triplet": (
+        cmd_triplet,
+        "heterodyned three-line statistics and annual-depth estimate",
+        (
+            ("data", str, None, "CSV time series to analyze instead of synthesizing"),
+            ("psi-daily", float, None, "sidereal phase (rad)"),
+            ("psi-annual", float, None, "annual envelope phase (rad)"),
+            ("span-days", float, 240.0, "synthesized record length in days of 86,400 s"),
+            ("dt", float, 1800.0, _DT_HELP),
+        ),
+    ),
+    "linewidth": (
+        cmd_linewidth,
+        "halo line shapes for a list of masses",
+        (("masses", str, "1,5,10", "comma-separated masses in ueV"),),
+    ),
+    "sensitivity": (
+        cmd_sensitivity,
+        "coupling sensitivity curves with gain and preset variants",
+        (
+            ("preset", str, "config", "config, current or future"),
+            ("gains", str, "all", "none, matched or all"),
+            ("mass-min", float, 1.0, "grid start (ueV)"),
+            ("mass-max", float, 10.0, "grid end (ueV)"),
+            ("mass-points", int, 50, "grid size"),
+        ),
+    ),
 }
 
 
@@ -428,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"axionkit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, spec) in _COMMANDS.items():
         p = sub.add_parser(
             name,
             help=help_text,
@@ -440,53 +450,62 @@ def _build_parser() -> argparse.ArgumentParser:
             "--set", action="append", default=[], metavar="KEY=VALUE",
             help="override one config key, e.g. --set halo.v0=230",
         )
-        p.add_argument("--seed", type=int, help="master noise seed")
+        p.add_argument("--seed", help="master noise seed: --set noise.seed=N")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--formats", help="comma-separated subset of csv,json,svg")
-        if name in ("envelope", "psd"):
-            p.add_argument("--span-days", type=float, help="record length in days")
-            p.add_argument("--dt", type=float, help="sample spacing in seconds")
-        if name == "daily-rms":
-            p.add_argument("--trials", type=int, help="Monte-Carlo ensemble size")
-            p.add_argument("--samples-per-day", type=int, help="samples per sidereal day")
-            p.add_argument("--band-sigma", type=float, help="band half-width in ensemble sigmas")
-        if name == "triplet":
-            p.add_argument("--data", help="CSV time series to analyze instead of synthesizing")
-            p.add_argument("--psi-daily", type=float, help="sidereal phase (rad)")
-            p.add_argument("--psi-annual", type=float, help="annual envelope phase (rad)")
-            p.add_argument("--span-days", type=float, help="synthesized record length in days")
-            p.add_argument("--dt", type=float, help="sample spacing in seconds")
-        if name == "linewidth":
-            p.add_argument("--masses", help="comma-separated masses in ueV")
-        if name == "sensitivity":
-            p.add_argument("--preset", help="config, current or future")
-            p.add_argument("--gains", help="none, matched or all")
-            p.add_argument("--mass-min", type=float, help="grid start (ueV)")
-            p.add_argument("--mass-max", type=float, help="grid end (ueV)")
-            p.add_argument("--mass-points", type=int, help="grid size")
+        p.add_argument(
+            "--formats", help="comma-separated subset of csv,json,svg: --set output.formats"
+        )
+        for arg, _, default, arg_help in spec:
+            p.add_argument(f"--{arg}", help=f"{arg_help} (default: {default})")
     return parser
 
 
+def _resolve_args(spec, args: argparse.Namespace, manifest_args: dict) -> dict:
+    """Each declared argument from the command line, else the manifest's
+    args, else its default, converted to its declared type."""
+    resolved = {}
+    for name, kind, default, _ in spec:
+        value = getattr(args, name.replace("-", "_"))
+        if value is None:
+            value = manifest_args.get(name)
+        if value is None:
+            value = default
+        if value is not None:
+            try:
+                value = kind(str(value))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"args.{name}: expected {kind.__name__}, got {value!r}"
+                ) from exc
+        resolved[name] = value
+    return resolved
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command, _, spec = _COMMANDS[args.subcommand]
+    overrides = list(args.set)
+    if args.seed is not None:
+        overrides.append(f"noise.seed={args.seed}")
+    if args.formats is not None:
+        overrides.append(f"output.formats={json.dumps(args.formats.split(','))}")
     try:
-        cfg, manifest_args = load_config(args.config, args.set)
+        cfg, manifest_args = load_config(args.config, overrides)
+        run_args = _resolve_args(spec, args, manifest_args)
     except ConfigError as exc:
         print(f"axionkit: config error: {exc}", file=sys.stderr)
         return 2
 
-    runner = _Runner(cfg, args, manifest_args)
-    command, _ = _COMMANDS[args.subcommand]
+    runner = _Runner(cfg, run_args, args.out)
     try:
-        used_args = command(runner)
+        command(runner)
     except (ConfigError, signals.UnrealizableNoiseError) as exc:
         print(f"axionkit: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical or I/O failure
         print(f"axionkit: {args.subcommand} failed: {exc}", file=sys.stderr)
         return 3
-    runner.manifest(args.subcommand, used_args)
+    runner.manifest(args.subcommand)
     for name in runner.written:
         print(f"wrote {runner.outdir / name}")
     return 0

@@ -4,8 +4,8 @@ A run configuration is a JSON object with one section per parameter
 group.  Unknown keys anywhere are rejected with the offending dotted
 path; every field has a default, so the empty object is a valid
 configuration.  A previously written run manifest can be passed in
-place of a configuration file; load_config extracts its config, its
-subcommand arguments and its seed.
+place of a configuration file; load_config extracts its config and its
+subcommand arguments.
 """
 
 import dataclasses
@@ -130,9 +130,10 @@ def load_config(path, overrides=()) -> tuple[RunConfig, dict]:
     """Read a config file, or a run manifest, and apply --set overrides.
 
     path None means no file: the defaults.  Returns the validated
-    RunConfig and the run arguments a manifest carries (its subcommand
-    arguments plus "seed", None or a non-negative integer); a plain
-    config file carries none.
+    RunConfig and the subcommand arguments a manifest carries; a plain
+    config file carries none.  The top-level seed of a manifest written
+    before the seed moved into noise.seed is folded into noise.seed
+    ahead of the overrides.
     """
     data, run_args = {}, {}
     if path is not None:
@@ -154,7 +155,9 @@ def load_config(path, overrides=()) -> tuple[RunConfig, dict]:
                 isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
             ):
                 raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
-            run_args = {**args, "seed": seed}
+            if seed is not None:
+                overrides = [f"noise.seed={seed}", *overrides]
+            run_args = args
             data = data.get("config", {})
     return build_config(apply_overrides(data, overrides)), run_args
 

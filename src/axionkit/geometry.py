@@ -179,20 +179,26 @@ def device_axis(t, site: SiteGeometry) -> np.ndarray:
     return q
 
 
-# samples per chunk of the projection kernel; bounds its temporaries at a
+# samples per chunk of the beta_ratio kernel; bounds its temporaries at a
 # few MB whatever the length of t
 _CHUNK = 1 << 16
 
 
-def _axis_dot_wind(t, site: SiteGeometry, eph: EphemerisConstants, axis, v_ref):
-    """q . v_lab / v_ref for the sensor axis q (the site's device axis
-    when axis is None) and the wind v_lab in the horizontal frame; over
-    |v_lab| instead when v_ref is None.
+def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
+    """Normalized signal amplitude (v_lab/v_ref) * cos(theta).
+
+    The lab speed cancels against the normalization of the wind
+    direction, so this is q . v_lab / v_ref for the sensor axis q and the
+    wind v_lab in the horizontal frame.  It can exceed one in magnitude
+    when the lab speed tops the reference speed.  This is the quantity
+    whose daily series and envelope make up the year-long geometric
+    modulation.
 
     The rotation R from the equatorial to the horizontal frame is never
     formed: q . (R v_eq) = (R^T q) . v_eq, and with h = cos(lat) q_u -
     sin(lat) q_n and s, c the sine and cosine of the local sidereal time,
-    R^T q = (h c - q_e s, h s + q_e c, cos(lat) q_n + sin(lat) q_u).  The
+    R^T q = (h c - q_e s, h s + q_e c, cos(lat) q_n + sin(lat) q_u),
+    dotted with the equatorial wind v_sun w_hat - u_orbit(t).  The
     samples are taken in chunks of _CHUNK into one output array.
     """
     t = np.asarray(t, dtype=float)
@@ -202,7 +208,7 @@ def _axis_dot_wind(t, site: SiteGeometry, eph: EphemerisConstants, axis, v_ref):
     sin_l, cos_l = math.sin(lam), math.cos(lam)
     for start in range(0, flat.size, _CHUNK):
         tc = flat[start : start + _CHUNK]
-        q = device_axis(tc, site) if axis is None else axis
+        q = device_axis(tc, site)
         q_e, q_n, q_u = q[..., 0], q[..., 1], q[..., 2]
         lst = site.lst0_rad + eph.omega_sidereal * tc
         s, c = np.sin(lst), np.cos(lst)
@@ -211,37 +217,9 @@ def _axis_dot_wind(t, site: SiteGeometry, eph: EphemerisConstants, axis, v_ref):
         dot = (h * c - q_e * s) * v[:, 0]
         dot += (h * s + q_e * c) * v[:, 1]
         dot += (cos_l * q_n + sin_l * q_u) * v[:, 2]
-        dot /= np.linalg.norm(v, axis=-1) if v_ref is None else v_ref
+        dot /= v_ref
         out[start : start + tc.size] = dot
     return out.reshape(t.shape)[()]
-
-
-def projection(t, site: SiteGeometry, eph: EphemerisConstants, axis=None):
-    """cos(theta) between the wind direction and the sensor axis.
-
-    axis, if given, is a unit vector in the horizontal frame overriding
-    the site's device pointing.  Computed as q . v_lab / |v_lab| and
-    clipped to [-1, 1], so always within that range.
-    """
-    if axis is not None:
-        axis = np.asarray(axis, dtype=float)
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
-            raise ValueError("axis must be unit-norm")
-    return np.clip(_axis_dot_wind(t, site, eph, axis, None), -1.0, 1.0)
-
-
-def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
-    """Normalized signal amplitude (v_lab/v_ref) * cos(theta).
-
-    The lab speed cancels against the normalization of the wind
-    direction, so this is the sensor axis rotated into the equatorial
-    frame, dotted with the wind velocity v_sun w_hat - u_orbit(t), over
-    v_ref (see _axis_dot_wind); no rotation matrix per sample is formed.
-    This is the quantity whose daily series and envelope make up the
-    year-long geometric modulation; it can exceed one in magnitude when
-    the lab speed tops the reference speed.
-    """
-    return _axis_dot_wind(t, site, eph, None, v_ref)
 
 
 def modulation_model(t, coeffs: ModulationCoefficients, eph: EphemerisConstants):

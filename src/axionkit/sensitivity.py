@@ -67,33 +67,19 @@ def adaptive_segment(nu_hz, cfg: SearchConfig, halo: HaloParams):
     return np.minimum(cfg.epsilon_safety * coherence_time_at_frequency(nu_hz, halo), cfg.t_cap_s)
 
 
-# per-trial levels below this go through the asymptotic tail inversion
-LOG_P_FLOOR = math.log(1e-280)
-
-
-def _gaussian_tail_quantile_from_log(log_p):
-    # asymptotic inversion of p = exp(-z^2/2)/(z sqrt(2 pi)), iterated
-    z = np.sqrt(-2.0 * log_p)
-    for _ in range(4):
-        z = np.sqrt(2.0 * (-log_p - np.log(z) - 0.5 * math.log(2.0 * math.pi)))
-    return z
-
-
 def trials_threshold(nu_hz, cfg: SearchConfig, halo: HaloParams):
     """One-sided z threshold at per-trial level alpha/N_trials, with
-    N_trials = bandwidth * T_seg(nu).  Monotone in both knobs; switches
-    to the asymptotic tail inversion when the per-trial level underflows.
-    Elementwise over an array of frequencies.
+    N_trials = bandwidth * T_seg(nu).  Monotone in both knobs; the
+    quantile is taken from log(alpha/N_trials), so it stays finite where
+    the per-trial level underflows.  Elementwise over an array of
+    frequencies.
     """
     n_trials = cfg.bandwidth_hz * adaptive_segment(nu_hz, cfg, halo)
     too_few = n_trials < 1.0
     if np.any(too_few):
         raise ValueError(f"bandwidth * T_seg = {np.extract(too_few, n_trials)[0]} < 1 trial")
     log_p = math.log(cfg.alpha) - np.log(n_trials)
-    z = -special.ndtri(np.exp(log_p))
-    # the tail branch sees at most LOG_P_FLOOR, where its iteration is defined
-    tail = _gaussian_tail_quantile_from_log(np.minimum(log_p, LOG_P_FLOOR))
-    return np.where(log_p < LOG_P_FLOOR, tail, z)[()]
+    return -special.ndtri_exp(log_p)
 
 
 @dataclass

@@ -85,7 +85,7 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("white_psd", "pink_amplitude", "rtn_amplitude"):
+        for name in ("white_psd", "pink_amplitude", "rtn_amplitude", "seed"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative")

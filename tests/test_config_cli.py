@@ -280,6 +280,32 @@ class TestCli:
         assert err.startswith("axionkit: config error: seed")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["--formats", "cvs"], "formats"),
+            (["--seed", "-1"], "seed"),
+            (["--set", "noise.seed=-1"], "seed"),
+        ],
+        ids=["formats-typo", "negative-seed", "negative-noise-seed"],
+    )
+    def test_bad_run_setting_exit_code(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        assert self.run("linewidth", "--out", str(out), *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("axionkit: config error: ") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [{"dt": "abc"}, {"span-days": True}, {"dt": [600]}])
+    def test_bad_manifest_args_exit_code(self, tmp_path, capsys, args):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"schema": "axionkit-manifest/1", "args": args}))
+        out = tmp_path / "out"
+        assert self.run("envelope", "--config", str(manifest), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"axionkit: config error: args.{next(iter(args))}")
+        assert not out.exists()
+
     def test_sun_speed_mismatch_exit_code(self, tmp_path, capsys):
         out = tmp_path / "vref"
         assert self.run("linewidth", "--out", str(out), "--set", "halo.v_ref=220") == 2
@@ -302,6 +328,26 @@ class TestCli:
                         "--out", str(out2)) == 0
         for name in ("envelope_daily.csv", "beta_instantaneous.csv", "envelope.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_seed_recorded_once_and_old_manifests_fold_it(self, tmp_path):
+        out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        argv = ["--span-days", "30", "--dt", "2000", "--formats", "csv,json"]
+        assert self.run("psd", "--out", str(out1), "--set", "noise.seed=5",
+                        "--seed", "3", *argv) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["config"]["noise"]["seed"] == 3 and "seed" not in manifest
+        assert manifest["config"]["output"]["formats"] == ["csv", "json"]
+        # a manifest written when the seed was stored at the top level
+        manifest["seed"], manifest["config"]["noise"]["seed"] = 3, 0
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert self.run("psd", "--config", str(old), "--out", str(out2)) == 0
+        for name in manifest["outputs"]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # an explicit override beats the manifest, as for every other key
+        assert self.run("psd", "--config", str(old), "--out", str(out3),
+                        "--set", "noise.seed=5") == 0
+        assert (out1 / "psd.csv").read_bytes() != (out3 / "psd.csv").read_bytes()
 
     def test_manifest_records_versions(self, tmp_path):
         import platform
@@ -331,6 +377,28 @@ class TestCli:
         assert (out / "linewidth.csv").exists()
         assert not (out / "linewidth.svg").exists()
         assert (out / "manifest.json").exists()  # manifest always written
+
+    @pytest.mark.parametrize(
+        "subcommand, argv",
+        [
+            ("envelope", ["--span-days", "2"]),
+            ("daily-rms", ["--trials", "2"]),
+            ("psd", ["--span-days", "10"]),
+            ("triplet", ["--span-days", "10"]),
+            ("linewidth", ["--masses", "1"]),
+            ("sensitivity", ["--mass-points", "5"]),
+        ],
+    )
+    def test_manifest_args_follow_the_argument_table(self, tmp_path, capsys, subcommand, argv):
+        names = [name for name, *_ in cli._COMMANDS[subcommand][2]]
+        out = tmp_path / "out"
+        assert self.run(subcommand, "--out", str(out), "--formats", "json", *argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["args"]) == sorted(names)
+        with pytest.raises(SystemExit):
+            cli.main([subcommand, "--help"])
+        text = capsys.readouterr().out
+        assert all(f"--{name}" in text for name in names)
 
     def test_help_lists_config_keys(self, capsys):
         with pytest.raises(SystemExit) as exc:

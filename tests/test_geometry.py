@@ -49,6 +49,12 @@ def lab_wind(t, site, eph):
     return v_enu / speed[..., np.newaxis], speed
 
 
+def projection(t, site, eph):
+    """Oracle: cos(theta) between the wind direction and the sensor axis."""
+    direction, _ = lab_wind(t, site, eph)
+    return np.einsum("...i,...i->...", direction, geo.device_axis(t, site))
+
+
 def rotation_stack_beta(t, site, eph, v_ref):
     direction, speed = lab_wind(t, site, eph)
     q = geo.device_axis(t, site)
@@ -87,7 +93,7 @@ class TestRotationChain:
     def test_pole_projection_constant(self, eph_no_orbit):
         pole = SiteGeometry(latitude_deg=90.0)
         t = np.linspace(0.0, 5 * 86400.0, 400)
-        p = geo.projection(t, pole, eph_no_orbit)
+        p = geo.beta_ratio(t, pole, eph_no_orbit, eph_no_orbit.v_sun)
         assert np.max(np.abs(p - np.sin(np.radians(30.0)))) < 1e-9
 
     def test_sidereal_periodicity_without_orbit(self, site, eph_no_orbit):
@@ -137,12 +143,6 @@ sites = st.builds(
 
 
 class TestProjection:
-    @given(t=st.floats(0.0, 10 * YEAR_S), site=sites)
-    @settings(max_examples=80, deadline=None)
-    def test_bounded(self, t, site):
-        p = geo.projection(np.array([t]), site, EphemerisConstants())[0]
-        assert -1.0 <= p <= 1.0
-
     @given(
         site=sites,
         t=st.lists(st.floats(0.0, 10 * YEAR_S), min_size=1, max_size=20),
@@ -154,9 +154,6 @@ class TestProjection:
         t = np.array(t)
         beta = geo.beta_ratio(t, site, eph, 230.0)
         assert np.max(np.abs(beta - rotation_stack_beta(t, site, eph, 230.0))) <= 2e-15
-        direction, _ = lab_wind(t, site, eph)
-        oracle = np.einsum("...i,...i->...", direction, geo.device_axis(t, site))
-        assert np.max(np.abs(geo.projection(t, site, eph) - oracle)) <= 2e-15
 
     def test_chunks_and_shapes(self, site, eph):
         # a grid longer than one chunk, the same grid as a 2-D array, a scalar
@@ -171,26 +168,23 @@ class TestProjection:
 
     def test_perpendicular_axis_zero(self, eph_no_orbit):
         # equatorial site, polar wind, horizon-pointing axis toward east
-        site = SiteGeometry(latitude_deg=0.0, wind_dec_deg=90.0)
+        site = SiteGeometry(latitude_deg=0.0, wind_dec_deg=90.0,
+                            elevation_deg=0.0, azimuth_deg=90.0)
         t = np.linspace(0, 2 * 86400, 300)
-        p = geo.projection(t, site, eph_no_orbit, axis=np.array([1.0, 0.0, 0.0]))
-        assert np.max(np.abs(p)) < 1e-12
+        beta = geo.beta_ratio(t, site, eph_no_orbit, eph_no_orbit.v_sun)
+        assert np.max(np.abs(beta)) < 1e-12
 
     def test_pole_zenith_value(self, eph_no_orbit):
         site = SiteGeometry(latitude_deg=90.0, wind_dec_deg=30.0)
-        assert geo.projection(np.array([1000.0]), site, eph_no_orbit)[0] == pytest.approx(
+        assert geo.beta_ratio(1000.0, site, eph_no_orbit, eph_no_orbit.v_sun) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_time_average_matches_p0(self, site, eph):
         t = fit_grid()
         p0 = np.sin(np.radians(site.latitude_deg)) * np.sin(np.radians(site.wind_dec_deg))
-        assert np.mean(geo.projection(t, site, eph)) == pytest.approx(0.321, abs=0.003)
-        assert np.mean(geo.projection(t, site, eph)) == pytest.approx(p0, rel=0.01)
-
-    def test_rejects_non_unit_axis(self, site, eph):
-        with pytest.raises(ValueError):
-            geo.projection(0.0, site, eph, axis=np.array([1.0, 1.0, 0.0]))
+        assert np.mean(projection(t, site, eph)) == pytest.approx(0.321, abs=0.003)
+        assert np.mean(projection(t, site, eph)) == pytest.approx(p0, rel=0.01)
 
     def test_turntable_sweeps_device_axis(self):
         site = SiteGeometry(elevation_deg=0.0, azimuth_deg=0.0,
@@ -221,7 +215,7 @@ class TestModulationFit:
         site = SiteGeometry(latitude_deg=90.0)
         t = fit_grid()
         fitted = geo.fit_modulation_coefficients(
-            t, geo.projection(t, site, eph_no_orbit), eph_no_orbit
+            t, projection(t, site, eph_no_orbit), eph_no_orbit
         )
         assert abs(fitted.c_daily) < 1e-9
         assert abs(fitted.c_cross) < 1e-9
@@ -381,7 +375,7 @@ class TestGeometricGains:
         # <P^2> formula against the mean square of the dense daily series
         site = SiteGeometry(latitude_deg=39.9, wind_dec_deg=30.0)
         t = np.arange(0.0, SIDEREAL_DAY_S, 10.0)
-        p = geo.projection(t, site, eph_no_orbit)
+        p = projection(t, site, eph_no_orbit)
         gains = geo.geometric_gains(site)
         assert np.mean(p**2) == pytest.approx(gains.mean_square_projection, rel=1e-4)
 

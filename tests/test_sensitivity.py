@@ -104,9 +104,10 @@ class TestTrialsThreshold:
         z_tight = sens.trials_threshold(uev_to_hz(0.5), SearchConfig(alpha=0.001), HaloParams())
         assert z_tight > z_loose
 
-    def test_underflow_guard_against_asymptotic(self):
-        # per-trial levels far below double-precision erfc territory
-        z = sens._gaussian_tail_quantile_from_log(math.log(1e-300))
+    def test_underflow_guard_against_asymptotic(self, halo):
+        # per-trial level 1e-300, far below double-precision erfc territory
+        cfg = SearchConfig(bandwidth_hz=1e298, t_cap_s=1.0, epsilon_safety=0.99)
+        z = sens.trials_threshold(uev_to_hz(1e-4), cfg, halo)
         assert z == pytest.approx(37.047096, abs=1e-4)
 
     def test_rejects_sub_single_trial(self, halo):
@@ -115,13 +116,13 @@ class TestTrialsThreshold:
             sens.trials_threshold(uev_to_hz(1.0), cfg, halo)
 
     def test_array_matches_scalar_calls_across_both_branches(self, halo):
-        # per-trial levels straddle the underflow switch at 1e-280
+        # per-trial levels on both sides of 1e-280
         cfg = SearchConfig(bandwidth_hz=1e284)
         nus = np.geomspace(1e6, 1e14, 60)
         z = sens.trials_threshold(nus, cfg, halo)
         n_trials = cfg.bandwidth_hz * sens.adaptive_segment(nus, cfg, halo)
         log_p = math.log(cfg.alpha) - np.log(n_trials)
-        tail = log_p < sens.LOG_P_FLOOR
+        tail = log_p < math.log(1e-280)
         assert tail.any() and not tail.all()
         np.testing.assert_array_equal(z, [sens.trials_threshold(nu, cfg, halo) for nu in nus])
         assert np.all(np.diff(z) <= 0)  # fewer trials at shorter segments
