@@ -12,17 +12,27 @@ still load.
 noise.seed and output.formats (--set noise.seed=N, --set
 output.formats=[...]), applied after every --set, so the manifest
 records the seed once, in config.noise.seed.  Each subcommand argument
-is declared once in _COMMANDS and resolved from the command line, then
-the manifest's args, then its default.
+is declared once in _COMMANDS with the parser that checks its domain,
+and resolved from the command line, then the manifest's args, then its
+default.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+A subcommand computes and returns its artifacts as {name: write(path)}
+without touching the file system; main writes them and the manifest
+into a staging directory and moves each into --out only when all were
+written.  Any non-zero exit leaves --out as it was.
+
+Exit codes: 0 success, 2 configuration error, 3 numerical or I/O failure.
 """
 
 import argparse
 import dataclasses
 import json
+import math
+import os
 import platform
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +56,19 @@ def _write_json(path: Path, record: dict) -> None:
     path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
+# artifact writers: each returns write(path) for main to call when publishing
+def _csv(header: str, columns):
+    return lambda path: write_columns(path, header, columns)
+
+
+def _json(record: dict):
+    return lambda path: _write_json(path, record)
+
+
+def _svg(curves, **kwargs):
+    return lambda path: svgplot.line_plot(path, curves, **kwargs)
+
+
 def _daily_rms_debiased(samples: np.ndarray, per_day: int, noise_var: float) -> np.ndarray:
     n_days = samples.size // per_day
     chunks = samples[: n_days * per_day].reshape(n_days, per_day)
@@ -53,97 +76,40 @@ def _daily_rms_debiased(samples: np.ndarray, per_day: int, noise_var: float) -> 
     return np.sqrt(np.clip(power, 1e-30, None))
 
 
-class _Runner:
-    """Shared plumbing for one subcommand invocation."""
-
-    def __init__(self, cfg: RunConfig, args: dict, out):
-        self.cfg = cfg
-        self.args = args
-        self.outdir = Path(out or cfg.output.directory)
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        self.written: list[str] = []
-
-    def save(self, name: str, write) -> None:
-        """write(path) the artifact if its suffix is a requested format."""
-        if Path(name).suffix[1:] in self.cfg.output.formats:
-            write(self.outdir / name)
-            self.written.append(name)
-
-    def csv(self, name: str, header: str, columns) -> None:
-        self.save(name, lambda path: write_columns(path, header, columns))
-
-    def json(self, name: str, record: dict) -> None:
-        self.save(name, lambda path: _write_json(path, record))
-
-    def svg(self, name: str, curves, **kwargs) -> None:
-        self.save(name, lambda path: svgplot.line_plot(path, curves, **kwargs))
-
-    def manifest(self, subcommand: str) -> None:
-        record = {
-            "schema": MANIFEST_SCHEMA,
-            "subcommand": subcommand,
-            "config": config_to_dict(self.cfg),
-            "args": self.args,
-            "versions": {
-                "axionkit": __version__,
-                "numpy": np.__version__,
-                "python": platform.python_version(),
-                "scipy": scipy.__version__,
-            },
-            "outputs": sorted(self.written),
-        }
-        _write_json(self.outdir / "manifest.json", record)
-        self.written.append("manifest.json")
-
-    def coefficients(self) -> geometry.ModulationCoefficients:
-        return geometry.modulation_coefficients(
-            self.cfg.geometry, self.cfg.ephemeris, self.cfg.halo.v_ref
-        )
-
-
-def cmd_envelope(run: _Runner) -> None:
-    span_days, dt = run.args["span-days"], run.args["dt"]
-    cfg = run.cfg
-    coeffs = run.coefficients()
+def cmd_envelope(cfg: RunConfig, args: dict) -> dict:
+    span_days, dt = args["span-days"], args["dt"]
+    coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
 
     days = np.arange(0.0, span_days)
     lo, hi = geometry.daily_envelope(days + 0.5, coeffs, cfg.ephemeris)
-    run.csv(
-        "envelope_daily.csv",
-        "day,env_min,env_max",
-        (days.astype(int), lo, hi),
-    )
-
     t = np.arange(0.0, span_days * SIDEREAL_DAY_S, dt)
     beta_abs = np.abs(
         geometry.beta_ratio(t, cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
     )
-    run.csv("beta_instantaneous.csv", "t_s,abs_beta_ratio", (t, beta_abs))
-    run.json(
-        "coefficients.json",
-        {"schema": "axionkit-coefficients/1", **dataclasses.asdict(coeffs)},
-    )
     stride = max(1, t.size // 8000)
-    run.svg(
-        "envelope.svg",
-        [
-            {"x": t[::stride] / SIDEREAL_DAY_S, "y": beta_abs[::stride], "label": "|signal|"},
-            {"x": days, "y": np.abs(hi), "label": "envelope max"},
-        ],
-        xlabel="sidereal day",
-        ylabel="normalized amplitude",
-        title="daily modulation and its annual envelope",
-    )
+    return {
+        "envelope_daily.csv": _csv("day,env_min,env_max", (days.astype(int), lo, hi)),
+        "beta_instantaneous.csv": _csv("t_s,abs_beta_ratio", (t, beta_abs)),
+        "coefficients.json": _json(
+            {"schema": "axionkit-coefficients/1", **dataclasses.asdict(coeffs)}
+        ),
+        "envelope.svg": _svg(
+            [
+                {"x": t[::stride] / SIDEREAL_DAY_S, "y": beta_abs[::stride], "label": "|signal|"},
+                {"x": days, "y": np.abs(hi), "label": "envelope max"},
+            ],
+            xlabel="sidereal day",
+            ylabel="normalized amplitude",
+            title="daily modulation and its annual envelope",
+        ),
+    }
 
 
-def cmd_daily_rms(run: _Runner) -> None:
-    trials = run.args["trials"]
-    if trials < 2:
-        raise ConfigError("daily-rms needs at least 2 trials for the ensemble sigma")
-    per_day, band_sigma = run.args["samples-per-day"], run.args["band-sigma"]
-    cfg = run.cfg
+def cmd_daily_rms(cfg: RunConfig, args: dict) -> dict:
+    trials, per_day = args["trials"], args["samples-per-day"]
+    band_sigma = args["band-sigma"]
     dt = SIDEREAL_DAY_S / per_day
-    coeffs = run.coefficients()
+    coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
 
     days = np.arange(0.0, 365.0)
     theory = geometry.daily_rms(days + 0.5, coeffs, cfg.ephemeris)
@@ -165,30 +131,29 @@ def cmd_daily_rms(run: _Runner) -> None:
     mc_mean = per_trial.mean(axis=0)
     mc_sigma = per_trial.std(axis=0, ddof=1)
 
-    run.csv(
-        "daily_rms.csv",
-        "day,theory_norm,mc_mean,mc_sigma,trial0",
-        (days.astype(int), theory_norm, mc_mean, mc_sigma, per_trial[0]),
-    )
-    run.svg(
-        "daily_rms.svg",
-        [
-            {"x": days, "y": theory_norm, "label": "geometry only"},
-            {"x": days, "y": mc_mean, "label": "ensemble mean", "markers": True},
-            {"x": days, "y": mc_mean + band_sigma * mc_sigma, "label": f"+{band_sigma:g} sigma"},
-            {"x": days, "y": mc_mean - band_sigma * mc_sigma, "label": f"-{band_sigma:g} sigma"},
-        ],
-        xlabel="sidereal day",
-        ylabel="normalized daily RMS",
-        title="daily RMS with readout and noise",
-    )
+    return {
+        "daily_rms.csv": _csv(
+            "day,theory_norm,mc_mean,mc_sigma,trial0",
+            (days.astype(int), theory_norm, mc_mean, mc_sigma, per_trial[0]),
+        ),
+        "daily_rms.svg": _svg(
+            [
+                {"x": days, "y": theory_norm, "label": "geometry only"},
+                {"x": days, "y": mc_mean, "label": "ensemble mean", "markers": True},
+                {"x": days, "y": mc_mean + band_sigma * mc_sigma, "label": f"+{band_sigma:g} sigma"},
+                {"x": days, "y": mc_mean - band_sigma * mc_sigma, "label": f"-{band_sigma:g} sigma"},
+            ],
+            xlabel="sidereal day",
+            ylabel="normalized daily RMS",
+            title="daily RMS with readout and noise",
+        ),
+    }
 
 
-def cmd_psd(run: _Runner) -> None:
-    cfg = run.cfg
+def cmd_psd(cfg: RunConfig, args: dict) -> dict:
     ts = signals.synthesize_observable(
         cfg.geometry, cfg.ephemeris, cfg.axion, cfg.halo, cfg.qubit,
-        cfg.noise, run.args["span-days"] * 86400.0, run.args["dt"],
+        cfg.noise, args["span-days"] * 86400.0, args["dt"],
     )
     window = spectral.WindowSpec("rectangular", 0.0, 0.0)
     spectrum = spectral.periodogram(ts, window)
@@ -196,36 +161,35 @@ def cmd_psd(run: _Runner) -> None:
 
     f_star = cfg.ephemeris.omega_sidereal / (2 * np.pi)
     f_a = cfg.ephemeris.omega_annual / (2 * np.pi)
-    run.save("psd.csv", spectrum.to_csv)
-    run.json(
-        "psd_markers.json",
-        {
-            "schema": "axionkit-psd-markers/1",
-            "f_star_hz": f_star,
-            "f_plus_hz": f_star + f_a,
-            "f_minus_hz": f_star - f_a,
-            "annual_splitting_hz": f_a,
-            "delta_f_window_hz": delta_f,
-            "resolvable": delta_f < f_a,
-        },
-    )
     zoom = (spectrum.frequencies > f_star - 10 * f_a) & (
         spectrum.frequencies < f_star + 10 * f_a
     )
-    run.svg(
-        "psd.svg",
-        [{"x": (spectrum.frequencies[zoom] - f_star) / f_a, "y": spectrum.psd[zoom]}],
-        xlabel="(f - f_sidereal) / f_annual",
-        ylabel="PSD (1/Hz)",
-        title="baseband PSD around the sidereal line",
-        ylog=True,
-    )
+    return {
+        "psd.csv": spectrum.to_csv,
+        "psd_markers.json": _json(
+            {
+                "schema": "axionkit-psd-markers/1",
+                "f_star_hz": f_star,
+                "f_plus_hz": f_star + f_a,
+                "f_minus_hz": f_star - f_a,
+                "annual_splitting_hz": f_a,
+                "delta_f_window_hz": delta_f,
+                "resolvable": delta_f < f_a,
+            }
+        ),
+        "psd.svg": _svg(
+            [{"x": (spectrum.frequencies[zoom] - f_star) / f_a, "y": spectrum.psd[zoom]}],
+            xlabel="(f - f_sidereal) / f_annual",
+            ylabel="PSD (1/Hz)",
+            title="baseband PSD around the sidereal line",
+            ylog=True,
+        ),
+    }
 
 
-def cmd_triplet(run: _Runner) -> None:
-    cfg = run.cfg
-    data_path = run.args["data"]
-    psi_daily, psi_annual = run.args["psi-daily"], run.args["psi-annual"]
+def cmd_triplet(cfg: RunConfig, args: dict) -> dict:
+    data_path = args["data"]
+    psi_daily, psi_annual = args["psi-daily"], args["psi-annual"]
 
     if data_path is not None:
         if psi_daily is None or psi_annual is None:
@@ -237,38 +201,37 @@ def cmd_triplet(run: _Runner) -> None:
     else:
         ts = signals.synthesize_observable(
             cfg.geometry, cfg.ephemeris, cfg.axion, cfg.halo, cfg.qubit,
-            cfg.noise, run.args["span-days"] * 86400.0, run.args["dt"],
+            cfg.noise, args["span-days"] * 86400.0, args["dt"],
         )
-        coeffs = run.coefficients()
+        coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
         if psi_daily is None:
             psi_daily = coeffs.phase_daily
         if psi_annual is None:
             _, psi_annual = coeffs.envelope_depth_and_phase
 
     result = spectral.triplet_statistic(ts, cfg.ephemeris, psi_daily, psi_annual)
-    run.json(
-        "triplet.json",
-        {
-            "schema": "axionkit-triplet/1",
-            **dataclasses.asdict(result),
-            "psi_daily": float(psi_daily),
-            "psi_annual": float(psi_annual),
-        },
-    )
-    run.csv(
-        "triplet.csv",
-        "component,frequency_hz,power",
-        (
-            ("star", "plus", "minus"),
-            (result.f_star, result.f_plus, result.f_minus),
-            (result.x_star, result.x_plus, result.x_minus),
+    return {
+        "triplet.json": _json(
+            {
+                "schema": "axionkit-triplet/1",
+                **dataclasses.asdict(result),
+                "psi_daily": float(psi_daily),
+                "psi_annual": float(psi_annual),
+            }
         ),
-    )
+        "triplet.csv": _csv(
+            "component,frequency_hz,power",
+            (
+                ("star", "plus", "minus"),
+                (result.f_star, result.f_plus, result.f_minus),
+                (result.x_star, result.x_plus, result.x_minus),
+            ),
+        ),
+    }
 
 
-def cmd_linewidth(run: _Runner) -> None:
-    masses = [float(m) for m in run.args["masses"].split(",")]
-    cfg = run.cfg
+def cmd_linewidth(cfg: RunConfig, args: dict) -> dict:
+    masses = [float(m) for m in args["masses"].split(",")]
     blocks = []
     curves = []
     for mass in masses:
@@ -280,35 +243,28 @@ def cmd_linewidth(run: _Runner) -> None:
         density = shm_lineshape(nu_a + offsets, axion, cfg.halo)
         blocks.append((np.full(offsets.size, mass), offsets, density))
         curves.append({"x": offsets, "y": density, "label": f"{mass:g} ueV"})
-    run.csv("linewidth.csv", "mass_uev,offset_hz,density_per_hz", np.hstack(blocks))
-    run.json(
-        "linewidth_meta.json",
-        {
-            "schema": "axionkit-linewidth/1",
-            "masses_uev": masses,
-            "fractional_scale_width": fractional_linewidth_v0(cfg.halo),
-            "halo": dataclasses.asdict(cfg.halo),
-        },
-    )
-    run.svg(
-        "linewidth.svg",
-        curves,
-        xlabel="frequency offset from line origin (Hz)",
-        ylabel="density (1/Hz)",
-        title="halo line shapes",
-    )
+    return {
+        "linewidth.csv": _csv("mass_uev,offset_hz,density_per_hz", np.hstack(blocks)),
+        "linewidth_meta.json": _json(
+            {
+                "schema": "axionkit-linewidth/1",
+                "masses_uev": masses,
+                "fractional_scale_width": fractional_linewidth_v0(cfg.halo),
+                "halo": dataclasses.asdict(cfg.halo),
+            }
+        ),
+        "linewidth.svg": _svg(
+            curves,
+            xlabel="frequency offset from line origin (Hz)",
+            ylabel="density (1/Hz)",
+            title="halo line shapes",
+        ),
+    }
 
 
-def cmd_sensitivity(run: _Runner) -> None:
-    preset, gains_mode = run.args["preset"], run.args["gains"]
-    cfg = run.cfg
-
-    if preset == "config":
-        qubit = cfg.qubit
-    elif preset in sensitivity.PRESETS:
-        qubit = sensitivity.PRESETS[preset]
-    else:
-        raise ConfigError(f"unknown preset {preset!r} (use config, current or future)")
+def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
+    preset, gains_mode = args["preset"], args["gains"]
+    qubit = cfg.qubit if preset == "config" else sensitivity.PRESETS[preset]
 
     gains = geometry.geometric_gains(cfg.geometry)
     gain_for = {
@@ -316,10 +272,7 @@ def cmd_sensitivity(run: _Runner) -> None:
         "matched": gains.g_daily,
         "all": gains,
     }
-    if gains_mode not in gain_for:
-        raise ConfigError(f"unknown gains mode {gains_mode!r} (use none, matched or all)")
-
-    masses = np.geomspace(run.args["mass-min"], run.args["mass-max"], run.args["mass-points"])
+    masses = np.geomspace(args["mass-min"], args["mass-max"], args["mass-points"])
     variants = {
         mode: sensitivity.g_min_curve(masses, qubit, cfg.halo, cfg.search, gains=gains)
         for mode, gains in gain_for.items()
@@ -329,100 +282,131 @@ def cmd_sensitivity(run: _Runner) -> None:
         masses, qubit, cfg.halo, cfg.search,
         gains=gain_for[gains_mode], mass_dependent=False,
     )
-    run.save("sensitivity_shm.csv", curve.to_csv)
-    run.save("sensitivity_flat.csv", flat.to_csv)
-    run.csv(
-        "sensitivity_variants.csv",
-        "m_a_uev,g_min_baseline,g_min_matched,g_min_all_gains,regime",
-        (masses, *(v.g_min for v in variants.values()), curve.regime),
-    )
-
     dfsz_lo, dfsz_hi, dfsz_bench = sensitivity.dfsz_band(masses)
-    run.csv(
-        "dfsz.csv",
-        "m_a_uev,g_low,g_high,g_tan_beta_1",
-        (masses, dfsz_lo, dfsz_hi, dfsz_bench),
-    )
-    run.json(
-        "sensitivity.json",
-        {
-            "schema": "axionkit-sensitivity/1",
-            "preset": preset,
-            "gains_mode": gains_mode,
-            "gains": curve.gains_applied,
-            "config": curve.config,
-        },
-    )
-    run.svg(
-        "sensitivity.svg",
-        [
-            {"x": masses, "y": variants["none"].g_min, "label": "baseline"},
-            {"x": masses, "y": variants["matched"].g_min, "label": "matched weighting"},
-            {"x": masses, "y": variants["all"].g_min, "label": "all gains"},
-            {"x": masses, "y": dfsz_bench, "label": "benchmark model"},
-        ],
-        xlabel="mass (ueV)",
-        ylabel="minimum detectable coupling",
-        title=f"coupling sensitivity ({preset})",
-        xlog=True,
-        ylog=True,
-    )
+    return {
+        "sensitivity_shm.csv": curve.to_csv,
+        "sensitivity_flat.csv": flat.to_csv,
+        "sensitivity_variants.csv": _csv(
+            "m_a_uev,g_min_baseline,g_min_matched,g_min_all_gains,regime",
+            (masses, *(v.g_min for v in variants.values()), curve.regime),
+        ),
+        "dfsz.csv": _csv(
+            "m_a_uev,g_low,g_high,g_tan_beta_1", (masses, dfsz_lo, dfsz_hi, dfsz_bench)
+        ),
+        "sensitivity.json": _json(
+            {
+                "schema": "axionkit-sensitivity/1",
+                "preset": preset,
+                "gains_mode": gains_mode,
+                "gains": curve.gains_applied,
+                "config": curve.config,
+            }
+        ),
+        "sensitivity.svg": _svg(
+            [
+                {"x": masses, "y": variants["none"].g_min, "label": "baseline"},
+                {"x": masses, "y": variants["matched"].g_min, "label": "matched weighting"},
+                {"x": masses, "y": variants["all"].g_min, "label": "all gains"},
+                {"x": masses, "y": dfsz_bench, "label": "benchmark model"},
+            ],
+            xlabel="mass (ueV)",
+            ylabel="minimum detectable coupling",
+            title=f"coupling sensitivity ({preset})",
+            xlog=True,
+            ylog=True,
+        ),
+    }
 
 
+def _parser(convert, accept, domain: str):
+    """Parse one argument's string with convert; ValueError unless
+    accept(value).  domain names the accepted values in --help and in
+    the error."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise ValueError(domain)
+        return value
+
+    parse.domain = domain
+    return parse
+
+
+def _positive(value: float) -> bool:
+    return 0.0 < value < math.inf
+
+
+def _at_least(low: int):
+    return _parser(int, lambda value: value >= low, f"an integer >= {low}")
+
+
+def _one_of(*names: str):
+    return _parser(str, lambda value: value in names, "one of " + ", ".join(names))
+
+
+_FINITE = _parser(float, math.isfinite, "a finite number")
+_POSITIVE = _parser(float, _positive, "a positive number")
+_MASSES = _parser(
+    str,
+    lambda text: all(_positive(float(m)) for m in text.split(",")),
+    "comma-separated positive numbers",
+)
 _DT_HELP = "sample spacing in seconds"
 
-# subcommand -> (function, help, ((argument, type, default, help), ...))
+# subcommand -> (function, help, ((argument, parser, default, help), ...))
 _COMMANDS = {
     "envelope": (
         cmd_envelope,
         "daily min/max envelope and instantaneous amplitude over a year",
         (
-            ("span-days", float, 366.0, "record length in sidereal days"),
-            ("dt", float, 600.0, _DT_HELP),
+            ("span-days", _POSITIVE, 366.0, "record length in sidereal days"),
+            ("dt", _POSITIVE, 600.0, _DT_HELP),
         ),
     ),
     "daily-rms": (
         cmd_daily_rms,
         "geometry-only daily RMS against noisy Monte-Carlo observations",
         (
-            ("trials", int, 16, "Monte-Carlo ensemble size"),
-            ("samples-per-day", int, 48, "samples per sidereal day"),
-            ("band-sigma", float, 5.0, "band half-width in ensemble sigmas"),
+            ("trials", _at_least(2), 16, "Monte-Carlo ensemble size"),
+            ("samples-per-day", _at_least(1), 48, "samples per sidereal day"),
+            ("band-sigma", _POSITIVE, 5.0, "band half-width in ensemble sigmas"),
         ),
     ),
     "psd": (
         cmd_psd,
         "baseband power spectral density with the annual-splitting markers",
         (
-            ("span-days", float, 4 * 365.25, "record length in days of 86,400 s"),
-            ("dt", float, 1000.0, _DT_HELP),
+            ("span-days", _POSITIVE, 4 * 365.25, "record length in days of 86,400 s"),
+            ("dt", _POSITIVE, 1000.0, _DT_HELP),
         ),
     ),
     "triplet": (
         cmd_triplet,
         "heterodyned three-line statistics and annual-depth estimate",
         (
-            ("data", str, None, "CSV time series to analyze instead of synthesizing"),
-            ("psi-daily", float, None, "sidereal phase (rad)"),
-            ("psi-annual", float, None, "annual envelope phase (rad)"),
-            ("span-days", float, 240.0, "synthesized record length in days of 86,400 s"),
-            ("dt", float, 1800.0, _DT_HELP),
+            ("data", _parser(str, bool, "a file path"), None,
+             "CSV time series to analyze instead of synthesizing"),
+            ("psi-daily", _FINITE, None, "sidereal phase (rad)"),
+            ("psi-annual", _FINITE, None, "annual envelope phase (rad)"),
+            ("span-days", _POSITIVE, 240.0, "synthesized record length in days of 86,400 s"),
+            ("dt", _POSITIVE, 1800.0, _DT_HELP),
         ),
     ),
     "linewidth": (
         cmd_linewidth,
         "halo line shapes for a list of masses",
-        (("masses", str, "1,5,10", "comma-separated masses in ueV"),),
+        (("masses", _MASSES, "1,5,10", "masses in ueV"),),
     ),
     "sensitivity": (
         cmd_sensitivity,
         "coupling sensitivity curves with gain and preset variants",
         (
-            ("preset", str, "config", "config, current or future"),
-            ("gains", str, "all", "none, matched or all"),
-            ("mass-min", float, 1.0, "grid start (ueV)"),
-            ("mass-max", float, 10.0, "grid end (ueV)"),
-            ("mass-points", int, 50, "grid size"),
+            ("preset", _one_of("config", *sensitivity.PRESETS), "config", "qubit parameters"),
+            ("gains", _one_of("none", "matched", "all"), "all", "geometric gains applied"),
+            ("mass-min", _POSITIVE, 1.0, "grid start (ueV)"),
+            ("mass-max", _POSITIVE, 10.0, "grid end (ueV)"),
+            ("mass-points", _at_least(1), 50, "grid size"),
         ),
     ),
 }
@@ -455,16 +439,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--formats", help="comma-separated subset of csv,json,svg: --set output.formats"
         )
-        for arg, _, default, arg_help in spec:
-            p.add_argument(f"--{arg}", help=f"{arg_help} (default: {default})")
+        for arg, parse, default, arg_help in spec:
+            p.add_argument(
+                f"--{arg}", help=f"{arg_help}; {parse.domain} (default: {default})"
+            )
     return parser
 
 
 def _resolve_args(spec, args: argparse.Namespace, manifest_args: dict) -> dict:
     """Each declared argument from the command line, else the manifest's
-    args, else its default, converted to its declared type."""
+    args, else its default, passed through its parser."""
     resolved = {}
-    for name, kind, default, _ in spec:
+    for name, parse, default, _ in spec:
         value = getattr(args, name.replace("-", "_"))
         if value is None:
             value = manifest_args.get(name)
@@ -472,13 +458,30 @@ def _resolve_args(spec, args: argparse.Namespace, manifest_args: dict) -> dict:
             value = default
         if value is not None:
             try:
-                value = kind(str(value))
+                value = parse(str(value))
             except ValueError as exc:
                 raise ConfigError(
-                    f"args.{name}: expected {kind.__name__}, got {value!r}"
+                    f"args.{name}: expected {parse.domain}, got {value!r}"
                 ) from exc
         resolved[name] = value
     return resolved
+
+
+def _publish(outdir: Path, artifacts: dict) -> None:
+    """write(path) every artifact into a staging directory in outdir's
+    nearest existing ancestor (so a missing outdir is created only on
+    success), then move each into outdir.  The staging directory is
+    always removed, so a failed write leaves outdir as it was."""
+    anchor = next(p for p in outdir.absolute().parents if p.is_dir())
+    staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=anchor))
+    try:
+        for name, write in artifacts.items():
+            write(staging / name)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name in artifacts:
+            os.replace(staging / name, outdir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def main(argv=None) -> int:
@@ -492,22 +495,35 @@ def main(argv=None) -> int:
     try:
         cfg, manifest_args = load_config(args.config, overrides)
         run_args = _resolve_args(spec, args, manifest_args)
-    except ConfigError as exc:
-        print(f"axionkit: config error: {exc}", file=sys.stderr)
-        return 2
-
-    runner = _Runner(cfg, run_args, args.out)
-    try:
-        command(runner)
+        artifacts = {
+            name: write
+            for name, write in command(cfg, run_args).items()
+            if Path(name).suffix[1:] in cfg.output.formats
+        }
+        manifest = {
+            "schema": MANIFEST_SCHEMA,
+            "subcommand": args.subcommand,
+            "config": config_to_dict(cfg),
+            "args": run_args,
+            "versions": {
+                "axionkit": __version__,
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+                "scipy": scipy.__version__,
+            },
+            "outputs": sorted(artifacts),
+        }
+        artifacts["manifest.json"] = _json(manifest)
+        outdir = Path(args.out or cfg.output.directory)
+        _publish(outdir, artifacts)
     except (ConfigError, signals.UnrealizableNoiseError) as exc:
         print(f"axionkit: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical or I/O failure
         print(f"axionkit: {args.subcommand} failed: {exc}", file=sys.stderr)
         return 3
-    runner.manifest(args.subcommand)
-    for name in runner.written:
-        print(f"wrote {runner.outdir / name}")
+    for name in artifacts:
+        print(f"wrote {outdir / name}")
     return 0
 
 

@@ -1,10 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from axionkit import cli, svgplot
+from axionkit import cli, geometry, svgplot
 from axionkit.config import (
     ConfigError,
     apply_overrides,
@@ -141,8 +142,9 @@ class TestCli:
         from axionkit import TimeSeries
 
         TimeSeries(0.0, 1800.0, np.zeros(64) + 1.0, {"origin": "x"}).to_csv(data)
-        code = self.run("triplet", "--out", str(tmp_path / "t"), "--data", str(data))
-        assert code == 2
+        out = tmp_path / "t"
+        assert self.run("triplet", "--out", str(out), "--data", str(data)) == 2
+        assert not out.exists()
 
     def test_triplet_on_external_data(self, tmp_path):
         from axionkit import EphemerisConstants, TimeSeries
@@ -320,13 +322,28 @@ class TestCli:
             "linewidth", "--out", str(tmp_path / "x"), "--set", "halo.nope=1"
         ) == 2
 
-    def test_manifest_reproduces_bytes(self, tmp_path):
+    @pytest.mark.parametrize(
+        "subcommand, argv",
+        [
+            pytest.param(subcommand, argv, id=subcommand)
+            for subcommand, argv in (
+                ("envelope", ["--span-days", "30"]),
+                ("daily-rms", ["--trials", "2"]),
+                ("psd", ["--span-days", "30", "--dt", "2000"]),
+                ("triplet", ["--span-days", "30", "--dt", "2000"]),
+                ("linewidth", ["--masses", "1,5"]),
+                ("sensitivity", ["--mass-points", "8"]),
+            )
+        ],
+    )
+    def test_manifest_reproduces_bytes(self, tmp_path, subcommand, argv):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert self.run("envelope", "--out", str(out1), "--span-days", "30",
-                        "--seed", "11") == 0
-        assert self.run("envelope", "--config", str(out1 / "manifest.json"),
+        assert self.run(subcommand, "--out", str(out1), "--seed", "11", *argv) == 0
+        assert self.run(subcommand, "--config", str(out1 / "manifest.json"),
                         "--out", str(out2)) == 0
-        for name in ("envelope_daily.csv", "beta_instantaneous.csv", "envelope.svg"):
+        outputs = json.loads((out1 / "manifest.json").read_text())["outputs"]
+        assert sorted(path.name for path in out1.iterdir()) == sorted([*outputs, "manifest.json"])
+        for name in [*outputs, "manifest.json"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_recorded_once_and_old_manifests_fold_it(self, tmp_path):
@@ -399,6 +416,81 @@ class TestCli:
             cli.main([subcommand, "--help"])
         text = capsys.readouterr().out
         assert all(f"--{name}" in text for name in names)
+
+    @staticmethod
+    def _digests(root: Path) -> dict:
+        return {
+            str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*"))
+            if path.is_file()
+        }
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing-out", "missing-out"])
+    @pytest.mark.parametrize(
+        "module, name",
+        [(geometry, "beta_ratio"), (svgplot, "line_plot")],
+        ids=["compute-stage", "write-stage"],
+    )
+    def test_failed_run_leaves_out_as_it_was(
+        self, tmp_path, capsys, monkeypatch, module, name, existing
+    ):
+        out = tmp_path / "env"
+        if existing:
+            assert self.run("envelope", "--out", str(out), "--span-days", "3") == 0
+        before = self._digests(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(module, name, fail)
+        assert self.run("envelope", "--out", str(out), "--span-days", "2") == 3
+        assert "injected failure" in capsys.readouterr().err
+        assert out.exists() == existing
+        assert self._digests(tmp_path) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["env"] if existing else [])
+
+    def test_out_naming_a_file_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        assert self.run("linewidth", "--out", str(out), "--masses", "1") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("axionkit: linewidth failed: ") and err.count("\n") == 1
+        assert out.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    @pytest.mark.parametrize(
+        "subcommand, argv, name",
+        [
+            ("envelope", ["--dt", "0"], "dt"),
+            ("envelope", ["--dt", "nan"], "dt"),
+            ("envelope", ["--span-days", "inf"], "span-days"),
+            ("psd", ["--span-days", "-5"], "span-days"),
+            ("daily-rms", ["--trials", "1"], "trials"),
+            ("daily-rms", ["--samples-per-day", "0"], "samples-per-day"),
+            ("daily-rms", ["--band-sigma", "0"], "band-sigma"),
+            ("triplet", ["--data", "f.csv", "--psi-daily", "nan", "--psi-annual", "0"],
+             "psi-daily"),
+            ("triplet", ["--psi-annual", "inf"], "psi-annual"),
+            ("linewidth", ["--masses", "1,,2"], "masses"),
+            ("linewidth", ["--masses", "1,-5"], "masses"),
+            ("sensitivity", ["--mass-points", "0"], "mass-points"),
+            ("sensitivity", ["--mass-min", "-1"], "mass-min"),
+            ("sensitivity", ["--mass-max", "0"], "mass-max"),
+            ("sensitivity", ["--preset", "bogus"], "preset"),
+            ("sensitivity", ["--gains", "x"], "gains"),
+            ("envelope", ["--config", "manifest.json"], "dt"),
+        ],
+    )
+    def test_out_of_range_argument_exit_code(self, tmp_path, capsys, monkeypatch,
+                                              subcommand, argv, name):
+        monkeypatch.chdir(tmp_path)
+        Path("manifest.json").write_text(
+            json.dumps({"schema": "axionkit-manifest/1", "args": {"dt": 0}})
+        )
+        assert self.run(subcommand, "--out", "out", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"axionkit: config error: args.{name}") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     def test_help_lists_config_keys(self, capsys):
         with pytest.raises(SystemExit) as exc:
