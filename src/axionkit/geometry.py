@@ -93,6 +93,16 @@ class EphemerisConstants:
             raise ValueError("v_sun must be positive and v_orbit non-negative")
 
 
+def check_daily_sampling(dt: float, eph: EphemerisConstants) -> None:
+    """Raise ValueError unless a record's spacing dt resolves the daily
+    tone: dt at most a tenth of a sidereal day, 2 pi / (10 Os)."""
+    max_dt = 0.1 * 2.0 * math.pi / eph.omega_sidereal
+    if not dt <= max_dt:
+        raise ValueError(
+            f"dt={dt} s too coarse for the daily tone; need dt <= {max_dt:.1f} s"
+        )
+
+
 @dataclass(frozen=True)
 class ModulationCoefficients:
     """Harmonic fingerprint of the projection series.
@@ -222,17 +232,30 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
     return out.reshape(t.shape)[()]
 
 
+def _cos_phase(t: np.ndarray, omega: float, phase: float) -> np.ndarray:
+    """cos(omega t - phase) in one new array shaped like t."""
+    out = np.multiply(omega, t, out=np.empty_like(t))
+    np.subtract(out, phase, out=out)
+    return np.cos(out, out=out)
+
+
 def modulation_model(t, coeffs: ModulationCoefficients, eph: EphemerisConstants):
-    """Evaluate the harmonic model defined by a coefficient set."""
+    """Evaluate the harmonic model defined by a coefficient set.
+
+    Three arrays shaped like t, no other temporaries; the terms are
+    summed in the order c0 + daily + annual + cross.
+    """
     t = np.asarray(t, dtype=float)
-    daily = np.cos(eph.omega_sidereal * t - coeffs.phase_daily)
-    annual = np.cos(eph.omega_annual * t - coeffs.phase_annual)
-    return (
-        coeffs.c0
-        + coeffs.c_daily * daily
-        + coeffs.c_annual * annual
-        + coeffs.c_cross * daily * annual
-    )
+    daily = _cos_phase(t, eph.omega_sidereal, coeffs.phase_daily)
+    annual = _cos_phase(t, eph.omega_annual, coeffs.phase_annual)
+    model = np.multiply(coeffs.c_daily, daily, out=np.empty_like(t))
+    np.add(coeffs.c0, model, out=model)
+    daily *= coeffs.c_cross
+    daily *= annual
+    annual *= coeffs.c_annual
+    model += annual
+    model += daily
+    return model[()]
 
 
 def fit_modulation_coefficients(t, series, eph: EphemerisConstants) -> ModulationCoefficients:

@@ -23,6 +23,11 @@ from .timeseries import TimeSeries, short_hash
 
 SYNTH_SCHEMA = "axionkit-baseband/1"
 
+# limits of a synthesized record: at most MAX_SAMPLES samples (at 40 B per
+# sample of peak memory with readout, 2 GB) over at least MIN_SPAN_S seconds
+MAX_SAMPLES = 50_000_000
+MIN_SPAN_S = 2.0 * SIDEREAL_DAY_S
+
 
 class UnrealizableNoiseError(ValueError):
     """A noise setting that passed validation cannot be realized on the
@@ -214,20 +219,32 @@ def pink_noise(
     """
     if amp_psd_1hz <= 0:
         return np.zeros(n)
-    freqs = np.fft.rfftfreq(n, dt)
-    target = np.zeros_like(freqs)
+    # scale holds the frequency grid, then the target density, then the
+    # coefficient standard deviation
+    scale = np.fft.rfftfreq(n, dt)
+    lowest = scale[1]
+    density = scale[1:]
     with np.errstate(divide="ignore", over="ignore"):
-        target[1:] = amp_psd_1hz / freqs[1:] ** exponent
+        density **= exponent
+        np.divide(amp_psd_1hz, density, out=density)
+        scale[0] = 0.0
         # one-sided PSD S relates to rfft coefficients via E|X_k|^2 = S_k n / (2 dt)
-        scale = np.sqrt(target * n / (2.0 * dt))
+        scale *= n
+        scale /= 2.0 * dt
+        np.sqrt(scale, out=scale)
     if not np.all(np.isfinite(scale)):
         raise UnrealizableNoiseError(
             f"noise.pink_exponent = {exponent:g}: the 1/f^{exponent:g} density "
             f"(amplitude {amp_psd_1hz:g} at 1 Hz) is not finite down to this record's "
-            f"lowest frequency {freqs[1]:.3g} Hz; lower the exponent"
+            f"lowest frequency {lowest:.3g} Hz; lower the exponent"
         )
-    z = rng.normal(size=freqs.size) + 1j * rng.normal(size=freqs.size)
-    z *= scale / math.sqrt(2.0)
+    z = np.empty(scale.size, dtype=complex)
+    z.real = rng.normal(size=scale.size)
+    z.imag = rng.normal(size=scale.size)
+    scale /= math.sqrt(2.0)
+    z.real *= scale
+    z.imag *= scale
+    del scale, density
     z[0] = 0.0
     if n % 2 == 0:
         z[-1] = z[-1].real * math.sqrt(2.0)
@@ -273,11 +290,25 @@ def readout_channel(
     """
     if not 0 < scale:
         raise ValueError("scale must be positive")
-    p = 0.5 * (1.0 + np.clip(scale * analog, -1.0, 1.0))
-    p_obs = f1 * p + (1.0 - f0) * (1.0 - p)
-    counts = rng.binomial(n_spins, p_obs)
-    p_hat = (counts / n_spins - (1.0 - f0)) / (f0 + f1 - 1.0)
-    return (2.0 * p_hat - 1.0) / scale
+    # p, then p_obs, then the debiased estimate, all in one array
+    p = np.multiply(scale, analog)
+    np.clip(p, -1.0, 1.0, out=p)
+    p += 1.0
+    p *= 0.5
+    false_high = np.subtract(1.0, p)
+    false_high *= 1.0 - f0
+    p *= f1
+    p += false_high
+    del false_high
+    counts = rng.binomial(n_spins, p)
+    np.divide(counts, n_spins, out=p)
+    del counts
+    p -= 1.0 - f0
+    p /= f0 + f1 - 1.0
+    p *= 2.0
+    p -= 1.0
+    p /= scale
+    return p
 
 
 def synthesize_observable(
@@ -303,21 +334,18 @@ def synthesize_observable(
     child seeds; the optional readout stage quantizes through the
     Bernoulli channel with the configured fidelities and qubit.n_spins.
     """
-    max_dt = 0.1 * 2.0 * math.pi / eph.omega_sidereal
-    if dt > max_dt:
-        raise ValueError(
-            f"dt={dt} s too coarse for the daily tone; need dt <= {max_dt:.1f} s"
-        )
-    if span_s < 2.0 * SIDEREAL_DAY_S:
+    geometry.check_daily_sampling(dt, eph)
+    if span_s < MIN_SPAN_S:
         raise ValueError("span must cover at least two sidereal days")
+    if span_s / dt > MAX_SAMPLES:
+        raise ValueError(
+            f"record of {span_s / dt:.4g} samples exceeds the {MAX_SAMPLES:,}-sample cap"
+        )
     n = int(round(span_s / dt))
-    if n > 50_000_000:
-        raise ValueError(f"record of {n} samples exceeds the synthesis guard")
 
     if coeffs is None:
         coeffs = geometry.modulation_coefficients(site, eph, halo.v_ref)
-    t = t0 + dt * np.arange(n)
-    clean = geometry.modulation_model(t, coeffs, eph)
+    clean = geometry.modulation_model(t0 + dt * np.arange(n), coeffs, eph)
     beta0 = modulation_index(axion, halo, qubit, 1.0, halo.v_ref)
 
     rms = float(np.sqrt(np.mean(clean**2)))
@@ -367,7 +395,7 @@ def synthesize_observable(
             "readout_scale": readout_scale,
             "n_spins": qubit.n_spins if readout else None,
         },
-        "noise_var_realized": float(np.var(y - clean)),
+        "noise_var_realized": float(np.var(np.subtract(y, clean, out=clean))),
         "units": "beta/beta0",
     }
     return TimeSeries(t0=t0, dt=dt, samples=y, meta=meta)

@@ -7,12 +7,14 @@ variance of a zero-mean stationary input, with the DC and Nyquist bins
 carrying half weight.
 """
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EphemerisConstants
+from .geometry import EphemerisConstants, check_daily_sampling
 from .timeseries import TimeSeries, write_columns
 
 
@@ -153,14 +155,26 @@ def _line_sums(t, dt: float, y, omega: float, offsets) -> np.ndarray:
     """
     n = y.size
     blocks = -(-n // _BLOCK)
-    phase = omega * t
     mixed = np.zeros(blocks * _BLOCK, dtype=complex)
-    np.multiply(y, np.cos(phase), out=mixed.real[:n])
-    np.multiply(y, -np.sin(phase), out=mixed.imag[:n])
+    re, im = mixed.real[:n], mixed.imag[:n]
+    phase = np.multiply(omega, t, out=im)
+    np.cos(phase, out=re)
+    np.sin(phase, out=im)
+    re *= y
+    im *= y
+    np.negative(im, out=im)
     d = np.asarray(offsets, dtype=float)
     in_block = np.exp(-1j * np.outer(dt * np.arange(_BLOCK), d))
     per_block = np.exp(-1j * np.outer(t[::_BLOCK], d))
     return np.sum(per_block * (mixed.reshape(blocks, _BLOCK) @ in_block), axis=0)
+
+
+def _dirichlet_sum(n: int, dt: float, t_mid: float, omega: float, phase: float) -> float:
+    """sum_k cos(omega t_k - phase) over the uniform grid of n samples at
+    spacing dt centred on t_mid, in closed form:
+    sin(n omega dt / 2) / sin(omega dt / 2) * cos(omega t_mid - phase)."""
+    half = 0.5 * omega * dt
+    return math.sin(n * half) / math.sin(half) * math.cos(omega * t_mid - phase)
 
 
 def triplet_statistic(
@@ -174,23 +188,44 @@ def triplet_statistic(
 
     The record is mixed once with exp(-i Os t); every line is then
     Os + d for a small offset d (0 and +/-Oa for the triplet, multiples
-    of the comb spacing for the noise floor), and the eleven sums come
-    out of one blocked matrix product on the uniform time grid (see
-    _line_sums), equal to the direct sums to rounding.
+    of the comb spacing for the noise floor), and the eleven sums L(d)
+    come out of one blocked matrix product on the uniform time grid (see
+    _line_sums), equal to the direct sums to rounding.  Nothing else
+    touches the record.
 
     The depth comes from a least-squares fit of the two-template model
 
-        y ~ a * cos(Os t - psi_daily) + b * cos(Os t - psi_daily) cos(Oa t - psi_annual)
+        y ~ a * c + b * c * e,  c = cos(Os t - psi_daily),  e = cos(Oa t - psi_annual)
 
     with both phases fixed by the ephemeris, so the sidebands accumulate
     coherently and the estimate works on records far shorter than a
-    year.  The estimate b/a is clipped at zero.
+    year.  The estimate b/a is clipped at zero.  The fit solves the 2x2
+    normal equations.  Their right-hand side is read off the line sums,
+
+        sum y c = Re(exp(i psi_d) L(0)),
+        sum y c e = Re(exp(i (psi_d + psi_a)) L(+Oa) + exp(i (psi_d - psi_a)) L(-Oa)) / 2,
+
+    and their Gram matrix is exact in closed form on the uniform grid,
+    from sum_k cos(W t_k - psi) = sin(n W dt/2) / sin(W dt/2) cos(W t_mid - psi)
+    at W = 2 Os, Oa, 2 Oa, 2 Os +/- Oa and 2 Os +/- 2 Oa.
+
+    Raises ValueError when dt exceeds a tenth of a sidereal day (the
+    sampling rule of synthesis, geometry.check_daily_sampling), which
+    also keeps every sin(W dt/2) above sin(Oa dt/2) > 0, and when the
+    templates are collinear to rounding: 1 - G_ab^2 / (G_aa G_bb) below
+    1e-12, as on a record of a few samples.  On the records synthesis
+    accepts (two sidereal days or more) that figure stays above 1e-9,
+    its low point being a two-day record at the coarsest dt whose
+    envelope is at a turning point, where it is about (Oa T)^4 / 720
+    for T = (n - 1) dt.
 
     Internal noise figures compare the triplet powers against the mean
     demodulated power on a comb of off-target frequencies.
     """
+    check_daily_sampling(baseband.dt, eph)
     t = baseband.times
     y = np.real(baseband.samples)
+    n, dt = y.size, baseband.dt
 
     om_s, om_a = eph.omega_sidereal, eph.omega_annual
     omega_plus, omega_minus = om_s + om_a, om_s - om_a
@@ -201,17 +236,41 @@ def triplet_statistic(
     span = t[-1] - t[0]
     base = max(om_a, 2.0 * math.pi / span)
     comb = [k * base for k in (-7, -5, -4, -3, 3, 4, 5, 7)]
-    lines = _line_sums(t, baseband.dt, y, om_s, [0.0, om_a, -om_a, *comb])
+    lines = _line_sums(t, dt, y, om_s, [0.0, om_a, -om_a, *comb])
     power = np.abs(lines) ** 2
     x_star, x_plus, x_minus = power[:3]
     floor = max(np.mean(power[3:]), 1e-300)
     snr_star = math.sqrt(2.0 * x_star / floor)
     snr_pm = math.sqrt(x_plus + x_minus) / math.sqrt(floor)
 
-    carrier = np.cos(om_s * t - psi_daily)
-    envelope = carrier * np.cos(om_a * t - psi_annual)
-    coef, *_ = np.linalg.lstsq(np.column_stack([carrier, envelope]), y, rcond=None)
-    epsilon_hat = coef[1] / coef[0] if coef[0] != 0.0 else 0.0
+    pd, pa = psi_daily, psi_annual
+    r_a = (cmath.exp(1j * pd) * lines[0]).real
+    r_b = 0.5 * (cmath.exp(1j * (pd + pa)) * lines[1] + cmath.exp(1j * (pd - pa)) * lines[2]).real
+
+    dirichlet = functools.partial(_dirichlet_sum, n, dt, baseband.t0 + 0.5 * (n - 1) * dt)
+    # c^2 = (1 + cos 2 theta_d)/2, e^2 = (1 + cos 2 theta_a)/2
+    g_aa = 0.5 * (n + dirichlet(2.0 * om_s, 2.0 * pd))
+    g_ab = 0.5 * dirichlet(om_a, pa) + 0.25 * (
+        dirichlet(2.0 * om_s + om_a, 2.0 * pd + pa) + dirichlet(2.0 * om_s - om_a, 2.0 * pd - pa)
+    )
+    g_bb = 0.25 * (
+        n
+        + dirichlet(2.0 * om_s, 2.0 * pd)
+        + dirichlet(2.0 * om_a, 2.0 * pa)
+        + 0.5 * (
+            dirichlet(2.0 * (om_s + om_a), 2.0 * (pd + pa))
+            + dirichlet(2.0 * (om_s - om_a), 2.0 * (pd - pa))
+        )
+    )
+    separation = 1.0 - g_ab * g_ab / (g_aa * g_bb)
+    if not separation >= 1e-12:
+        raise ValueError(
+            f"carrier and envelope templates are collinear on this {n}-sample record "
+            f"(1 - rho^2 = {separation:.3g} < 1e-12); the depth is not identifiable"
+        )
+    a = g_bb * r_a - g_ab * r_b
+    b = g_aa * r_b - g_ab * r_a
+    epsilon_hat = b / a if a != 0.0 else 0.0
     epsilon_hat = max(0.0, float(epsilon_hat))
 
     return TripletResult(

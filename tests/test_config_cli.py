@@ -492,6 +492,61 @@ class TestCli:
         assert err.startswith(f"axionkit: config error: args.{name}") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
+    @pytest.mark.parametrize(
+        "subcommand, argv, names",
+        [
+            ("sensitivity", ["--mass-min", "5", "--mass-max", "1"],
+             "args.mass-min and args.mass-max"),
+            ("sensitivity", ["--mass-min", "2", "--mass-max", "2"],
+             "args.mass-min and args.mass-max"),
+            ("daily-rms", ["--samples-per-day", "9"], "args.samples-per-day"),
+            ("daily-rms", ["--samples-per-day", "1000000000"], "args.samples-per-day"),
+            ("psd", ["--span-days", "1"], "args.span-days"),
+            ("triplet", ["--span-days", "1.9"], "args.span-days"),
+            ("psd", ["--dt", "9000"], "args.dt"),
+            ("triplet", ["--span-days", "1e9", "--dt", "0.5"], "args.span-days and args.dt"),
+            ("envelope", ["--dt", "1e-300"], "args.span-days and args.dt"),
+        ],
+    )
+    def test_cross_argument_limit_exit_code(self, tmp_path, capsys, monkeypatch,
+                                            subcommand, argv, names):
+        monkeypatch.chdir(tmp_path)
+        assert self.run(subcommand, "--out", "out", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"axionkit: config error: {names}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_envelope_sample_cap_before_allocating(self, monkeypatch):
+        # 366 sidereal days at 0.01 s would be 3.2e9 samples, 25 GB an array
+        arange = np.arange
+
+        def guarded(start, stop=None, step=1.0, **kwargs):
+            if stop is None:
+                return arange(start, **kwargs)
+            assert (stop - start) / step <= 10_000, "arange called before the sample cap"
+            return arange(start, stop, step, **kwargs)
+
+        monkeypatch.setattr(np, "arange", guarded)
+        with pytest.raises(ConfigError, match="args.span-days and args.dt: 3.154e\\+09 samples"):
+            cli.cmd_envelope(build_config({}), {"span-days": 366.0, "dt": 0.01})
+
+    def test_single_mass_grid_ignores_mass_max(self, tmp_path):
+        out = tmp_path / "one"
+        assert self.run("sensitivity", "--out", str(out), "--mass-min", "3",
+                        "--mass-max", "3", "--mass-points", "1") == 0
+
+    def test_triplet_on_collinear_data_exit_code(self, tmp_path, capsys):
+        from axionkit import TimeSeries
+
+        data = tmp_path / "three.csv"
+        TimeSeries(0.0, 1.0, np.array([1.0, 1.1, 0.9]), {"origin": "x"}).to_csv(data)
+        out = tmp_path / "t"
+        assert self.run("triplet", "--out", str(out), "--data", str(data),
+                        "--psi-daily", "0.3", "--psi-annual", "1.2") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("axionkit: triplet failed: ") and "collinear" in err
+        assert not out.exists()
+
     def test_help_lists_config_keys(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sensitivity", "--help"])

@@ -195,6 +195,40 @@ class TestProjection:
         np.testing.assert_allclose(east, [1.0, 0.0, 0.0], atol=1e-12)
 
 
+def modulation_model_oracle(t, coeffs, eph):
+    """The model as one expression with whole-array temporaries."""
+    t = np.asarray(t, dtype=float)
+    daily = np.cos(eph.omega_sidereal * t - coeffs.phase_daily)
+    annual = np.cos(eph.omega_annual * t - coeffs.phase_annual)
+    return (
+        coeffs.c0
+        + coeffs.c_daily * daily
+        + coeffs.c_annual * annual
+        + coeffs.c_cross * daily * annual
+    )
+
+
+class TestModulationModel:
+    @pytest.mark.parametrize(
+        "t",
+        [
+            123_456.7,
+            np.float64(3e7),
+            np.linspace(0.0, YEAR_S, 10_001),
+            np.linspace(-1e5, 2 * YEAR_S, 6_000).reshape(60, 100),
+            [0, 1, 2],
+        ],
+        ids=["float", "numpy-scalar", "1-d", "2-d", "int-list"],
+    )
+    def test_bit_identical_to_the_expression(self, site, eph, t):
+        coeffs = geo.modulation_coefficients(site, eph, eph.v_sun)
+        got = geo.modulation_model(t, coeffs, eph)
+        expected = modulation_model_oracle(t, coeffs, eph)
+        assert type(got) is type(expected)
+        assert np.shape(got) == np.shape(expected)
+        assert np.array_equal(got, expected)
+
+
 class TestModulationFit:
     def test_round_trip_identity(self, eph):
         truth = ModulationCoefficients(

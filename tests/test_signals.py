@@ -112,6 +112,50 @@ class TestBesselTable:
             sig.bessel_sideband_table(1.0, -1)
 
 
+def pink_noise_oracle(rng, n, dt, amp_psd_1hz, exponent=1.0):
+    """Frequency-domain 1/f shaping with whole-array temporaries."""
+    freqs = np.fft.rfftfreq(n, dt)
+    target = np.zeros_like(freqs)
+    target[1:] = amp_psd_1hz / freqs[1:] ** exponent
+    scale = np.sqrt(target * n / (2.0 * dt))
+    z = rng.normal(size=freqs.size) + 1j * rng.normal(size=freqs.size)
+    z *= scale / np.sqrt(2.0)
+    z[0] = 0.0
+    if n % 2 == 0:
+        z[-1] = z[-1].real * np.sqrt(2.0)
+    return np.fft.irfft(z, n)
+
+
+def readout_channel_oracle(rng, analog, n_spins, f0, f1, scale):
+    """The binary readout as one expression per stage."""
+    p = 0.5 * (1.0 + np.clip(scale * analog, -1.0, 1.0))
+    p_obs = f1 * p + (1.0 - f0) * (1.0 - p)
+    counts = rng.binomial(n_spins, p_obs)
+    p_hat = (counts / n_spins - (1.0 - f0)) / (f0 + f1 - 1.0)
+    return (2.0 * p_hat - 1.0) / scale
+
+
+class TestInPlaceBits:
+    @pytest.mark.parametrize("n", [2, 3, 256, 1001, 4096])
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_pink_noise(self, n, exponent):
+        got = sig.pink_noise(np.random.default_rng(n), n, 7.5, 1e-3, exponent)
+        expected = pink_noise_oracle(np.random.default_rng(n), n, 7.5, 1e-3, exponent)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "n_spins, f0, f1, scale",
+        [(10, 0.95, 0.95, 0.25), (1, 1.0, 1.0, 1.0), (400, 0.9, 0.93, 3.0)],
+    )
+    def test_readout_channel(self, n_spins, f0, f1, scale):
+        analog = np.random.default_rng(8).normal(size=5000)
+        got = sig.readout_channel(np.random.default_rng(9), analog, n_spins, f0, f1, scale)
+        expected = readout_channel_oracle(
+            np.random.default_rng(9), analog, n_spins, f0, f1, scale
+        )
+        assert np.array_equal(got, expected)
+
+
 class TestNoiseGenerators:
     @pytest.mark.parametrize("exponent", [0.8, 1.0, 1.5])
     def test_pink_spectrum_slope(self, exponent):
@@ -281,6 +325,21 @@ class TestSynthesize:
             sig.synthesize_observable(
                 site, eph, axion, halo, qubit, NoiseConfig.zero(), 3600.0, 60.0
             )
+
+    def test_memory_per_sample(self, site, eph, axion, halo, qubit):
+        # about a million samples, readout on: the modulation model's three
+        # arrays plus its time grid, then clean, y and two noise or readout
+        # buffers at most
+        dt = 30.0
+        tracemalloc.start()
+        ts = sig.synthesize_observable(
+            site, eph, axion, halo, qubit, NoiseConfig(seed=4), 1_000_000 * dt, dt,
+            readout=True,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert ts.samples.size == 1_000_000
+        assert peak <= 40 * ts.samples.size
 
     def test_readout_noise_depends_on_spin_count(self, site, eph, axion, halo):
         out = {}

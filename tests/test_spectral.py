@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -209,6 +210,89 @@ class TestTripletStatistic:
         record = asdict(spec.triplet_statistic(ts, eph, 0.0, 0.0))
         assert json.loads(json.dumps(record)) == record
         assert record["mode"] == "phase-locked"
+
+
+def lstsq_depth(ts, eph, psi_d, psi_a):
+    """The oracle: the two-template fit as a dense (n x 2) least squares,
+    with 1 - rho^2 of its Gram matrix."""
+    t = ts.times
+    carrier = np.cos(eph.omega_sidereal * t - psi_d)
+    envelope = carrier * np.cos(eph.omega_annual * t - psi_a)
+    design = np.column_stack([carrier, envelope])
+    coef, *_ = np.linalg.lstsq(design, ts.samples, rcond=None)
+    gram = design.T @ design
+    separation = 1.0 - gram[0, 1] ** 2 / (gram[0, 0] * gram[1, 1])
+    return max(0.0, coef[1] / coef[0]), separation
+
+
+SIDEREAL_DAY = 2 * np.pi / EphemerisConstants().omega_sidereal
+
+
+class TestPhaseLockedDepth:
+    @given(
+        t0=st.floats(0.0, YEAR_S),
+        span_days=st.floats(2.0, 800.0),
+        dt_fraction=st.floats(0.0, 1.0),
+        depth=st.floats(0.0, 0.5),
+        noise=st.floats(0.0, 3.0),
+        psi_d=st.floats(0.0, 2 * np.pi),
+        psi_a=st.floats(0.0, 2 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lstsq_oracle(self, t0, span_days, dt_fraction, depth, noise,
+                                  psi_d, psi_a, seed):
+        # dt runs from 1 s to a tenth of a sidereal day, but no finer than
+        # 200,000 samples over the span, spread evenly in log dt
+        eph = EphemerisConstants()
+        span = span_days * SIDEREAL_DAY
+        dt_lo, dt_hi = max(1.0, span / 200_000), 0.1 * SIDEREAL_DAY
+        dt = dt_lo * (dt_hi / dt_lo) ** dt_fraction
+        ts = triplet_record(eph, depth, span, dt, t0=t0, psi_d=psi_d, psi_a=psi_a)
+        ts.samples += noise * np.random.default_rng(seed).normal(size=ts.samples.size)
+        oracle, separation = lstsq_depth(ts, eph, psi_d, psi_a)
+        got = spec.triplet_statistic(ts, eph, psi_d, psi_a).epsilon_hat
+        # both solves lose digits as the templates approach collinearity
+        assert abs(got - oracle) <= 1e-12 * max(oracle, 1.0) / separation
+
+    @given(
+        t0=st.floats(0.0, YEAR_S),
+        n=st.integers(2, 20_000),
+        dt=st.floats(1.0, 0.1 * SIDEREAL_DAY),
+        phase=st.floats(0.0, 2 * np.pi),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_dirichlet_sum_matches_direct_sum(self, t0, n, dt, phase):
+        eph = EphemerisConstants()
+        om_s, om_a = eph.omega_sidereal, eph.omega_annual
+        t = t0 + dt * np.arange(n, dtype=float)
+        t_mid = t0 + 0.5 * (n - 1) * dt
+        for omega in (2 * om_s, om_a, 2 * om_a, 2 * om_s + om_a, 2 * om_s - om_a,
+                      2 * (om_s + om_a), 2 * (om_s - om_a)):
+            direct = np.sum(np.cos(omega * t - phase))
+            closed = spec._dirichlet_sum(n, dt, t_mid, omega, phase)
+            # omega t reaches 5e3 rad: both sides carry ~1e-12 rad of phase error
+            assert closed == pytest.approx(direct, abs=1e-11 * n)
+
+    def test_rejects_dt_above_a_tenth_of_a_sidereal_day(self, eph):
+        ts = make_series(np.ones(64), dt=0.1 * SIDEREAL_DAY + 1.0)
+        with pytest.raises(ValueError, match="too coarse"):
+            spec.triplet_statistic(ts, eph, 0.0, 0.0)
+
+    def test_rejects_collinear_templates(self, eph):
+        # three samples a second apart: carrier and envelope are one column
+        ts = make_series(np.array([1.0, 1.1, 0.9]), dt=1.0)
+        with pytest.raises(ValueError, match="collinear"):
+            spec.triplet_statistic(ts, eph, 0.3, 1.2)
+
+    def test_memory_above_the_record(self, eph):
+        ts = triplet_record(eph, 0.1, 1 << 20, 1.0)
+        tracemalloc.start()
+        spec.triplet_statistic(ts, eph, 0.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the times (8 B per sample) and the complex mixed record (16 B)
+        assert peak <= 26 * ts.samples.size
 
 
 def direct_line_sum(t, y, omega):
