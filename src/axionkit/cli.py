@@ -76,48 +76,26 @@ def _daily_rms_debiased(samples: np.ndarray, per_day: int, noise_var: float) -> 
     return np.sqrt(np.clip(power, 1e-30, None))
 
 
-def _check_limits(*limits) -> None:
-    """Cross-argument limits, checked before any computation: each is
-    (holds, names, requirement), and the first that fails is a
-    ConfigError (exit 2) naming its arguments."""
-    for holds, names, requirement in limits:
-        if not holds:
-            raise ConfigError(f"{names}: {requirement}")
-
-
-def _sample_cap(samples: float, names: str):
-    return (
-        samples <= signals.MAX_SAMPLES,
-        names,
-        f"{samples:.4g} samples exceed the {signals.MAX_SAMPLES:,}-sample cap",
-    )
-
-
-def _daily_sampling(dt: float, eph, names: str):
+def _check_args(names: str, check, *values) -> None:
+    """Run a library check on argument values before any computation:
+    its ValueError becomes a ConfigError (exit 2) naming the arguments."""
     try:
-        geometry.check_daily_sampling(dt, eph)
+        check(*values)
     except ValueError as exc:
-        return False, names, str(exc)
-    return True, names, ""
+        raise ConfigError(f"{names}: {exc}") from None
 
 
-def _synthesis_limits(cfg: RunConfig, args: dict) -> tuple[float, float]:
-    """span (s) and dt of a psd/triplet record, once both pass the limits
-    of synthesize_observable."""
+def _synthesis_args(cfg: RunConfig, args: dict) -> tuple[float, float]:
+    """The span (s) and dt of a psd or triplet record, checked."""
     span_s, dt = args["span-days"] * 86400.0, args["dt"]
-    _check_limits(
-        (span_s >= signals.MIN_SPAN_S, "args.span-days",
-         f"{args['span-days']:g} days is under two sidereal days"),
-        _daily_sampling(dt, cfg.ephemeris, "args.dt"),
-        _sample_cap(span_s / dt, "args.span-days and args.dt"),
-    )
+    _check_args("args.span-days and args.dt", signals.check_record, span_s, dt, cfg.ephemeris)
     return span_s, dt
 
 
 def cmd_envelope(cfg: RunConfig, args: dict) -> dict:
     span_days, dt = args["span-days"], args["dt"]
     span_s = span_days * SIDEREAL_DAY_S
-    _check_limits(_sample_cap(span_s / dt, "args.span-days and args.dt"))
+    _check_args("args.span-days and args.dt", signals.check_sample_count, span_s, dt)
     coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
 
     days = np.arange(0.0, span_days)
@@ -149,10 +127,7 @@ def cmd_daily_rms(cfg: RunConfig, args: dict) -> dict:
     trials, per_day = args["trials"], args["samples-per-day"]
     band_sigma = args["band-sigma"]
     dt = SIDEREAL_DAY_S / per_day
-    _check_limits(
-        _daily_sampling(dt, cfg.ephemeris, "args.samples-per-day"),
-        _sample_cap(YEAR_S / dt, "args.samples-per-day"),
-    )
+    _check_args("args.samples-per-day", signals.check_record, YEAR_S, dt, cfg.ephemeris)
     coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
 
     days = np.arange(0.0, 365.0)
@@ -197,7 +172,7 @@ def cmd_daily_rms(cfg: RunConfig, args: dict) -> dict:
 def cmd_psd(cfg: RunConfig, args: dict) -> dict:
     ts = signals.synthesize_observable(
         cfg.geometry, cfg.ephemeris, cfg.axion, cfg.halo, cfg.qubit,
-        cfg.noise, *_synthesis_limits(cfg, args),
+        cfg.noise, *_synthesis_args(cfg, args),
     )
     window = spectral.WindowSpec("rectangular", 0.0, 0.0)
     spectrum = spectral.periodogram(ts, window)
@@ -245,7 +220,7 @@ def cmd_triplet(cfg: RunConfig, args: dict) -> dict:
     else:
         ts = signals.synthesize_observable(
             cfg.geometry, cfg.ephemeris, cfg.axion, cfg.halo, cfg.qubit,
-            cfg.noise, *_synthesis_limits(cfg, args),
+            cfg.noise, *_synthesis_args(cfg, args),
         )
         coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
         if psi_daily is None:
@@ -308,11 +283,11 @@ def cmd_linewidth(cfg: RunConfig, args: dict) -> dict:
 
 def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
     preset, gains_mode = args["preset"], args["gains"]
-    _check_limits(
-        (args["mass-points"] == 1 or args["mass-min"] < args["mass-max"],
-         "args.mass-min and args.mass-max",
-         f"a grid of {args['mass-points']} masses needs mass-min below mass-max"),
-    )
+    if args["mass-points"] > 1 and not args["mass-min"] < args["mass-max"]:
+        raise ConfigError(
+            f"args.mass-min and args.mass-max: a grid of {args['mass-points']} masses "
+            "needs mass-min below mass-max"
+        )
     qubit = cfg.qubit if preset == "config" else sensitivity.PRESETS[preset]
 
     gains = geometry.geometric_gains(cfg.geometry)

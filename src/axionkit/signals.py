@@ -23,10 +23,9 @@ from .timeseries import TimeSeries, short_hash
 
 SYNTH_SCHEMA = "axionkit-baseband/1"
 
-# limits of a synthesized record: at most MAX_SAMPLES samples (at 40 B per
-# sample of peak memory with readout, 2 GB) over at least MIN_SPAN_S seconds
+# the most samples a year-scale array may hold: at the 40 B per sample
+# that synthesis peaks at with readout, 2 GB
 MAX_SAMPLES = 50_000_000
-MIN_SPAN_S = 2.0 * SIDEREAL_DAY_S
 
 
 class UnrealizableNoiseError(ValueError):
@@ -311,6 +310,24 @@ def readout_channel(
     return p
 
 
+def check_sample_count(span_s: float, dt: float) -> None:
+    """Raise ValueError if span_s / dt exceeds MAX_SAMPLES."""
+    if not span_s / dt <= MAX_SAMPLES:
+        raise ValueError(
+            f"{span_s / dt:.4g} samples exceed the {MAX_SAMPLES:,}-sample cap"
+        )
+
+
+def check_record(span_s: float, dt: float, eph: geometry.EphemerisConstants) -> None:
+    """Raise ValueError unless synthesize_observable accepts the record:
+    dt resolves the daily tone, the span covers two sidereal days, and
+    the sample count stays within MAX_SAMPLES."""
+    geometry.check_daily_sampling(dt, eph)
+    if span_s < 2.0 * SIDEREAL_DAY_S:
+        raise ValueError("span must cover at least two sidereal days")
+    check_sample_count(span_s, dt)
+
+
 def synthesize_observable(
     site: geometry.SiteGeometry,
     eph: geometry.EphemerisConstants,
@@ -334,13 +351,7 @@ def synthesize_observable(
     child seeds; the optional readout stage quantizes through the
     Bernoulli channel with the configured fidelities and qubit.n_spins.
     """
-    geometry.check_daily_sampling(dt, eph)
-    if span_s < MIN_SPAN_S:
-        raise ValueError("span must cover at least two sidereal days")
-    if span_s / dt > MAX_SAMPLES:
-        raise ValueError(
-            f"record of {span_s / dt:.4g} samples exceeds the {MAX_SAMPLES:,}-sample cap"
-        )
+    check_record(span_s, dt, eph)
     n = int(round(span_s / dt))
 
     if coeffs is None:

@@ -248,7 +248,8 @@ def triplet_statistic(
     r_b = 0.5 * (cmath.exp(1j * (pd + pa)) * lines[1] + cmath.exp(1j * (pd - pa)) * lines[2]).real
 
     dirichlet = functools.partial(_dirichlet_sum, n, dt, baseband.t0 + 0.5 * (n - 1) * dt)
-    # c^2 = (1 + cos 2 theta_d)/2, e^2 = (1 + cos 2 theta_a)/2
+    # with theta_d = Os t - psi_daily and theta_a = Oa t - psi_annual,
+    # c^2 = (1 + cos 2 theta_d) / 2 and e^2 = (1 + cos 2 theta_a) / 2
     g_aa = 0.5 * (n + dirichlet(2.0 * om_s, 2.0 * pd))
     g_ab = 0.5 * dirichlet(om_a, pa) + 0.25 * (
         dirichlet(2.0 * om_s + om_a, 2.0 * pd + pa) + dirichlet(2.0 * om_s - om_a, 2.0 * pd - pa)
@@ -268,6 +269,7 @@ def triplet_statistic(
             f"carrier and envelope templates are collinear on this {n}-sample record "
             f"(1 - rho^2 = {separation:.3g} < 1e-12); the depth is not identifiable"
         )
+    # a and b of the normal-equation solution times its determinant, which cancels in b/a
     a = g_bb * r_a - g_ab * r_b
     b = g_aa * r_b - g_ab * r_a
     epsilon_hat = b / a if a != 0.0 else 0.0

@@ -501,9 +501,9 @@ class TestCli:
              "args.mass-min and args.mass-max"),
             ("daily-rms", ["--samples-per-day", "9"], "args.samples-per-day"),
             ("daily-rms", ["--samples-per-day", "1000000000"], "args.samples-per-day"),
-            ("psd", ["--span-days", "1"], "args.span-days"),
-            ("triplet", ["--span-days", "1.9"], "args.span-days"),
-            ("psd", ["--dt", "9000"], "args.dt"),
+            ("psd", ["--span-days", "1"], "args.span-days and args.dt"),
+            ("triplet", ["--span-days", "1.9"], "args.span-days and args.dt"),
+            ("psd", ["--dt", "9000"], "args.span-days and args.dt"),
             ("triplet", ["--span-days", "1e9", "--dt", "0.5"], "args.span-days and args.dt"),
             ("envelope", ["--dt", "1e-300"], "args.span-days and args.dt"),
         ],
