@@ -95,7 +95,10 @@ def _synthesis_args(cfg: RunConfig, args: dict) -> tuple[float, float]:
 def cmd_envelope(cfg: RunConfig, args: dict) -> dict:
     span_days, dt = args["span-days"], args["dt"]
     span_s = span_days * SIDEREAL_DAY_S
-    _check_args("args.span-days and args.dt", signals.check_sample_count, span_s, dt)
+    # the larger of the span/dt samples and the span_days daily rows
+    _check_args(
+        "args.span-days and args.dt", signals.check_sample_count, span_s, min(dt, SIDEREAL_DAY_S)
+    )
     coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
 
     days = np.arange(0.0, span_days)

@@ -23,8 +23,8 @@ from .timeseries import TimeSeries, short_hash
 
 SYNTH_SCHEMA = "axionkit-baseband/1"
 
-# the most samples a year-scale array may hold: at the 40 B per sample
-# that synthesis peaks at with readout, 2 GB
+# the most samples a year-scale array may hold; synthesis with readout
+# peaks below 40 B per sample, so under 2 GB at the cap
 MAX_SAMPLES = 50_000_000
 
 

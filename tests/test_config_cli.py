@@ -516,8 +516,13 @@ class TestCli:
         assert err.startswith(f"axionkit: config error: {names}: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_envelope_sample_cap_before_allocating(self, monkeypatch):
-        # 366 sidereal days at 0.01 s would be 3.2e9 samples, 25 GB an array
+    @pytest.mark.parametrize(
+        "span_days, dt, count",
+        [(366.0, 0.01, "3.154e\\+09"), (1e9, 1e7, "1e\\+09")],
+        ids=["samples", "daily-rows"],
+    )
+    def test_envelope_sample_cap_before_allocating(self, monkeypatch, span_days, dt, count):
+        # 3.2e9 samples, or 1e9 daily rows: 25 GB or 8 GB an array
         arange = np.arange
 
         def guarded(start, stop=None, step=1.0, **kwargs):
@@ -527,8 +532,8 @@ class TestCli:
             return arange(start, stop, step, **kwargs)
 
         monkeypatch.setattr(np, "arange", guarded)
-        with pytest.raises(ConfigError, match="args.span-days and args.dt: 3.154e\\+09 samples"):
-            cli.cmd_envelope(build_config({}), {"span-days": 366.0, "dt": 0.01})
+        with pytest.raises(ConfigError, match=f"args.span-days and args.dt: {count} samples"):
+            cli.cmd_envelope(build_config({}), {"span-days": span_days, "dt": dt})
 
     def test_single_mass_grid_ignores_mass_max(self, tmp_path):
         out = tmp_path / "one"
