@@ -143,21 +143,21 @@ class TripletResult:
 _BLOCK = 4096
 
 
-def _line_sums(t, dt: float, y, omega: float, offsets) -> np.ndarray:
-    """sum_k y_k exp(-i (omega + d_j) t_k) for each offset d_j.
+def _line_sums(t0: float, dt: float, y, omega: float, offsets) -> np.ndarray:
+    """sum_k y_k exp(-i (omega + d_j) t_k) for each offset d_j, on the
+    uniform grid t_k = t0 + k dt of TimeSeries.times.
 
-    t must be the uniform grid t_k = t[0] + k dt.  The record is mixed
-    once with exp(-i omega t).  With k = b _BLOCK + m, exp(-i d t_k)
-    splits into the per-block phase exp(-i d t[b _BLOCK]) and the
-    in-block phase exp(-i d m dt), so all sums are one matrix product of
-    the mixed record, zero-padded to whole blocks, followed by a
-    phase-weighted sum over blocks.
+    The record is mixed once with exp(-i omega t).  With k = b _BLOCK + m,
+    exp(-i d t_k) splits into the per-block phase exp(-i d t_{b _BLOCK})
+    and the in-block phase exp(-i d m dt), so all sums are one matrix
+    product of the mixed record, zero-padded to whole blocks, followed
+    by a phase-weighted sum over blocks.
     """
     n = y.size
     blocks = -(-n // _BLOCK)
     mixed = np.zeros(blocks * _BLOCK, dtype=complex)
     re, im = mixed.real[:n], mixed.imag[:n]
-    phase = np.multiply(omega, t, out=im)
+    phase = np.multiply(omega, t0 + dt * np.arange(n, dtype=float), out=im)
     np.cos(phase, out=re)
     np.sin(phase, out=im)
     re *= y
@@ -165,7 +165,7 @@ def _line_sums(t, dt: float, y, omega: float, offsets) -> np.ndarray:
     np.negative(im, out=im)
     d = np.asarray(offsets, dtype=float)
     in_block = np.exp(-1j * np.outer(dt * np.arange(_BLOCK), d))
-    per_block = np.exp(-1j * np.outer(t[::_BLOCK], d))
+    per_block = np.exp(-1j * np.outer(t0 + dt * np.arange(0, n, _BLOCK, dtype=float), d))
     return np.sum(per_block * (mixed.reshape(blocks, _BLOCK) @ in_block), axis=0)
 
 
@@ -229,9 +229,8 @@ def triplet_statistic(
     demodulated power on a comb of off-target frequencies.
     """
     check_daily_sampling(baseband.dt, eph)
-    t = baseband.times
     y = np.real(baseband.samples)
-    n, dt = y.size, baseband.dt
+    n, t0, dt = y.size, baseband.t0, baseband.dt
 
     om_s, om_a = eph.omega_sidereal, eph.omega_annual
     omega_plus, omega_minus = om_s + om_a, om_s - om_a
@@ -239,10 +238,10 @@ def triplet_statistic(
     # noise floor from a comb of off-target frequencies, spaced by the
     # larger of the annual rate and the record's own resolution; the
     # sqrt(2) puts the figures in the matched-filter amplitude convention
-    span = t[-1] - t[0]
+    span = (t0 + dt * (n - 1)) - t0  # t[-1] - t[0] of the grid
     base = max(om_a, 2.0 * math.pi / span)
     comb = [k * base for k in (-7, -5, -4, -3, 3, 4, 5, 7)]
-    lines = _line_sums(t, dt, y, om_s, [0.0, om_a, -om_a, *comb])
+    lines = _line_sums(t0, dt, y, om_s, [0.0, om_a, -om_a, *comb])
     power = np.abs(lines) ** 2
     x_star, x_plus, x_minus = power[:3]
     floor = max(np.mean(power[3:]), 1e-300)
@@ -253,7 +252,7 @@ def triplet_statistic(
     r_a = (cmath.exp(1j * pd) * lines[0]).real
     r_b = 0.5 * (cmath.exp(1j * (pd + pa)) * lines[1] + cmath.exp(1j * (pd - pa)) * lines[2]).real
 
-    dirichlet = functools.partial(_dirichlet_sum, n, dt, baseband.t0 + 0.5 * (n - 1) * dt)
+    dirichlet = functools.partial(_dirichlet_sum, n, dt, t0 + 0.5 * (n - 1) * dt)
     # with theta_d = Os t - psi_daily and theta_a = Oa t - psi_annual,
     # c^2 = (1 + cos 2 theta_d) / 2 and e^2 = (1 + cos 2 theta_a) / 2
     g_aa = 0.5 * (n + dirichlet(2.0 * om_s, 2.0 * pd))

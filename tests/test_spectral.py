@@ -297,7 +297,7 @@ class TestPhaseLockedDepth:
         spec.triplet_statistic(ts, eph, 0.0, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # the times (8 B per sample) and the complex mixed record (16 B)
+        # the time grid (8 B per sample) and the complex mixed record (16 B)
         assert peak <= 26 * ts.samples.size
 
 
@@ -322,7 +322,7 @@ class TestBlockedLineSums:
         om_s = eph.omega_sidereal
         offsets = [0.0, eph.omega_annual, -eph.omega_annual]
         offsets += [k * spacing for k in (-7, -5, -4, -3, 3, 4, 5, 7)]
-        blocked = spec._line_sums(t, dt, y, om_s, offsets)
+        blocked = spec._line_sums(t0, dt, y, om_s, offsets)
         direct = np.array([direct_line_sum(t, y, om_s + d) for d in offsets])
         # both sides round omega * t, up to 6e3 rad here, to about 5e-13
         assert np.max(np.abs(blocked - direct)) <= 1e-12 * np.sum(np.abs(y))
