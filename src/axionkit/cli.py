@@ -52,17 +52,13 @@ from .halo import fractional_linewidth_v0, lineshape_support, shm_lineshape
 from .timeseries import TimeSeries, write_columns
 
 
-def _write_json(path: Path, record: dict) -> None:
-    path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
-
-
 # artifact writers: each returns write(path) for main to call when publishing
 def _csv(header: str, columns):
     return lambda path: write_columns(path, header, columns)
 
 
 def _json(record: dict):
-    return lambda path: _write_json(path, record)
+    return lambda path: path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def _svg(curves, **kwargs):
@@ -83,6 +79,25 @@ def _check_args(names: str, check, *values) -> None:
         check(*values)
     except ValueError as exc:
         raise ConfigError(f"{names}: {exc}") from None
+
+
+# peak bytes of a run per unit of its size, measured with tracemalloc on
+# whole runs (numpy 2.4): a sensitivity grid's mass (four curves, the CSVs
+# and the plot) and a row of the linewidth table, _LINEWIDTH_ROWS per mass
+_BYTES_PER_MASS = 1000
+_BYTES_PER_LINEWIDTH_ROW = 160
+_LINEWIDTH_ROWS = 1500
+
+
+def _check_size(name: str, count: int, bytes_each: float) -> None:
+    """ConfigError (exit 2) naming args.name if count units of bytes_each
+    bytes exceed the run's byte budget, signals.MAX_BYTES."""
+    limit = int(signals.MAX_BYTES // bytes_each)
+    if count > limit:
+        raise ConfigError(
+            f"args.{name}: {count:,} exceeds {limit:,}, the most that fit "
+            f"{signals.MAX_BYTES:,} bytes at {bytes_each:,.0f} bytes each"
+        )
 
 
 def _synthesis_args(cfg: RunConfig, args: dict) -> tuple[float, float]:
@@ -131,6 +146,9 @@ def cmd_daily_rms(cfg: RunConfig, args: dict) -> dict:
     band_sigma = args["band-sigma"]
     dt = SIDEREAL_DAY_S / per_day
     _check_args("args.samples-per-day", signals.check_record, YEAR_S, dt, cfg.ephemeris)
+    # the trials synthesize one after another, so together they may hold
+    # no more samples than one record
+    _check_size("trials", trials, signals.BYTES_PER_SAMPLE * YEAR_S / dt)
     coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
 
     days = np.arange(0.0, 365.0)
@@ -179,7 +197,6 @@ def cmd_psd(cfg: RunConfig, args: dict) -> dict:
     )
     window = spectral.WindowSpec("rectangular", 0.0, 0.0)
     spectrum = spectral.periodogram(ts, window)
-    delta_f = 1.0 / ts.span
 
     f_star = cfg.ephemeris.omega_sidereal / (2 * np.pi)
     f_a = cfg.ephemeris.omega_annual / (2 * np.pi)
@@ -195,8 +212,8 @@ def cmd_psd(cfg: RunConfig, args: dict) -> dict:
                 "f_plus_hz": f_star + f_a,
                 "f_minus_hz": f_star - f_a,
                 "annual_splitting_hz": f_a,
-                "delta_f_window_hz": delta_f,
-                "resolvable": delta_f < f_a,
+                "delta_f_window_hz": spectrum.df,
+                "resolvable": spectrum.df < f_a,
             }
         ),
         "psd.svg": _svg(
@@ -254,6 +271,7 @@ def cmd_triplet(cfg: RunConfig, args: dict) -> dict:
 
 def cmd_linewidth(cfg: RunConfig, args: dict) -> dict:
     masses = [float(m) for m in args["masses"].split(",")]
+    _check_size("masses", len(masses), _LINEWIDTH_ROWS * _BYTES_PER_LINEWIDTH_ROW)
     blocks = []
     curves = []
     for mass in masses:
@@ -261,7 +279,7 @@ def cmd_linewidth(cfg: RunConfig, args: dict) -> dict:
         nu_a = uev_to_hz(mass)
         lo, hi = lineshape_support(axion, cfg.halo)
         span = (hi - lo) * 1.05
-        offsets = np.linspace(-0.02 * span, span, 1500)
+        offsets = np.linspace(-0.02 * span, span, _LINEWIDTH_ROWS)
         density = shm_lineshape(nu_a + offsets, axion, cfg.halo)
         blocks.append((np.full(offsets.size, mass), offsets, density))
         curves.append({"x": offsets, "y": density, "label": f"{mass:g} ueV"})
@@ -286,6 +304,7 @@ def cmd_linewidth(cfg: RunConfig, args: dict) -> dict:
 
 def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
     preset, gains_mode = args["preset"], args["gains"]
+    _check_size("mass-points", args["mass-points"], _BYTES_PER_MASS)
     if args["mass-points"] > 1 and not args["mass-min"] < args["mass-max"]:
         raise ConfigError(
             f"args.mass-min and args.mass-max: a grid of {args['mass-points']} masses "

@@ -163,13 +163,7 @@ def load_config(path, overrides=()) -> tuple[RunConfig, dict]:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for name in _SECTIONS:
-        section = dataclasses.asdict(getattr(cfg, name))
-        if name == "output":
-            section["formats"] = list(section["formats"])
-        out[name] = section
-    return out
+    return {name: dataclasses.asdict(getattr(cfg, name)) for name in _SECTIONS}
 
 
 def apply_overrides(data: dict, overrides) -> dict:

@@ -15,7 +15,6 @@ HBAR_J_S = 1.054571817e-34     # reduced Planck constant, J s
 HBARC_EV_CM = 1.9732698040e-5  # hbar*c, eV cm
 M_E_EV = 510998.95             # electron mass, eV
 ELECTRON_GAMMA_RAD_S_T = 1.76085963023e11  # electron gyromagnetic ratio, rad/s/T
-ELECTRON_GAMMA_HZ_T = ELECTRON_GAMMA_RAD_S_T / (2.0 * math.pi)  # ~28.025 GHz/T
 
 # 1 ueV of oscillation energy corresponds to ~241.799 MHz
 UEV_TO_HZ = 1e-6 * EV_J / H_J_S

@@ -361,14 +361,14 @@ class GeometricGains:
     n_axes: int = 3
 
 
-def geometric_gains(site: SiteGeometry, n_axes: int = 3) -> GeometricGains:
+def geometric_gains(site: SiteGeometry) -> GeometricGains:
     """Gains for a zenith-type axis at the site latitude.
 
     p0 = sin(lat) sin(dec) is the time-averaged projection;
     <P^2> = p0^2 + (cos(lat) cos(dec))^2 / 2 its mean square over a day.
     Matched daily weighting gains sqrt(<P^2>)/|p0|, three-axis readout
-    1/sqrt(<P^2>), and operating n_axes identical sensors adds the usual
-    sqrt(n) resource factor.
+    1/sqrt(<P^2>), and operating the record's n_axes = 3 identical
+    sensors adds the usual sqrt(3) resource factor.
     """
     lam = math.radians(site.latitude_deg)
     dec = math.radians(site.wind_dec_deg)
@@ -380,12 +380,11 @@ def geometric_gains(site: SiteGeometry, n_axes: int = 3) -> GeometricGains:
         )
     g_daily = math.sqrt(p2) / abs(p0)
     g_three_axis = 1.0 / math.sqrt(p2)
-    g_total = math.sqrt(n_axes) * g_daily * g_three_axis
+    g_total = math.sqrt(3) * g_daily * g_three_axis
     return GeometricGains(
         p0=p0,
         mean_square_projection=p2,
         g_daily=g_daily,
         g_three_axis=g_three_axis,
         g_total=g_total,
-        n_axes=n_axes,
     )

@@ -187,12 +187,10 @@ def dfsz_coupling(mass_uev, tan_beta: float):
     return c_e * M_E_GEV / f_a_gev
 
 
-def dfsz_band(mass_uev, tan_beta_range: tuple[float, float] = (0.25, 170.0)):
-    """(g_low, g_high, g_benchmark) arrays over the mass grid; the
-    benchmark is tan(beta) = 1.  Linear in mass at fixed tan(beta)."""
-    lo, hi = tan_beta_range
-    if not 0 < lo <= hi:
-        raise ValueError("tan_beta range must be positive and ordered")
-    g_lo = dfsz_coupling(mass_uev, lo)
-    g_hi = dfsz_coupling(mass_uev, hi)
+def dfsz_band(mass_uev):
+    """(g_low, g_high, g_benchmark) arrays over the mass grid: the band
+    spans tan(beta) from 0.25 to 170 and the benchmark is tan(beta) = 1.
+    Linear in mass at fixed tan(beta)."""
+    g_lo = dfsz_coupling(mass_uev, 0.25)
+    g_hi = dfsz_coupling(mass_uev, 170.0)
     return np.minimum(g_lo, g_hi), np.maximum(g_lo, g_hi), dfsz_coupling(mass_uev, 1.0)

@@ -23,9 +23,11 @@ from .timeseries import TimeSeries, short_hash
 
 SYNTH_SCHEMA = "axionkit-baseband/1"
 
-# the most samples a year-scale array may hold; synthesis with readout
-# peaks below 40 B per sample, so under 2 GB at the cap
-MAX_SAMPLES = 50_000_000
+# the byte budget of one run; synthesis with readout peaks below
+# BYTES_PER_SAMPLE, which sets the most samples a year-scale array may hold
+MAX_BYTES = 2_000_000_000
+BYTES_PER_SAMPLE = 40
+MAX_SAMPLES = MAX_BYTES // BYTES_PER_SAMPLE
 
 
 class UnrealizableNoiseError(ValueError):

@@ -1,4 +1,4 @@
-"""Spectral estimation: averaged periodogram, window response, and the
+"""Spectral estimation: averaged periodogram, window resolution, and the
 ephemeris-guided three-line statistic at the sidereal frequency and its
 annual sidebands.
 
@@ -40,17 +40,15 @@ class WindowSpec:
 
 @dataclass
 class Spectrum:
-    """One-sided power spectral density on a uniform frequency grid."""
+    """One-sided power spectral density on the grid k df from 0 Hz."""
 
-    f0: float
     df: float
     psd: np.ndarray
-    window: WindowSpec
     n_averages: int
 
     @property
     def frequencies(self) -> np.ndarray:
-        return self.f0 + self.df * np.arange(len(self.psd))
+        return self.df * np.arange(len(self.psd))
 
     def to_csv(self, path) -> None:
         write_columns(path, "f_hz,psd", (self.frequencies, self.psd))
@@ -89,35 +87,22 @@ def periodogram(series: TimeSeries, window: WindowSpec) -> Spectrum:
     psd[0] *= 0.5
     if nper % 2 == 0:
         psd[-1] *= 0.5
-    return Spectrum(f0=0.0, df=1.0 / (nper * dt), psd=psd, window=window, n_averages=count)
+    return Spectrum(df=1.0 / (nper * dt), psd=psd, n_averages=count)
 
 
 @dataclass
 class WindowResponse:
-    """Continuous transform W(Omega) of the taper and its resolution
-    bandwidth delta_f (Hz): 1/T for rectangular, 1.44/T for hann."""
+    """Resolution bandwidth delta_f (Hz) of a taper over a segment of
+    length T: 1/T for rectangular, 1.44/T for hann."""
 
-    window: WindowSpec
     delta_f: float
-
-    def __call__(self, omega) -> np.ndarray:
-        t_seg = self.window.segment_length
-        omega = np.asarray(omega, dtype=float)
-
-        def rect(om):
-            return t_seg * np.exp(-0.5j * om * t_seg) * np.sinc(om * t_seg / (2.0 * np.pi))
-
-        if self.window.kind == "rectangular":
-            return rect(omega)
-        shift = 2.0 * np.pi / t_seg
-        return 0.5 * rect(omega) - 0.25 * (rect(omega - shift) + rect(omega + shift))
 
 
 def window_response(window: WindowSpec) -> WindowResponse:
     if window.segment_length <= 0:
         raise ValueError("window_response needs a positive segment_length")
     factor = 1.0 if window.kind == "rectangular" else 1.44
-    return WindowResponse(window=window, delta_f=factor / window.segment_length)
+    return WindowResponse(delta_f=factor / window.segment_length)
 
 
 @dataclass
@@ -209,6 +194,8 @@ def triplet_statistic(
     from sum_k cos(W t_k - psi) = sin(n W dt/2) / sin(W dt/2) cos(W t_mid - psi)
     at W = 2 Os, Oa, 2 Oa, 2 Os +/- Oa and 2 Os +/- 2 Oa.
 
+    A complex record raises ValueError, as in periodogram.
+
     Raises ValueError when dt exceeds a tenth of a sidereal day (the
     sampling rule of synthesis, geometry.check_daily_sampling), which
     also keeps every sin(W dt/2) above sin(Oa dt/2) > 0, and when the
@@ -228,8 +215,10 @@ def triplet_statistic(
     Internal noise figures compare the triplet powers against the mean
     demodulated power on a comb of off-target frequencies.
     """
+    y = baseband.samples
+    if np.iscomplexobj(y):
+        raise ValueError("triplet_statistic expects a real record")
     check_daily_sampling(baseband.dt, eph)
-    y = np.real(baseband.samples)
     n, t0, dt = y.size, baseband.t0, baseband.dt
 
     om_s, om_a = eph.omega_sidereal, eph.omega_annual

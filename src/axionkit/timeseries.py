@@ -14,6 +14,7 @@ and ``dtype`` fix the row count, the ``t`` column and the payload size.
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,11 @@ def short_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
 
 
+# rows per block of write_columns; a private constant that bounds the
+# formatted text held at once
+_BLOCK_ROWS = 16384
+
+
 def _cells(column) -> list:
     values = np.asarray(column)
     if values.dtype.kind == "U":
@@ -49,19 +55,27 @@ def write_columns(path, header: str, columns, comment: str | None = None) -> Non
     Floats are written as their shortest round-trip ``repr``, integer
     arrays with ``str`` and strings unchanged, so a reader recovers every
     value exactly.  comment, when given, becomes a leading ``# `` line.
+    Rows are formatted and written _BLOCK_ROWS at a time, so the text
+    held in memory stays bounded whatever the table's length.
 
-    A float column holding NaN or infinity raises ValueError naming the
-    file and the column, before the file is opened.
+    A float column holding NaN or infinity, or columns of unequal
+    length, raise ValueError naming the file, before the file is opened.
     """
     columns = [np.asarray(column) for column in columns]
     for name, values in zip(header.split(","), columns):
         if values.dtype.kind in "fc" and not np.all(np.isfinite(values)):
             bad = int(np.sum(~np.isfinite(values)))
             raise ValueError(f"{path}: column {name} has {bad} non-finite values")
-    lines = [header] if comment is None else ["# " + comment, header]
-    lines.extend(map(",".join, zip(*map(_cells, columns), strict=True)))
+    lengths = sorted({len(values) for values in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns of unequal lengths {lengths}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if comment is not None:
+            fh.write("# " + comment + "\n")
+        fh.write(header + "\n")
+        for start in range(0, lengths[0], _BLOCK_ROWS):
+            cells = [_cells(values[start : start + _BLOCK_ROWS]) for values in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 @dataclass
@@ -89,10 +103,6 @@ class TimeSeries:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.samples.size, dtype=float)
-
-    @property
-    def span(self) -> float:
-        return self.dt * self.samples.size
 
     @property
     def is_complex(self) -> bool:
@@ -150,9 +160,10 @@ class TimeSeries:
             header = json.loads(fh.readline().decode())
             if header.get("schema") != TIMESERIES_SCHEMA:
                 raise ValueError(f"{path}: unsupported schema {header.get('schema')}")
-            payload = fh.read()
-        n, dtype = header["n"], np.dtype(header["dtype"])
-        if len(payload) != n * dtype.itemsize:
-            raise ValueError(f"{path}: {len(payload)} payload bytes, header says {n} x {dtype}")
-        samples = np.frombuffer(payload, dtype=dtype).copy()
+            n, dtype = header["n"], np.dtype(header["dtype"])
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != n * dtype.itemsize:
+                raise ValueError(f"{path}: {size} payload bytes, header says {n} x {dtype}")
+            samples = np.empty(n, dtype=dtype)
+            fh.readinto(samples)
         return cls(t0=header["t0"], dt=header["dt"], samples=samples, meta=header["meta"])

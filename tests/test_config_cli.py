@@ -334,9 +334,23 @@ class TestCli:
                 ("linewidth", ["--masses", "1,5"]),
                 ("sensitivity", ["--mass-points", "8"]),
             )
+        ]
+        + [
+            pytest.param(
+                "triplet", ["--data", "series.csv", "--psi-daily", "0.3", "--psi-annual", "1.2"],
+                id="triplet-data",
+            ),
         ],
     )
-    def test_manifest_reproduces_bytes(self, tmp_path, subcommand, argv):
+    def test_manifest_reproduces_bytes(self, tmp_path, monkeypatch, subcommand, argv):
+        from axionkit import EphemerisConstants, TimeSeries
+
+        # the CSV that triplet --data reads, at a path relative to the run
+        monkeypatch.chdir(tmp_path)
+        eph = EphemerisConstants()
+        t = np.arange(0, 60 * 86400.0, 1800.0)
+        y = (1 + 0.2 * np.cos(eph.omega_annual * t - 1.2)) * np.cos(eph.omega_sidereal * t - 0.3)
+        TimeSeries(0.0, 1800.0, y, {"origin": "external"}).to_csv("series.csv")
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert self.run(subcommand, "--out", str(out1), "--seed", "11", *argv) == 0
         assert self.run(subcommand, "--config", str(out1 / "manifest.json"),
@@ -506,6 +520,11 @@ class TestCli:
             ("psd", ["--dt", "9000"], "args.span-days and args.dt"),
             ("triplet", ["--span-days", "1e9", "--dt", "0.5"], "args.span-days and args.dt"),
             ("envelope", ["--dt", "1e-300"], "args.span-days and args.dt"),
+            # byte-budget caps: 2,000,000 masses, 8,333 line shapes, and
+            # 2,844 trials at 48 samples a day
+            ("sensitivity", ["--mass-points", "100000000"], "args.mass-points"),
+            ("linewidth", ["--masses", ",".join(["1"] * 10_000)], "args.masses"),
+            ("daily-rms", ["--trials", "10000000000"], "args.trials"),
         ],
     )
     def test_cross_argument_limit_exit_code(self, tmp_path, capsys, monkeypatch,
@@ -551,6 +570,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("axionkit: triplet failed: ") and "collinear" in err
         assert not out.exists()
+
+    def test_triplet_on_complex_data_exit_code(self, tmp_path, capsys):
+        from axionkit import TimeSeries
+
+        t = np.arange(0, 120 * 86400.0, 1800.0)
+        data = tmp_path / "complex.csv"
+        TimeSeries(0.0, 1800.0, np.exp(7.29e-5j * t), {"origin": "x"}).to_csv(data)
+        out = tmp_path / "t"
+        out.mkdir()
+        (out / "kept.txt").write_text("before")
+        assert self.run("triplet", "--out", str(out), "--data", str(data),
+                        "--psi-daily", "0", "--psi-annual", "0") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("axionkit: triplet failed: ") and "real record" in err
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text() == "before"
 
     def test_help_lists_config_keys(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -103,31 +103,6 @@ class TestWindowResponse:
         hann = spec.window_response(WindowSpec("hann", 1e4, 0.0))
         assert hann.delta_f / rect.delta_f == pytest.approx(1.44, rel=1e-12)
 
-    def test_dc_value_equals_taper_integral(self):
-        t_seg = 5e3
-        rect = spec.window_response(WindowSpec("rectangular", t_seg, 0.0))
-        assert rect(0.0) == pytest.approx(t_seg, rel=1e-12)
-        hann = spec.window_response(WindowSpec("hann", t_seg, 0.0))
-        assert np.real(hann(0.0)) == pytest.approx(t_seg / 2, rel=1e-12)
-
-    def test_quadrature_oracle_on_transform(self):
-        from scipy import integrate
-
-        t_seg, omega = 100.0, 0.21
-
-        def quad_part(fn):
-            return integrate.quad(fn, 0, t_seg, limit=200)[0]
-
-        for kind, taper in (
-            ("rectangular", lambda t: 1.0),
-            ("hann", lambda t: 0.5 * (1 - np.cos(2 * np.pi * t / t_seg))),
-        ):
-            wr = spec.window_response(WindowSpec(kind, t_seg, 0.0))
-            expected = quad_part(lambda t: taper(t) * np.cos(omega * t)) - 1j * quad_part(
-                lambda t: taper(t) * np.sin(omega * t)
-            )
-            assert wr(omega) == pytest.approx(expected, rel=1e-6)
-
 
 class TestTripletStatistic:
     def test_four_year_morphology(self, eph):

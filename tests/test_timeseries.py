@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from axionkit import TimeSeries
-from axionkit.timeseries import canonical_json, short_hash, write_columns
+from axionkit.timeseries import _BLOCK_ROWS, canonical_json, short_hash, write_columns
 
 # finite float64 values, with signed zero, subnormals and the range ends drawn often
 FLOATS = st.one_of(
@@ -93,6 +95,8 @@ class TestCsvFormat:
         assert back.samples.tobytes() == samples.tobytes()
 
     @given(table=TABLES)
+    # a table spanning several blocks of rows, the last one partial
+    @example(table=np.linspace(-1.0, 1.0, 2 * (2 * _BLOCK_ROWS + 3)).reshape(-1, 2) / 3.0)
     @settings(max_examples=80, deadline=None)
     def test_write_columns_matches_row_formatter(self, table, tmp_path_factory):
         header = ",".join(f"c{j}" for j in range(table.shape[1]))
@@ -101,6 +105,21 @@ class TestCsvFormat:
         rows = [",".join(repr(float(v)) for v in row) for row in table]
         assert path.read_bytes() == ("\n".join([header, *rows]) + "\n").encode()
 
+    def test_write_columns_memory_per_row(self, tmp_path):
+        # the whole table as text would hold over 250 bytes a row
+        rows = 16 * _BLOCK_ROWS
+        table = np.random.default_rng(5).standard_normal((3, rows))
+        tracemalloc.start()
+        write_columns(tmp_path / "table.csv", "a,b,c", table)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak / rows < 40
+
+    def test_write_columns_refuses_unequal_lengths(self, tmp_path):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match=r"table\.csv: columns of unequal lengths \[2, 3\]"):
+            write_columns(path, "a,b", (np.arange(3.0), np.arange(2.0)))
+        assert not path.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_write_columns_refuses_nonfinite(self, bad, tmp_path):
@@ -140,6 +159,15 @@ class TestHeaderChecks:
         with pytest.raises(ValueError, match="series.bin"):
             TimeSeries.from_binary(path)
 
+    @pytest.mark.parametrize("change", [3, -5], ids=["partial-trailing", "truncated"])
+    def test_binary_payload_size_is_exact(self, real_series, tmp_path, change):
+        path = tmp_path / "series.bin"
+        real_series.to_binary(path)
+        data = path.read_bytes()
+        path.write_bytes(data + bytes(change) if change > 0 else data[:change])
+        with pytest.raises(ValueError, match=f"{32 + change} payload bytes, header says 4 x"):
+            TimeSeries.from_binary(path)
+
 
 class TestBinaryFormat:
     def test_real_round_trip(self, real_series, tmp_path):
@@ -154,6 +182,17 @@ class TestBinaryFormat:
         complex_series.to_binary(path)
         back = TimeSeries.from_binary(path)
         np.testing.assert_array_equal(back.samples, complex_series.samples)
+
+    def test_read_holds_one_record(self, tmp_path):
+        samples = np.random.default_rng(3).standard_normal(1_000_000)
+        path = tmp_path / "series.bin"
+        TimeSeries(0.0, 1.0, samples, {"kind": "memory"}).to_binary(path)
+        tracemalloc.start()
+        back = TimeSeries.from_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1.1 * samples.nbytes
+        assert back.samples.tobytes() == samples.tobytes()
 
 
 class TestHashing:
