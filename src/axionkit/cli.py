@@ -146,9 +146,7 @@ def cmd_daily_rms(cfg: RunConfig, args: dict) -> dict:
     band_sigma = args["band-sigma"]
     dt = SIDEREAL_DAY_S / per_day
     _check_args("args.samples-per-day", signals.check_record, YEAR_S, dt, cfg.ephemeris)
-    # the trials synthesize one after another, so together they may hold
-    # no more samples than one record
-    _check_size("trials", trials, signals.BYTES_PER_SAMPLE * YEAR_S / dt)
+    _check_args("args.trials", signals.check_sample_count, trials * YEAR_S, dt)
     coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
 
     days = np.arange(0.0, 365.0)

@@ -380,7 +380,7 @@ def geometric_gains(site: SiteGeometry) -> GeometricGains:
         )
     g_daily = math.sqrt(p2) / abs(p0)
     g_three_axis = 1.0 / math.sqrt(p2)
-    g_total = math.sqrt(3) * g_daily * g_three_axis
+    g_total = math.sqrt(GeometricGains.n_axes) * g_daily * g_three_axis
     return GeometricGains(
         p0=p0,
         mean_square_projection=p2,

@@ -160,10 +160,14 @@ class TimeSeries:
             header = json.loads(fh.readline().decode())
             if header.get("schema") != TIMESERIES_SCHEMA:
                 raise ValueError(f"{path}: unsupported schema {header.get('schema')}")
+            if header.get("dtype") not in ("float64", "complex128"):
+                raise ValueError(f"{path}: unsupported dtype {header.get('dtype')}")
             n, dtype = header["n"], np.dtype(header["dtype"])
             size = os.fstat(fh.fileno()).st_size - fh.tell()
             if size != n * dtype.itemsize:
                 raise ValueError(f"{path}: {size} payload bytes, header says {n} x {dtype}")
             samples = np.empty(n, dtype=dtype)
-            fh.readinto(samples)
+            read = fh.readinto(samples)
+            if read != size:
+                raise ValueError(f"{path}: read {read} of {size} payload bytes")
         return cls(t0=header["t0"], dt=header["dt"], samples=samples, meta=header["meta"])

@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from axionkit import TimeSeries
+from axionkit import TimeSeries, timeseries
 from axionkit.timeseries import _BLOCK_ROWS, canonical_json, short_hash, write_columns
 
 # finite float64 values, with signed zero, subnormals and the range ends drawn often
@@ -166,6 +168,28 @@ class TestHeaderChecks:
         data = path.read_bytes()
         path.write_bytes(data + bytes(change) if change > 0 else data[:change])
         with pytest.raises(ValueError, match=f"{32 + change} payload bytes, header says 4 x"):
+            TimeSeries.from_binary(path)
+
+    def test_binary_dtype_must_be_one_written(self, real_series, tmp_path):
+        # an object dtype has 8-byte items too: read as such, the payload
+        # would become object pointers
+        path = tmp_path / "series.bin"
+        real_series.to_binary(path)
+        path.write_bytes(path.read_bytes().replace(b'"dtype":"float64"', b'"dtype":"object"', 1))
+        with pytest.raises(ValueError, match="series.bin: unsupported dtype object"):
+            TimeSeries.from_binary(path)
+
+    def test_binary_short_read_is_refused(self, real_series, tmp_path, monkeypatch):
+        # the file loses 8 bytes between its size check and the read
+        path = tmp_path / "series.bin"
+        real_series.to_binary(path)
+        path.write_bytes(path.read_bytes().replace(b'"n":4', b'"n":5', 1))
+        fstat = os.fstat
+        monkeypatch.setattr(
+            timeseries, "os",
+            SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8)),
+        )
+        with pytest.raises(ValueError, match="series.bin: read 32 of 40 payload bytes"):
             TimeSeries.from_binary(path)
 
 
