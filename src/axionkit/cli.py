@@ -268,7 +268,7 @@ def cmd_triplet(cfg: RunConfig, args: dict) -> dict:
 
 
 def cmd_linewidth(cfg: RunConfig, args: dict) -> dict:
-    masses = [float(m) for m in args["masses"].split(",")]
+    masses = args["masses"].values
     _check_size("masses", len(masses), _LINEWIDTH_ROWS * _BYTES_PER_LINEWIDTH_ROW)
     blocks = []
     curves = []
@@ -377,6 +377,13 @@ def _parser(convert, accept, domain: str):
     return parse
 
 
+class _Masses(str):
+    """--masses text as given, for the manifest, with its parsed values."""
+
+    def __init__(self, text: str):
+        self.values = [float(m) for m in text.split(",")]
+
+
 def _positive(value: float) -> bool:
     return 0.0 < value < math.inf
 
@@ -391,11 +398,7 @@ def _one_of(*names: str):
 
 _FINITE = _parser(float, math.isfinite, "a finite number")
 _POSITIVE = _parser(float, _positive, "a positive number")
-_MASSES = _parser(
-    str,
-    lambda text: all(_positive(float(m)) for m in text.split(",")),
-    "comma-separated positive numbers",
-)
+_MASSES = _parser(_Masses, lambda m: all(map(_positive, m.values)), "comma-separated positive numbers")
 _DT_HELP = "sample spacing in seconds"
 
 # subcommand -> (function, help, ((argument, parser, default, help), ...))

@@ -5,7 +5,7 @@ group.  Unknown keys anywhere are rejected with the offending dotted
 path; every field has a default, so the empty object is a valid
 configuration.  A previously written run manifest can be passed in
 place of a configuration file; load_config extracts its config and its
-subcommand arguments.
+subcommand arguments.  A retired key loads only at its former default.
 """
 
 import dataclasses
@@ -14,6 +14,7 @@ import types
 import typing
 from dataclasses import dataclass, field
 
+from .constants import OMEGA_ANNUAL, OMEGA_SIDEREAL
 from .geometry import EphemerisConstants, SiteGeometry
 from .halo import AxionParams, HaloParams
 from .sensitivity import SearchConfig
@@ -53,6 +54,14 @@ class RunConfig:
 
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
+# keys that earlier manifests carry and no computation read, each with
+# the only value it may still hold, so those manifests load unchanged
+_RETIRED = {
+    "geometry": {"longitude_deg": 116.4074},
+    "ephemeris": {"omega_sidereal": OMEGA_SIDEREAL, "omega_annual": OMEGA_ANNUAL},
+    "qubit": {"t1_s": 1e-3, "t2_s": 1e-4, "b0_t": 0.5, "q_resonator": 1e4, "omega0_rad_s": None},
+}
+
 
 def _coerce(value, annotation, path):
     origin = typing.get_origin(annotation)
@@ -83,6 +92,10 @@ def _coerce(value, annotation, path):
 def _build_section(cls, data: dict, section: str):
     hints = typing.get_type_hints(cls)
     known = {f.name for f in dataclasses.fields(cls)}
+    data = dict(data)
+    for key, default in _RETIRED.get(section, {}).items():
+        if data.pop(key, default) != default:
+            raise ConfigError(f"{section}.{key}: retired key, accepted only at {default!r}")
     unknown = set(data) - known
     if unknown:
         raise ConfigError(

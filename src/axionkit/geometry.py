@@ -23,6 +23,7 @@ orbital velocity on a circular ecliptic orbit.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,16 +41,11 @@ class GainUnboundedError(ValueError):
 
 @dataclass(frozen=True)
 class SiteGeometry:
-    """Observing site, sensor pointing and wind direction (angles in
-    degrees, turntable rate in rad/s, initial sidereal phase in rad).
-
-    The initial local sidereal phase is configured directly through
-    lst0_rad; the longitude is carried for provenance but does not enter
-    the simulation separately.
-    """
+    """Observing site (its latitude, and lst0_rad, the local sidereal phase
+    at t = 0, in place of a longitude), sensor pointing and wind direction
+    (angles in degrees, turntable rate in rad/s, phase in rad)."""
 
     latitude_deg: float = 39.9042
-    longitude_deg: float = 116.4074
     wind_ra_deg: float = 270.0
     wind_dec_deg: float = 30.0
     elevation_deg: float = 90.0
@@ -72,23 +68,21 @@ class SiteGeometry:
 
 @dataclass(frozen=True)
 class EphemerisConstants:
-    """Angular rates and orbital speeds fixing the deterministic
-    modulation frequencies.
+    """Orbital speeds and phases, with the fixed sidereal and annual
+    angular rates (class constants, not settings) of the modulation.
 
     v_sun is the Sun's speed through the halo, the same speed as
     HaloParams.v_ref; a run configuration must set the two equal.
     """
 
-    omega_sidereal: float = OMEGA_SIDEREAL
-    omega_annual: float = OMEGA_ANNUAL
+    omega_sidereal: ClassVar[float] = OMEGA_SIDEREAL
+    omega_annual: ClassVar[float] = OMEGA_ANNUAL
     v_sun: float = 230.0
     v_orbit: float = 30.0
     obliquity_deg: float = OBLIQUITY_DEG
     orbital_phase: float = 0.0
 
     def __post_init__(self):
-        if not self.omega_sidereal > self.omega_annual > 0:
-            raise ValueError("need omega_sidereal > omega_annual > 0")
         if self.v_sun <= 0 or self.v_orbit < 0:
             raise ValueError("v_sun must be positive and v_orbit non-negative")
 

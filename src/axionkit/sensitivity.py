@@ -52,8 +52,8 @@ class SearchConfig:
 
 # "current" and "future" hardware configurations
 PRESETS = {
-    "current": QubitParams(n_spins=10, eta_b_t_rthz=1e-15, q_resonator=1e4),
-    "future": QubitParams(n_spins=10**6, eta_b_t_rthz=1e-16, q_resonator=1e6),
+    "current": QubitParams(n_spins=10, eta_b_t_rthz=1e-15),
+    "future": QubitParams(n_spins=10**6, eta_b_t_rthz=1e-16),
 }
 
 

@@ -37,38 +37,19 @@ class UnrealizableNoiseError(ValueError):
 
 @dataclass(frozen=True)
 class QubitParams:
-    """Sensor parameters: gyromagnetic ratio in Hz/T, coherence times in
-    seconds, static field in Tesla, spin count, field sensitivity in
-    T/sqrt(Hz) and resonator quality factor.
-
-    omega0_rad_s, when left None, derives from the Zeeman splitting
-    2 pi gamma_e B0.  The resonator quality factor is carried as
-    metadata only.
-    """
+    """Sensor parameters: gyromagnetic ratio in Hz/T, spin count and
+    single-spin field sensitivity in T/sqrt(Hz)."""
 
     gamma_e_hz_t: float = 28e9
-    t1_s: float = 1e-3
-    t2_s: float = 100e-6
-    b0_t: float = 0.5
     n_spins: int = 10
     eta_b_t_rthz: float = 1e-15
-    q_resonator: float = 1e4
-    omega0_rad_s: float | None = None
 
     def __post_init__(self):
-        for name in ("gamma_e_hz_t", "t1_s", "t2_s", "b0_t", "eta_b_t_rthz", "q_resonator"):
+        for name in ("gamma_e_hz_t", "eta_b_t_rthz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.n_spins < 1:
             raise ValueError("n_spins must be at least 1")
-        if self.t2_s > 2.0 * self.t1_s:
-            raise ValueError(f"t2 ({self.t2_s}) exceeds 2*t1 ({2 * self.t1_s})")
-
-    @property
-    def omega0(self) -> float:
-        if self.omega0_rad_s is not None:
-            return self.omega0_rad_s
-        return 2.0 * math.pi * self.gamma_e_hz_t * self.b0_t
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,20 @@ def write_columns(path, header: str, columns, comment: str | None = None) -> Non
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def _read_header(path, text: str) -> tuple[dict, np.dtype]:
+    """The JSON header in text and its sample dtype; ValueError naming the
+    file unless it holds every key, the schema and a dtype TimeSeries writes."""
+    header = json.loads(text)
+    for key in ("schema", "t0", "dt", "n", "dtype", "meta"):
+        if key not in header:
+            raise ValueError(f"{path}: header has no {key!r} key")
+    if header["schema"] != TIMESERIES_SCHEMA:
+        raise ValueError(f"{path}: unsupported schema {header['schema']}")
+    if header["dtype"] not in ("float64", "complex128"):
+        raise ValueError(f"{path}: unsupported dtype {header['dtype']}")
+    return header, np.dtype(header["dtype"])
+
+
 @dataclass
 class TimeSeries:
     """Uniform samples starting at epoch t0 with spacing dt (seconds).
@@ -131,13 +145,11 @@ class TimeSeries:
             first = fh.readline()
             if not first.startswith("# "):
                 raise ValueError(f"{path}: missing timeseries header line")
-            header = json.loads(first[2:])
-            if header.get("schema") != TIMESERIES_SCHEMA:
-                raise ValueError(f"{path}: unsupported schema {header.get('schema')}")
+            header, dtype = _read_header(path, first[2:])
             fh.readline()  # column names
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         n, t0, dt = header["n"], header["t0"], header["dt"]
-        width = 3 if header["dtype"] == "complex128" else 2
+        width = 3 if dtype == np.complex128 else 2
         if data.shape != (n, width):
             raise ValueError(f"{path}: table of shape {data.shape}, header says ({n}, {width})")
         offset = np.abs(data[:, 0] - (t0 + dt * np.arange(n, dtype=float)))
@@ -157,12 +169,8 @@ class TimeSeries:
     @classmethod
     def from_binary(cls, path) -> "TimeSeries":
         with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode())
-            if header.get("schema") != TIMESERIES_SCHEMA:
-                raise ValueError(f"{path}: unsupported schema {header.get('schema')}")
-            if header.get("dtype") not in ("float64", "complex128"):
-                raise ValueError(f"{path}: unsupported dtype {header.get('dtype')}")
-            n, dtype = header["n"], np.dtype(header["dtype"])
+            header, dtype = _read_header(path, fh.readline().decode())
+            n = header["n"]
             size = os.fstat(fh.fileno()).st_size - fh.tell()
             if size != n * dtype.itemsize:
                 raise ValueError(f"{path}: {size} payload bytes, header says {n} x {dtype}")

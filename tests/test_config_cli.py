@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -8,12 +10,23 @@ import pytest
 from axionkit import cli, geometry, svgplot
 from axionkit.config import (
     ConfigError,
+    RunConfig,
     apply_overrides,
     build_config,
     config_to_dict,
     list_config_keys,
     load_config,
 )
+
+# the retired keys, at their former defaults, as manifests of the earlier
+# format carry them
+PARENT_FORMAT_KEYS = {
+    "geometry": {"longitude_deg": 116.4074},
+    "ephemeris": {"omega_annual": 1.991021277657232e-07, "omega_sidereal": 7.292115857915991e-05},
+    "qubit": {
+        "b0_t": 0.5, "omega0_rad_s": None, "q_resonator": 10000.0, "t1_s": 0.001, "t2_s": 0.0001,
+    },
+}
 
 
 class TestConfig:
@@ -94,6 +107,37 @@ class TestConfig:
             "output.directory",
         ):
             assert expected in joined
+        for section, keys in PARENT_FORMAT_KEYS.items():
+            for key in keys:
+                assert f"{section}.{key} " not in joined
+
+    def test_every_setting_is_read(self):
+        # a field that only its own __post_init__ reads (asdict echoes it
+        # into manifests) is a setting that no computation honours
+        reads = []  # (attribute, class whose __post_init__ reads it, or None)
+        for source in Path(cli.__file__).parent.glob("*.py"):
+            tree = ast.parse(source.read_text())
+            owner = {
+                node: cls.name
+                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                for node in ast.walk(fn)
+            }
+            reads += [
+                (node.attr, owner.get(node)) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            ]
+        unread = [
+            f"{section.name}.{f.name}"
+            for section in dataclasses.fields(RunConfig)
+            for f in dataclasses.fields(section.default_factory)
+            if not any(
+                attr == f.name and where != section.default_factory.__name__
+                for attr, where in reads
+            )
+        ]
+        assert unread == []
 
 
 class TestCli:
@@ -288,8 +332,11 @@ class TestCli:
             (["--formats", "cvs"], "formats"),
             (["--seed", "-1"], "seed"),
             (["--set", "noise.seed=-1"], "seed"),
+            (["--set", "ephemeris.omega_sidereal=1.0938e-4"], "ephemeris.omega_sidereal"),
+            (["--set", "qubit.t1_s=2e-3"], "qubit.t1_s"),
         ],
-        ids=["formats-typo", "negative-seed", "negative-noise-seed"],
+        ids=["formats-typo", "negative-seed", "negative-noise-seed", "retired-sidereal-rate",
+             "retired-t1"],
     )
     def test_bad_run_setting_exit_code(self, tmp_path, capsys, argv, key):
         out = tmp_path / "out"
@@ -323,9 +370,9 @@ class TestCli:
         ) == 2
 
     @pytest.mark.parametrize(
-        "subcommand, argv",
+        "subcommand, argv, parent_format",
         [
-            pytest.param(subcommand, argv, id=subcommand)
+            pytest.param(subcommand, argv, False, id=subcommand)
             for subcommand, argv in (
                 ("envelope", ["--span-days", "30"]),
                 ("daily-rms", ["--trials", "2"]),
@@ -337,12 +384,20 @@ class TestCli:
         ]
         + [
             pytest.param(
-                "triplet", ["--data", "series.csv", "--psi-daily", "0.3", "--psi-annual", "1.2"],
+                "triplet",
+                ["--data", "series.csv", "--psi-daily", "0.3", "--psi-annual", "1.2"],
+                False,
                 id="triplet-data",
             ),
+            pytest.param(
+                "triplet", ["--span-days", "30", "--dt", "2000"], True, id="triplet-parent-format"
+            ),
+            pytest.param("sensitivity", ["--mass-points", "8"], True,
+                         id="sensitivity-parent-format"),
         ],
     )
-    def test_manifest_reproduces_bytes(self, tmp_path, monkeypatch, subcommand, argv):
+    def test_manifest_reproduces_bytes(self, tmp_path, monkeypatch, subcommand, argv,
+                                       parent_format):
         from axionkit import EphemerisConstants, TimeSeries
 
         # the CSV that triplet --data reads, at a path relative to the run
@@ -353,8 +408,16 @@ class TestCli:
         TimeSeries(0.0, 1800.0, y, {"origin": "external"}).to_csv("series.csv")
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert self.run(subcommand, "--out", str(out1), "--seed", "11", *argv) == 0
-        assert self.run(subcommand, "--config", str(out1 / "manifest.json"),
-                        "--out", str(out2)) == 0
+        manifest = out1 / "manifest.json"
+        if parent_format:
+            # the same run as a manifest of the earlier format records it;
+            # regenerated, its manifest drops the retired keys again
+            record = json.loads(manifest.read_text())
+            for section, keys in PARENT_FORMAT_KEYS.items():
+                record["config"][section].update(keys)
+            manifest = tmp_path / "parent_manifest.json"
+            manifest.write_text(json.dumps(record))
+        assert self.run(subcommand, "--config", str(manifest), "--out", str(out2)) == 0
         outputs = json.loads((out1 / "manifest.json").read_text())["outputs"]
         assert sorted(path.name for path in out1.iterdir()) == sorted([*outputs, "manifest.json"])
         for name in [*outputs, "manifest.json"]:

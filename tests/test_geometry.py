@@ -424,7 +424,3 @@ class TestSiteValidation:
         assert site.wind_ra_deg == pytest.approx(90.0)
         assert site.azimuth_deg == pytest.approx(270.0)
         assert 0 <= site.lst0_rad < 2 * np.pi
-
-    def test_ephemeris_ordering(self):
-        with pytest.raises(ValueError):
-            EphemerisConstants(omega_sidereal=1e-8, omega_annual=1e-5)

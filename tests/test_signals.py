@@ -462,13 +462,3 @@ class TestHeterodyne:
         # a dozen complex record-length buffers at most: O(N + numtaps)
         assert peak <= 12 * 16 * (n + h["numtaps"])
 
-
-class TestQubitParams:
-    def test_coherence_ordering(self):
-        with pytest.raises(ValueError):
-            QubitParams(t1_s=1e-5, t2_s=1e-3)
-
-    def test_larmor_default(self):
-        q = QubitParams()
-        assert q.omega0 == pytest.approx(2 * np.pi * 28e9 * 0.5, rel=1e-12)
-        assert QubitParams(omega0_rad_s=1.0).omega0 == 1.0

@@ -179,6 +179,21 @@ class TestHeaderChecks:
         with pytest.raises(ValueError, match="series.bin: unsupported dtype object"):
             TimeSeries.from_binary(path)
 
+    def test_csv_dtype_must_be_one_written(self, real_series, tmp_path):
+        path = tmp_path / "series.csv"
+        real_series.to_csv(path)
+        path.write_text(path.read_text().replace('"dtype":"float64"', '"dtype":"int8"', 1))
+        with pytest.raises(ValueError, match="series.csv: unsupported dtype int8"):
+            TimeSeries.from_csv(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_header_key_must_be_present(self, real_series, tmp_path, fmt):
+        path = tmp_path / f"series.{fmt}"
+        getattr(real_series, f"to_{fmt}")(path)
+        path.write_bytes(path.read_bytes().replace(b'"dt":0.5,', b"", 1))
+        with pytest.raises(ValueError, match=f"series.{fmt}: header has no 'dt' key"):
+            getattr(TimeSeries, f"from_{fmt}")(path)
+
     def test_binary_short_read_is_refused(self, real_series, tmp_path, monkeypatch):
         # the file loses 8 bytes between its size check and the read
         path = tmp_path / "series.bin"
