@@ -83,21 +83,10 @@ def _check_args(names: str, check, *values) -> None:
 
 # peak bytes of a run per unit of its size, measured with tracemalloc on
 # whole runs (numpy 2.4): a sensitivity grid's mass (four curves, the CSVs
-# and the plot) and a row of the linewidth table, _LINEWIDTH_ROWS per mass
+# and the plot) and a linewidth line shape (_LINEWIDTH_ROWS rows of 160 bytes)
 _BYTES_PER_MASS = 1000
-_BYTES_PER_LINEWIDTH_ROW = 160
 _LINEWIDTH_ROWS = 1500
-
-
-def _check_size(name: str, count: int, bytes_each: float) -> None:
-    """ConfigError (exit 2) naming args.name if count units of bytes_each
-    bytes exceed the run's byte budget, signals.MAX_BYTES."""
-    limit = int(signals.MAX_BYTES // bytes_each)
-    if count > limit:
-        raise ConfigError(
-            f"args.{name}: {count:,} exceeds {limit:,}, the most that fit "
-            f"{signals.MAX_BYTES:,} bytes at {bytes_each:,.0f} bytes each"
-        )
+_BYTES_PER_SHAPE = _LINEWIDTH_ROWS * 160
 
 
 def _synthesis_args(cfg: RunConfig, args: dict) -> tuple[float, float]:
@@ -112,7 +101,8 @@ def cmd_envelope(cfg: RunConfig, args: dict) -> dict:
     span_s = span_days * SIDEREAL_DAY_S
     # the larger of the span/dt samples and the span_days daily rows
     _check_args(
-        "args.span-days and args.dt", signals.check_sample_count, span_s, min(dt, SIDEREAL_DAY_S)
+        "args.span-days and args.dt", signals.check_size,
+        span_s / min(dt, SIDEREAL_DAY_S), signals.BYTES_PER_SAMPLE, "samples",
     )
     coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
 
@@ -146,7 +136,9 @@ def cmd_daily_rms(cfg: RunConfig, args: dict) -> dict:
     band_sigma = args["band-sigma"]
     dt = SIDEREAL_DAY_S / per_day
     _check_args("args.samples-per-day", signals.check_record, YEAR_S, dt, cfg.ephemeris)
-    _check_args("args.trials", signals.check_sample_count, trials * YEAR_S, dt)
+    _check_args(
+        "args.trials", signals.check_size, trials * YEAR_S / dt, signals.BYTES_PER_SAMPLE, "samples"
+    )
     coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
 
     days = np.arange(0.0, 365.0)
@@ -202,7 +194,7 @@ def cmd_psd(cfg: RunConfig, args: dict) -> dict:
         spectrum.frequencies < f_star + 10 * f_a
     )
     return {
-        "psd.csv": spectrum.to_csv,
+        "psd.csv": _csv("f_hz,psd", (spectrum.frequencies, spectrum.psd)),
         "psd_markers.json": _json(
             {
                 "schema": "axionkit-psd-markers/1",
@@ -269,7 +261,7 @@ def cmd_triplet(cfg: RunConfig, args: dict) -> dict:
 
 def cmd_linewidth(cfg: RunConfig, args: dict) -> dict:
     masses = args["masses"].values
-    _check_size("masses", len(masses), _LINEWIDTH_ROWS * _BYTES_PER_LINEWIDTH_ROW)
+    _check_args("args.masses", signals.check_size, len(masses), _BYTES_PER_SHAPE, "line shapes")
     blocks = []
     curves = []
     for mass in masses:
@@ -302,7 +294,9 @@ def cmd_linewidth(cfg: RunConfig, args: dict) -> dict:
 
 def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
     preset, gains_mode = args["preset"], args["gains"]
-    _check_size("mass-points", args["mass-points"], _BYTES_PER_MASS)
+    _check_args(
+        "args.mass-points", signals.check_size, args["mass-points"], _BYTES_PER_MASS, "mass points"
+    )
     if args["mass-points"] > 1 and not args["mass-min"] < args["mass-max"]:
         raise ConfigError(
             f"args.mass-min and args.mass-max: a grid of {args['mass-points']} masses "
@@ -316,10 +310,15 @@ def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
         "matched": gains.g_daily,
         "all": gains,
     }
+    total = {"none": 1.0, "matched": gains.g_daily, "all": gains.g_total}[gains_mode]
+    gain_record = {"total": total}
+    if gains_mode == "all":
+        gain_record.update(matched_weighting=gains.g_daily, three_axis=gains.g_three_axis,
+                           resource_sqrt_n=math.sqrt(gains.n_axes))
     masses = np.geomspace(args["mass-min"], args["mass-max"], args["mass-points"])
     variants = {
-        mode: sensitivity.g_min_curve(masses, qubit, cfg.halo, cfg.search, gains=gains)
-        for mode, gains in gain_for.items()
+        mode: sensitivity.g_min_curve(masses, qubit, cfg.halo, cfg.search, gains=gain)
+        for mode, gain in gain_for.items()
     }
     curve = variants[gains_mode]
     flat = sensitivity.g_min_curve(
@@ -328,8 +327,8 @@ def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
     )
     dfsz_lo, dfsz_hi, dfsz_bench = sensitivity.dfsz_band(masses)
     return {
-        "sensitivity_shm.csv": curve.to_csv,
-        "sensitivity_flat.csv": flat.to_csv,
+        "sensitivity_shm.csv": _csv("m_a_uev,g_min,regime", (masses, curve.g_min, curve.regime)),
+        "sensitivity_flat.csv": _csv("m_a_uev,g_min,regime", (masses, flat.g_min, flat.regime)),
         "sensitivity_variants.csv": _csv(
             "m_a_uev,g_min_baseline,g_min_matched,g_min_all_gains,regime",
             (masses, *(v.g_min for v in variants.values()), curve.regime),
@@ -342,8 +341,12 @@ def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
                 "schema": "axionkit-sensitivity/1",
                 "preset": preset,
                 "gains_mode": gains_mode,
-                "gains": curve.gains_applied,
-                "config": curve.config,
+                "gains": gain_record,
+                "config": {
+                    **dataclasses.asdict(cfg.search), "qubit": dataclasses.asdict(qubit),
+                    "halo": dataclasses.asdict(cfg.halo), "mass_dependent": True,
+                    "stacking": "stack",  # a constant, kept so the record's bytes stay the same
+                },
             }
         ),
         "sensitivity.svg": _svg(
@@ -563,7 +566,7 @@ def main(argv=None) -> int:
         artifacts["manifest.json"] = _json(manifest)
         outdir = Path(args.out or cfg.output.directory)
         _publish(outdir, artifacts)
-    except (ConfigError, signals.UnrealizableNoiseError) as exc:
+    except (ConfigError, signals.UnrealizableNoiseError, geometry.GainUnboundedError) as exc:
         print(f"axionkit: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical or I/O failure

@@ -10,6 +10,7 @@ subcommand arguments.  A retired key loads only at its former default.
 
 import dataclasses
 import json
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -73,6 +74,8 @@ def _coerce(value, annotation, path):
     if annotation is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, +-Inf, huge ints
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if annotation is int:
         if isinstance(value, bool) or not isinstance(value, int):

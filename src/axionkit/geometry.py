@@ -36,7 +36,8 @@ class DegenerateFitError(ValueError):
 
 class GainUnboundedError(ValueError):
     """Raised when the time-averaged projection vanishes and the
-    matched-weighting gain is unbounded."""
+    matched-weighting gain is unbounded; the message names the two
+    configuration keys that set the projection."""
 
 
 @dataclass(frozen=True)
@@ -370,7 +371,9 @@ def geometric_gains(site: SiteGeometry) -> GeometricGains:
     p2 = p0**2 + (math.cos(lam) * math.cos(dec)) ** 2 / 2.0
     if abs(p0) < 1e-12:
         raise GainUnboundedError(
-            "time-averaged projection vanishes: matched-weighting gain unbounded"
+            f"geometry.latitude_deg = {site.latitude_deg:g} and geometry.wind_dec_deg = "
+            f"{site.wind_dec_deg:g}: the time-averaged projection sin(lat) sin(dec) "
+            "vanishes, so the matched-weighting gain is unbounded"
         )
     g_daily = math.sqrt(p2) / abs(p0)
     g_three_axis = 1.0 / math.sqrt(p2)

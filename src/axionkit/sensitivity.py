@@ -15,7 +15,7 @@ is closed-form.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -24,7 +24,6 @@ from .constants import uev_to_hz
 from .geometry import GeometricGains
 from .halo import HaloParams, AxionParams, coherence_time_at_frequency, effective_field
 from .signals import QubitParams
-from .timeseries import write_columns
 
 
 @dataclass(frozen=True)
@@ -84,33 +83,24 @@ def trials_threshold(nu_hz, cfg: SearchConfig, halo: HaloParams):
 
 @dataclass
 class SensitivityCurve:
-    """Minimum detectable coupling over a mass grid with regime labels
-    and a record of the gains applied."""
+    """Minimum detectable coupling over a mass grid, with each mass's
+    regime label ("flat" or "tau_limited"); cli writes it as
+    sensitivity_shm.csv or sensitivity_flat.csv."""
 
     mass_uev: np.ndarray
     g_min: np.ndarray
     regime: list
-    gains_applied: dict
-    config: dict
-
-    def to_csv(self, path) -> None:
-        write_columns(path, "m_a_uev,g_min,regime", (self.mass_uev, self.g_min, self.regime))
 
 
-def _total_gain(gains) -> tuple[float, dict]:
+def _total_gain(gains) -> float:
     if gains is None:
-        return 1.0, {"total": 1.0}
+        return 1.0
     if isinstance(gains, GeometricGains):
-        return gains.g_total, {
-            "matched_weighting": gains.g_daily,
-            "three_axis": gains.g_three_axis,
-            "resource_sqrt_n": math.sqrt(gains.n_axes),
-            "total": gains.g_total,
-        }
+        return gains.g_total
     g = float(gains)
     if g <= 0:
         raise ValueError("gain factor must be positive")
-    return g, {"total": g}
+    return g
 
 
 def g_min_curve(
@@ -137,7 +127,7 @@ def g_min_curve(
     if np.any(np.diff(masses) <= 0):
         raise ValueError("mass grid must be strictly increasing")
 
-    gain_total, gain_record = _total_gain(gains)
+    gain_total = _total_gain(gains)
     eta_eff = qubit.eta_b_t_rthz / math.sqrt(qubit.n_spins)
     b_per_g = effective_field(AxionParams(mass_uev=1.0, g_ae=1.0), halo, halo.v_ref)
 
@@ -155,19 +145,7 @@ def g_min_curve(
     if np.any(bad):
         raise ValueError(f"non-physical coupling at m={np.extract(bad, masses)[0]} ueV")
 
-    return SensitivityCurve(
-        mass_uev=masses,
-        g_min=g_min,
-        regime=np.where(flat, "flat", "tau_limited").tolist(),
-        gains_applied=gain_record,
-        config={
-            **asdict(cfg),
-            "qubit": asdict(qubit),
-            "halo": asdict(halo),
-            "stacking": "stack",
-            "mass_dependent": mass_dependent,
-        },
-    )
+    return SensitivityCurve(masses, g_min, np.where(flat, "flat", "tau_limited").tolist())
 
 
 # benchmark-model constants, used only for the overlay band:

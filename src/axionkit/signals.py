@@ -23,11 +23,10 @@ from .timeseries import TimeSeries, short_hash
 
 SYNTH_SCHEMA = "axionkit-baseband/1"
 
-# the byte budget of one run; synthesis with readout peaks below
-# BYTES_PER_SAMPLE, which sets the most samples a year-scale array may hold
+# the byte budget of one run, and the peak bytes per sample of synthesis
+# with readout
 MAX_BYTES = 2_000_000_000
 BYTES_PER_SAMPLE = 40
-MAX_SAMPLES = MAX_BYTES // BYTES_PER_SAMPLE
 
 
 class UnrealizableNoiseError(ValueError):
@@ -195,9 +194,10 @@ def pink_noise(
     zeroed, and the record is transformed back.  Exact PSD control at
     arbitrary record length, deterministic per generator state.
 
-    Raises UnrealizableNoiseError, naming noise.pink_exponent, when the
-    target density is not finite on the record's frequency grid (a steep
-    exponent overflows at the lowest frequency, 1/(n dt)).
+    Raises UnrealizableNoiseError, naming noise.pink_exponent and
+    noise.pink_amplitude, when the target density is not finite on the
+    record's frequency grid (a steep exponent or a huge amplitude
+    overflows at the lowest frequency, 1/(n dt)).
     """
     if amp_psd_1hz <= 0:
         return np.zeros(n)
@@ -216,9 +216,10 @@ def pink_noise(
         np.sqrt(scale, out=scale)
     if not np.all(np.isfinite(scale)):
         raise UnrealizableNoiseError(
-            f"noise.pink_exponent = {exponent:g}: the 1/f^{exponent:g} density "
-            f"(amplitude {amp_psd_1hz:g} at 1 Hz) is not finite down to this record's "
-            f"lowest frequency {lowest:.3g} Hz; lower the exponent"
+            f"noise.pink_exponent = {exponent:g} and noise.pink_amplitude = "
+            f"{amp_psd_1hz:g} at 1 Hz: the 1/f^{exponent:g} density is not finite down "
+            f"to this record's lowest frequency {lowest:.3g} Hz; lower the exponent or "
+            "the amplitude (an unset noise.pink_amplitude follows noise.white_psd)"
         )
     z = np.empty(scale.size, dtype=complex)
     z.real = rng.normal(size=scale.size)
@@ -293,22 +294,28 @@ def readout_channel(
     return p
 
 
-def check_sample_count(span_s: float, dt: float) -> None:
-    """Raise ValueError if span_s / dt exceeds MAX_SAMPLES."""
-    if not span_s / dt <= MAX_SAMPLES:
+def check_size(count: float, bytes_each: int, unit: str) -> None:
+    """Raise ValueError if count units of bytes_each bytes exceed MAX_BYTES,
+    the one byte budget of a run; the message starts with count and unit.
+    The limit is the whole number MAX_BYTES // bytes_each, and NaN fails."""
+    limit = MAX_BYTES // bytes_each
+    if not count <= limit:
+        shown = f"{count:,}" if isinstance(count, int) else f"{count:.4g}"
         raise ValueError(
-            f"{span_s / dt:.4g} samples exceed the {MAX_SAMPLES:,}-sample cap"
+            f"{shown} {unit} exceed {limit:,}, the most that fit "
+            f"{MAX_BYTES:,} bytes at {bytes_each:,} bytes each"
         )
 
 
 def check_record(span_s: float, dt: float, eph: geometry.EphemerisConstants) -> None:
     """Raise ValueError unless synthesize_observable accepts the record:
     dt resolves the daily tone, the span covers two sidereal days, and
-    the sample count stays within MAX_SAMPLES."""
+    its span_s / dt samples fit the byte budget (check_size at
+    BYTES_PER_SAMPLE)."""
     geometry.check_daily_sampling(dt, eph)
     if span_s < 2.0 * SIDEREAL_DAY_S:
         raise ValueError("span must cover at least two sidereal days")
-    check_sample_count(span_s, dt)
+    check_size(span_s / dt, BYTES_PER_SAMPLE, "samples")
 
 
 def synthesize_observable(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EphemerisConstants, check_daily_sampling
-from .timeseries import TimeSeries, write_columns
+from .timeseries import TimeSeries
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ class WindowSpec:
 
 @dataclass
 class Spectrum:
-    """One-sided power spectral density on the grid k df from 0 Hz."""
+    """One-sided power spectral density on the grid k df from 0 Hz, and
+    the number of segments averaged; cli writes it as psd.csv."""
 
     df: float
     psd: np.ndarray
@@ -49,9 +50,6 @@ class Spectrum:
     @property
     def frequencies(self) -> np.ndarray:
         return self.df * np.arange(len(self.psd))
-
-    def to_csv(self, path) -> None:
-        write_columns(path, "f_hz,psd", (self.frequencies, self.psd))
 
 
 def periodogram(series: TimeSeries, window: WindowSpec) -> Spectrum:

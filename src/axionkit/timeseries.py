@@ -14,7 +14,9 @@ and ``dtype`` fix the row count, the ``t`` column and the payload size.
 
 import hashlib
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,10 +80,19 @@ def write_columns(path, header: str, columns, comment: str | None = None) -> Non
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def _finite(value) -> bool:
+    """A JSON number within the float range: NaN and the infinities fail."""
+    return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+
+
 def _read_header(path, text: str) -> tuple[dict, np.dtype]:
     """The JSON header in text and its sample dtype; ValueError naming the
-    file unless it holds every key, the schema and a dtype TimeSeries writes."""
+    file, and the key at fault, unless it is an object holding every key,
+    the schema, a dtype TimeSeries writes, a count n >= 0, a finite t0, a
+    finite dt > 0 and a meta object."""
     header = json.loads(text)
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     for key in ("schema", "t0", "dt", "n", "dtype", "meta"):
         if key not in header:
             raise ValueError(f"{path}: header has no {key!r} key")
@@ -89,6 +100,15 @@ def _read_header(path, text: str) -> tuple[dict, np.dtype]:
         raise ValueError(f"{path}: unsupported schema {header['schema']}")
     if header["dtype"] not in ("float64", "complex128"):
         raise ValueError(f"{path}: unsupported dtype {header['dtype']}")
+    n, dt = header["n"], header["dt"]
+    for key, valid, expected in (
+        ("n", type(n) is int and n >= 0, "a non-negative integer"),
+        ("t0", _finite(header["t0"]), "a finite number"),
+        ("dt", _finite(dt) and dt > 0, "a finite positive number"),
+        ("meta", isinstance(header["meta"], dict), "an object"),
+    ):
+        if not valid:
+            raise ValueError(f"{path}: header key {key!r} must be {expected}, got {header[key]!r}")
     return header, np.dtype(header["dtype"])
 
 
@@ -107,8 +127,8 @@ class TimeSeries:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.samples.ndim != 1 or self.samples.size < 2:
             raise ValueError("samples must be a 1-D array with at least 2 entries")
         if not self.meta:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from axionkit import cli, geometry, svgplot
+from axionkit import cli, geometry, sensitivity, svgplot
 from axionkit.config import (
     ConfigError,
     RunConfig,
@@ -180,6 +180,7 @@ class TestCli:
         assert markers["f_star_hz"] == pytest.approx(1.1606e-5, rel=1e-3)
         assert markers["annual_splitting_hz"] == pytest.approx(3.17e-8, rel=2e-3)
         assert markers["resolvable"] is False  # 200 days < 1/f_annual
+        assert (out / "psd.csv").read_text().split("\n", 1)[0] == "f_hz,psd"
 
     def test_triplet_requires_phases_with_external_data(self, tmp_path):
         data = tmp_path / "series.csv"
@@ -226,6 +227,25 @@ class TestCli:
         g_none = np.loadtxt(out_none / "sensitivity_shm.csv", delimiter=",",
                             skiprows=1, usecols=1)
         np.testing.assert_allclose(g_none / g_all, 5.40, rtol=0.005)
+
+    @pytest.mark.parametrize("gains", ["none", "matched", "all"])
+    def test_sensitivity_records(self, tmp_path, gains):
+        out = tmp_path / gains
+        assert self.run("sensitivity", "--out", str(out), "--preset", "current",
+                        "--gains", gains, "--mass-points", "4") == 0
+        for name in ("sensitivity_shm.csv", "sensitivity_flat.csv"):
+            assert (out / name).read_text().split("\n", 1)[0] == "m_a_uev,g_min,regime"
+        record = json.loads((out / "sensitivity.json").read_text())
+        g = geometry.geometric_gains(geometry.SiteGeometry())
+        assert record["gains"] == {
+            "none": {"total": 1.0},
+            "matched": {"total": g.g_daily},
+            "all": {"matched_weighting": g.g_daily, "three_axis": g.g_three_axis,
+                    "resource_sqrt_n": np.sqrt(3.0), "total": g.g_total},
+        }[gains]
+        config = record["config"]
+        assert config["stacking"] == "stack" and config["mass_dependent"] is True
+        assert config["qubit"] == dataclasses.asdict(sensitivity.PRESETS["current"])
 
     def test_psd_triplet_with_default_synthesis(self, tmp_path):
         # four years of default-geometry synthesis with noise: the annual
@@ -329,18 +349,29 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, key",
         [
-            (["--formats", "cvs"], "formats"),
-            (["--seed", "-1"], "seed"),
-            (["--set", "noise.seed=-1"], "seed"),
-            (["--set", "ephemeris.omega_sidereal=1.0938e-4"], "ephemeris.omega_sidereal"),
-            (["--set", "qubit.t1_s=2e-3"], "qubit.t1_s"),
+            (["linewidth", "--formats", "cvs"], "formats"),
+            (["linewidth", "--seed", "-1"], "seed"),
+            (["linewidth", "--set", "noise.seed=-1"], "seed"),
+            (["linewidth", "--set", "ephemeris.omega_sidereal=1.0938e-4"],
+             "ephemeris.omega_sidereal"),
+            (["linewidth", "--set", "qubit.t1_s=2e-3"], "qubit.t1_s"),
+            (["linewidth", "--set", "halo.rho_dm=Infinity"],
+             "halo.rho_dm: expected a finite number"),
+            (["envelope", "--set", "geometry.latitude_deg=NaN"],
+             "geometry.latitude_deg: expected a finite number"),
+            # settings that pass validation and fail in the computation
+            (["sensitivity", "--gains", "none", "--set", "geometry.latitude_deg=0"],
+             "geometry.latitude_deg = 0"),
+            (["sensitivity", "--set", "geometry.wind_dec_deg=0"], "geometry.wind_dec_deg = 0"),
+            (["psd", "--set", "noise.white_psd=1e300"], "noise.pink_amplitude"),
         ],
         ids=["formats-typo", "negative-seed", "negative-noise-seed", "retired-sidereal-rate",
-             "retired-t1"],
+             "retired-t1", "infinite-rho-dm", "nan-latitude", "equatorial-site",
+             "equatorial-wind", "pink-amplitude-from-white"],
     )
     def test_bad_run_setting_exit_code(self, tmp_path, capsys, argv, key):
         out = tmp_path / "out"
-        assert self.run("linewidth", "--out", str(out), *argv) == 2
+        assert self.run(argv[0], "--out", str(out), *argv[1:]) == 2
         err = capsys.readouterr().err
         assert err.startswith("axionkit: config error: ") and key in err
         assert not out.exists()
@@ -658,6 +689,18 @@ class TestCli:
         assert "halo.v0" in text
         assert "search.alpha" in text
         assert "--preset" in text
+
+
+def test_one_home_for_budget_and_layouts():
+    # the run's byte budget is decided in signals, every artifact layout in
+    # cli (timeseries defines write_columns and its own time-series format)
+    package = Path(cli.__file__).parent
+
+    def mentions(word):
+        return sorted(p.name for p in package.glob("*.py") if word in p.read_text())
+
+    assert mentions("write_columns") == ["cli.py", "timeseries.py"]
+    assert mentions("MAX_BYTES") == ["signals.py"]
 
 
 class TestSvgPlot:

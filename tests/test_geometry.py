@@ -402,7 +402,7 @@ class TestGeometricGains:
 
     def test_equatorial_degeneracy(self):
         site = SiteGeometry(latitude_deg=0.0, wind_dec_deg=0.0)
-        with pytest.raises(geo.GainUnboundedError):
+        with pytest.raises(geo.GainUnboundedError, match="latitude_deg .*wind_dec_deg"):
             geo.geometric_gains(site)
 
     def test_rms_projection_matches_dense_average(self, eph_no_orbit):

@@ -320,6 +320,18 @@ class TestSynthesize:
                 YEAR_S, SIDEREAL_DAY_S / 2,
             )
 
+    @pytest.mark.parametrize(
+        "bytes_each, limit",
+        [(40, 50_000_000), (1_000, 2_000_000), (240_000, 8_333)],
+        ids=["sample", "mass-point", "line-shape"],
+    )
+    def test_byte_budget_limit_per_unit(self, bytes_each, limit):
+        sig.check_size(limit, bytes_each, "units")
+        sig.check_size(float(limit), bytes_each, "units")
+        for count, shown in ((limit + 1, f"{limit + 1:,}"), (float("nan"), "nan")):
+            with pytest.raises(ValueError, match=f"^{shown} units exceed {limit:,}, "):
+                sig.check_size(count, bytes_each, "units")
+
     def test_span_guard(self, site, eph, axion, halo, qubit):
         with pytest.raises(ValueError, match="two sidereal days"):
             sig.synthesize_observable(

@@ -85,13 +85,6 @@ class TestPeriodogram:
         with pytest.raises(ValueError, match="real"):
             spec.periodogram(make_series(x, 1.0), WindowSpec("hann", 16.0, 0.5))
 
-    def test_spectrum_export(self, rng, tmp_path):
-        x = rng.normal(size=1 << 12)
-        s = spec.periodogram(make_series(x, 1.0), WindowSpec("hann", 512.0, 0.5))
-        s.to_csv(tmp_path / "s.csv")
-        header = (tmp_path / "s.csv").read_text().splitlines()[0]
-        assert header == "f_hz,psd"
-
 
 class TestWindowResponse:
     def test_rectangular_resolution(self):

@@ -50,6 +50,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TimeSeries(0.0, -1.0, np.arange(4.0), {"x": 1})
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_requires_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            TimeSeries(0.0, dt, np.arange(4.0), {"x": 1})
+
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             TimeSeries(0.0, 1.0, np.array([1.0]), {"x": 1})
@@ -192,6 +197,42 @@ class TestHeaderChecks:
         getattr(real_series, f"to_{fmt}")(path)
         path.write_bytes(path.read_bytes().replace(b'"dt":0.5,', b"", 1))
         with pytest.raises(ValueError, match=f"series.{fmt}: header has no 'dt' key"):
+            getattr(TimeSeries, f"from_{fmt}")(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            (b'"n":4', b'"n":"4"', "n"),
+            (b'"n":4', b'"n":4.0', "n"),
+            (b'"n":4', b'"n":true', "n"),
+            (b'"n":4', b'"n":-4', "n"),
+            (b'"t0":10.0', b'"t0":NaN', "t0"),
+            (b'"t0":10.0', b'"t0":"10"', "t0"),
+            (b'"dt":0.5', b'"dt":NaN', "dt"),
+            (b'"dt":0.5', b'"dt":Infinity', "dt"),
+            (b'"dt":0.5', b'"dt":0', "dt"),
+            (b'"meta":{"kind":"unit","seed":7}', b'"meta":[7]', "meta"),
+        ],
+        ids=["n-string", "n-float", "n-bool", "n-negative", "t0-nan", "t0-string",
+             "dt-nan", "dt-infinite", "dt-zero", "meta-list"],
+    )
+    def test_header_value_types(self, real_series, tmp_path, fmt, old, new, key):
+        path = tmp_path / f"series.{fmt}"
+        getattr(real_series, f"to_{fmt}")(path)
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(ValueError, match=f"series.{fmt}: header key '{key}' must be"):
+            getattr(TimeSeries, f"from_{fmt}")(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_header_must_be_an_object(self, real_series, tmp_path, fmt):
+        path = tmp_path / f"series.{fmt}"
+        getattr(real_series, f"to_{fmt}")(path)
+        prefix = b"# " if fmt == "csv" else b""
+        path.write_bytes(prefix + b"5\n" + path.read_bytes().split(b"\n", 1)[1])
+        with pytest.raises(ValueError, match=f"series.{fmt}: header is not a JSON object"):
             getattr(TimeSeries, f"from_{fmt}")(path)
 
     def test_binary_short_read_is_refused(self, real_series, tmp_path, monkeypatch):
