@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from axionkit import EphemerisConstants, TimeSeries, WindowSpec
 from axionkit import spectral as spec
 from axionkit.constants import YEAR_S
+from axionkit.timeseries import write_columns
 
 
 def make_series(samples, dt=1.0, t0=0.0):
@@ -84,6 +85,17 @@ class TestPeriodogram:
         x = np.exp(1j * np.arange(64.0))
         with pytest.raises(ValueError, match="real"):
             spec.periodogram(make_series(x, 1.0), WindowSpec("hann", 16.0, 0.5))
+
+    def test_spectrum_export(self, rng, tmp_path):
+        # a spectrum written in psd.csv's layout reads back exactly
+        x = rng.normal(size=1 << 12)
+        s = spec.periodogram(make_series(x, 1.0), WindowSpec("hann", 512.0, 0.5))
+        write_columns(tmp_path / "s.csv", "f_hz,psd", (s.frequencies, s.psd))
+        header = (tmp_path / "s.csv").read_text().splitlines()[0]
+        assert header == "f_hz,psd"
+        table = np.loadtxt(tmp_path / "s.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 0], s.frequencies)
+        np.testing.assert_array_equal(table[:, 1], s.psd)
 
 
 class TestWindowResponse:
