@@ -305,13 +305,8 @@ def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
     qubit = cfg.qubit if preset == "config" else sensitivity.PRESETS[preset]
 
     gains = geometry.geometric_gains(cfg.geometry)
-    gain_for = {
-        "none": None,
-        "matched": gains.g_daily,
-        "all": gains,
-    }
-    total = {"none": 1.0, "matched": gains.g_daily, "all": gains.g_total}[gains_mode]
-    gain_record = {"total": total}
+    gain_for = {"none": 1.0, "matched": gains.g_daily, "all": gains.g_total}
+    gain_record = {"total": gain_for[gains_mode]}
     if gains_mode == "all":
         gain_record.update(matched_weighting=gains.g_daily, three_axis=gains.g_three_axis,
                            resource_sqrt_n=math.sqrt(gains.n_axes))

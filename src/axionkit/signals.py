@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import signal as sps
+from scipy import signal as sps, special
 
 from . import geometry
 from .constants import SIDEREAL_DAY_S
@@ -126,58 +126,14 @@ def spin_expectation(t, omega0: float, beta_loc: float, axion: AxionParams, phi0
 
 
 def bessel_sideband_table(beta: float, n_max: int) -> np.ndarray:
-    """First-kind Bessel values J_0..J_n_max at the modulation index.
-
-    Computed with Miller's downward recurrence normalized through
-    J_0 + 2 sum J_2k = 1, which is stable for all orders; the sideband
-    sum rule J_0^2 + 2 sum J_n^2 = 1 then holds to 1e-9 once n_max
-    exceeds beta + 20.
-    """
+    """FM sideband amplitudes J_0..J_n_max at modulation index beta, from
+    scipy.special.jv.  Their powers obey J_0^2 + 2 sum J_n^2 = 1, which the
+    truncated table meets once n_max exceeds |beta| by a few tens."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    sign = -1.0 if beta < 0 else 1.0
-    beta = abs(float(beta))
-    if beta == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    if beta < 1e-6:
-        # ascending series; the recurrence runs out of dynamic range here
-        x = 0.5 * beta
-        if x == 0.0:  # denormal argument underflows the half-step
-            out = np.zeros(n_max + 1)
-            out[0] = 1.0
-            return out
-        log_x = math.log(x)
-        out = np.zeros(n_max + 1)
-        for n in range(n_max + 1):
-            log_lead = n * log_x - math.lgamma(n + 1)
-            lead = math.exp(log_lead) if log_lead > -745.0 else 0.0
-            out[n] = lead * (1.0 - x * x / (n + 1.0))
-        if sign < 0:
-            out[1::2] *= -1.0
-        return out
-
-    start = n_max + int(beta) + 24
-    start += start % 2  # even start keeps the normalization sum aligned
-    j_up = 0.0
-    j_cur = 1e-30
-    values = np.zeros(start + 1)
-    values[start] = j_cur
-    for k in range(start, 0, -1):
-        j_down = (2.0 * k / beta) * j_cur - j_up
-        j_up, j_cur = j_cur, j_down
-        values[k - 1] = j_cur
-        if abs(j_cur) > 1e250:  # rescale to dodge overflow
-            values *= 1e-250
-            j_up *= 1e-250
-            j_cur *= 1e-250
-    norm = values[0] + 2.0 * np.sum(values[2::2])
-    values /= norm
-    out = values[: n_max + 1].copy()
-    if sign < 0:  # J_n(-x) = (-1)^n J_n(x)
-        out[1::2] *= -1.0
-    return out
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    return special.jv(np.arange(n_max + 1), beta)
 
 
 def white_noise(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:

@@ -88,19 +88,13 @@ def periodogram(series: TimeSeries, window: WindowSpec) -> Spectrum:
     return Spectrum(df=1.0 / (nper * dt), psd=psd, n_averages=count)
 
 
-@dataclass
-class WindowResponse:
+def window_response(window: WindowSpec) -> float:
     """Resolution bandwidth delta_f (Hz) of a taper over a segment of
     length T: 1/T for rectangular, 1.44/T for hann."""
-
-    delta_f: float
-
-
-def window_response(window: WindowSpec) -> WindowResponse:
     if window.segment_length <= 0:
         raise ValueError("window_response needs a positive segment_length")
     factor = 1.0 if window.kind == "rectangular" else 1.44
-    return WindowResponse(delta_f=factor / window.segment_length)
+    return factor / window.segment_length
 
 
 @dataclass

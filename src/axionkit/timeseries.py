@@ -12,6 +12,7 @@ Readers check each file against its own header: ``n``, ``t0``, ``dt``
 and ``dtype`` fix the row count, the ``t`` column and the payload size.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -85,21 +86,21 @@ def _finite(value) -> bool:
     return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
 
 
-def _read_header(path, text: str) -> tuple[dict, np.dtype]:
+def _read_header(text: str) -> tuple[dict, np.dtype]:
     """The JSON header in text and its sample dtype; ValueError naming the
-    file, and the key at fault, unless it is an object holding every key,
-    the schema, a dtype TimeSeries writes, a count n >= 0, a finite t0, a
-    finite dt > 0 and a meta object."""
+    key at fault unless it is an object holding every key, the schema, a
+    dtype TimeSeries writes, a count n >= 0, a finite t0, a finite dt > 0
+    and a meta object."""
     header = json.loads(text)
     if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
+        raise ValueError("header is not a JSON object")
     for key in ("schema", "t0", "dt", "n", "dtype", "meta"):
         if key not in header:
-            raise ValueError(f"{path}: header has no {key!r} key")
+            raise ValueError(f"header has no {key!r} key")
     if header["schema"] != TIMESERIES_SCHEMA:
-        raise ValueError(f"{path}: unsupported schema {header['schema']}")
+        raise ValueError(f"unsupported schema {header['schema']}")
     if header["dtype"] not in ("float64", "complex128"):
-        raise ValueError(f"{path}: unsupported dtype {header['dtype']}")
+        raise ValueError(f"unsupported dtype {header['dtype']}")
     n, dt = header["n"], header["dt"]
     for key, valid, expected in (
         ("n", type(n) is int and n >= 0, "a non-negative integer"),
@@ -108,8 +109,22 @@ def _read_header(path, text: str) -> tuple[dict, np.dtype]:
         ("meta", isinstance(header["meta"], dict), "an object"),
     ):
         if not valid:
-            raise ValueError(f"{path}: header key {key!r} must be {expected}, got {header[key]!r}")
+            raise ValueError(f"header key {key!r} must be {expected}, got {header[key]!r}")
     return header, np.dtype(header["dtype"])
+
+
+def _naming_path(read):
+    """Prefix the path to every ValueError a reader meets: its own checks,
+    JSON and UTF-8 decoding, np.loadtxt's cells and TimeSeries' rules."""
+
+    @functools.wraps(read)
+    def wrapper(cls, path):
+        try:
+            return read(cls, path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+    return wrapper
 
 
 @dataclass
@@ -160,21 +175,22 @@ class TimeSeries:
         write_columns(path, header, (self.times, *values), canonical_json(self._header()))
 
     @classmethod
+    @_naming_path
     def from_csv(cls, path) -> "TimeSeries":
         with open(path) as fh:
             first = fh.readline()
             if not first.startswith("# "):
-                raise ValueError(f"{path}: missing timeseries header line")
-            header, dtype = _read_header(path, first[2:])
+                raise ValueError("missing timeseries header line")
+            header, dtype = _read_header(first[2:])
             fh.readline()  # column names
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         n, t0, dt = header["n"], header["t0"], header["dt"]
         width = 3 if dtype == np.complex128 else 2
         if data.shape != (n, width):
-            raise ValueError(f"{path}: table of shape {data.shape}, header says ({n}, {width})")
+            raise ValueError(f"table of shape {data.shape}, header says ({n}, {width})")
         offset = np.abs(data[:, 0] - (t0 + dt * np.arange(n, dtype=float)))
         if np.any(offset > T_GRID_TOLERANCE * dt):
-            raise ValueError(f"{path}: t column leaves t0 + k*dt at row {np.argmax(offset)}")
+            raise ValueError(f"t column leaves t0 + k*dt at row {np.argmax(offset)}")
         samples = data[:, 1:].copy().view(np.complex128 if width == 3 else np.float64)[:, 0]
         return cls(t0=t0, dt=dt, samples=samples, meta=header["meta"])
 
@@ -187,15 +203,16 @@ class TimeSeries:
             fh.write(data.tobytes())
 
     @classmethod
+    @_naming_path
     def from_binary(cls, path) -> "TimeSeries":
         with open(path, "rb") as fh:
-            header, dtype = _read_header(path, fh.readline().decode())
+            header, dtype = _read_header(fh.readline().decode())
             n = header["n"]
             size = os.fstat(fh.fileno()).st_size - fh.tell()
             if size != n * dtype.itemsize:
-                raise ValueError(f"{path}: {size} payload bytes, header says {n} x {dtype}")
+                raise ValueError(f"{size} payload bytes, header says {n} x {dtype}")
             samples = np.empty(n, dtype=dtype)
             read = fh.readinto(samples)
             if read != size:
-                raise ValueError(f"{path}: read {read} of {size} payload bytes")
+                raise ValueError(f"read {read} of {size} payload bytes")
         return cls(t0=header["t0"], dt=header["dt"], samples=samples, meta=header["meta"])

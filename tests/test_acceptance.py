@@ -196,7 +196,7 @@ class TestCriterion4TripletMorphology:
             abs(ratio_plus / target - 1) <= 0.10 and abs(ratio_minus / target - 1) <= 0.10
         )
 
-        delta_f = spec.window_response(WindowSpec("rectangular", 1.26e8, 0.0)).delta_f
+        delta_f = spec.window_response(WindowSpec("rectangular", 1.26e8, 0.0))
         delta_ok = abs(delta_f / 7.93e-9 - 1) <= 0.02
 
         ok = three_maxima and spacing_ok and ratio_ok and delta_ok

@@ -665,6 +665,16 @@ class TestCli:
         assert err.startswith("axionkit: triplet failed: ") and "collinear" in err
         assert not out.exists()
 
+    def test_triplet_on_unreadable_header_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "garbled.csv"
+        data.write_text("# {not json\nt,value\n0.0,1.0\n1.0,2.0\n")
+        out = tmp_path / "t"
+        assert self.run("triplet", "--out", str(out), "--data", str(data),
+                        "--psi-daily", "0", "--psi-annual", "0") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"axionkit: triplet failed: {data}: Expecting property name")
+        assert not out.exists()
+
     def test_triplet_on_complex_data_exit_code(self, tmp_path, capsys):
         from axionkit import TimeSeries
 

@@ -111,6 +111,34 @@ class TestBesselTable:
         with pytest.raises(ValueError):
             sig.bessel_sideband_table(1.0, -1)
 
+    # J_0..J_3 from mpmath.besselj with mp.dps = 40, rounded to float
+    @pytest.mark.parametrize(
+        "beta, expected",
+        [
+            (100.0, [0.019985850304223122, -0.07714535201411216,
+                     -0.021528757344505364, 0.07628420172033194]),
+            (1e3, [0.024786686152420176, 0.004728311907089524,
+                   -0.024777229528605997, -0.0048274208252039475]),
+            (1e4, [-0.0070961603533888015, 0.0036474507555295803,
+                   0.0070968898435399075, -0.0036446119995921645]),
+        ],
+    )
+    def test_large_argument_against_mpmath(self, beta, expected):
+        np.testing.assert_allclose(sig.bessel_sideband_table(beta, 3), expected, rtol=0, atol=1e-14)
+
+    def test_small_argument_against_mpmath(self):
+        expected = [0.9999999999999974, 4.999999999999994e-08,
+                    1.249999999999999e-15, 2.083333333333332e-23]
+        np.testing.assert_allclose(sig.bessel_sideband_table(1e-7, 3), expected, rtol=1e-14)
+
+    def test_denormal_argument(self):
+        assert sig.bessel_sideband_table(5e-324, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_argument(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            sig.bessel_sideband_table(beta, 3)
+
 
 def pink_noise_oracle(rng, n, dt, amp_psd_1hz, exponent=1.0):
     """Frequency-domain 1/f shaping with whole-array temporaries."""

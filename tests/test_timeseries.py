@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -246,6 +247,55 @@ class TestHeaderChecks:
             SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8)),
         )
         with pytest.raises(ValueError, match="series.bin: read 32 of 40 payload bytes"):
+            TimeSeries.from_binary(path)
+
+
+def _replace(old, new):
+    def edit(data):
+        assert old in data
+        return data.replace(old, new, 1)
+
+    return edit
+
+
+class TestReaderErrorsNameThePath:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: b"# {not json\n" + d.split(b"\n", 1)[1], "Expecting property name"),
+            (lambda d: d.decode().encode("utf-16"), "'utf-8' codec can't decode"),
+            (_replace(b"11.5,0.0", b"11.5,abc"), "could not convert string 'abc'"),
+            (_replace(b"11.5,0.0", b"11.5"), "the number of columns changed"),
+            (lambda d: b"".join(d.replace(b'"n":4', b'"n":1', 1).splitlines(keepends=True)[:3]),
+             "samples must be a 1-D array with at least 2 entries"),
+            (_replace(b'"meta":{"kind":"unit","seed":7}', b'"meta":{}'), "meta must be populated"),
+        ],
+        ids=["header-not-json", "not-utf8", "non-numeric-cell", "short-row", "one-sample",
+             "empty-meta"],
+    )
+    def test_csv(self, real_series, tmp_path, edit, message):
+        path = tmp_path / "series.csv"
+        real_series.to_csv(path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=f"series\\.csv: {re.escape(message)}"):
+            TimeSeries.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: b"{not json\n" + d.split(b"\n", 1)[1], "Expecting property name"),
+            (_replace(b'"kind":"unit"', b'"kind":"\xff"'), "'utf-8' codec can't decode"),
+            (lambda d: d.replace(b'"n":4', b'"n":1', 1)[: d.index(b"\n") + 9],  # one float
+             "samples must be a 1-D array with at least 2 entries"),
+            (_replace(b'"meta":{"kind":"unit","seed":7}', b'"meta":{}'), "meta must be populated"),
+        ],
+        ids=["header-not-json", "header-not-utf8", "one-sample", "empty-meta"],
+    )
+    def test_binary(self, real_series, tmp_path, edit, message):
+        path = tmp_path / "series.bin"
+        real_series.to_binary(path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=f"series\\.bin: {re.escape(message)}"):
             TimeSeries.from_binary(path)
 
 
