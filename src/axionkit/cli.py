@@ -58,7 +58,9 @@ def _csv(header: str, columns):
 
 
 def _json(record: dict):
-    return lambda path: path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    return lambda path: path.write_text(
+        json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    )
 
 
 def _svg(curves, **kwargs):

@@ -58,7 +58,7 @@ _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 # keys that earlier manifests carry and no computation read, each with
 # the only value it may still hold, so those manifests load unchanged
 _RETIRED = {
-    "geometry": {"longitude_deg": 116.4074},
+    "geometry": {"longitude_deg": 116.4074, "turntable_rate_rad_s": 0.0},
     "ephemeris": {"omega_sidereal": OMEGA_SIDEREAL, "omega_annual": OMEGA_ANNUAL},
     "qubit": {"t1_s": 1e-3, "t2_s": 1e-4, "b0_t": 0.5, "q_resonator": 1e4, "omega0_rad_s": None},
 }

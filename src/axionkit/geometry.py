@@ -43,15 +43,14 @@ class GainUnboundedError(ValueError):
 @dataclass(frozen=True)
 class SiteGeometry:
     """Observing site (its latitude, and lst0_rad, the local sidereal phase
-    at t = 0, in place of a longitude), sensor pointing and wind direction
-    (angles in degrees, turntable rate in rad/s, phase in rad)."""
+    at t = 0, in place of a longitude), the sensor axis, fixed in the
+    horizontal frame, and wind direction (angles in degrees, phase in rad)."""
 
     latitude_deg: float = 39.9042
     wind_ra_deg: float = 270.0
     wind_dec_deg: float = 30.0
     elevation_deg: float = 90.0
     azimuth_deg: float = 0.0
-    turntable_rate_rad_s: float = 0.0
     lst0_rad: float = 0.0
 
     def __post_init__(self):
@@ -106,8 +105,12 @@ class ModulationCoefficients:
                   + c_annual cos(Oa t - phase_annual)
                   + c_cross cos(Os t - phase_daily) cos(Oa t - phase_annual)
 
-    with Os, Oa the sidereal and annual angular rates.  residual_rms
-    records the fit residue when the coefficients came from data.
+    with Os, Oa the sidereal and annual angular rates: the paper's pure
+    amplitude envelope, which synthesis uses, with symmetric sidebands at
+    Os +/- Oa.  c_cross keeps the fit's 2x2 mixed block along the recovered
+    phases and leaves out its second component (singular values 0.1006
+    and 0.0918 at the default site, c_cross = -0.0918).  residual_rms is
+    the residual of the nine-term fit, not of this four-term model.
     """
 
     c0: float
@@ -145,43 +148,27 @@ def wind_unit_equatorial(site: SiteGeometry) -> np.ndarray:
     )
 
 
-def orbital_velocity_equatorial(t, eph: EphemerisConstants) -> np.ndarray:
-    """Earth's orbital velocity in the equatorial frame, km/s.
-
-    Circular ecliptic orbit; the ecliptic plane is tilted about the
-    equinox axis by the obliquity.  Shape (..., 3).
+def wind_velocity_equatorial(t, site: SiteGeometry, eph: EphemerisConstants) -> np.ndarray:
+    """Apparent wind velocity vector in the equatorial frame, km/s: the mean
+    wind (from the solar motion) less Earth's orbital velocity on a circular
+    ecliptic orbit, whose plane is tilted about the equinox axis by the
+    obliquity.  Shape (..., 3).
     """
     t = np.asarray(t, dtype=float)
     theta = eph.omega_annual * t + eph.orbital_phase
     eps = math.radians(eph.obliquity_deg)
-    v = np.empty(t.shape + (3,))
-    v[..., 0] = -np.sin(theta)
-    v[..., 1] = np.cos(theta) * math.cos(eps)
-    v[..., 2] = np.cos(theta) * math.sin(eps)
-    return eph.v_orbit * v
+    u = np.empty(t.shape + (3,))
+    u[..., 0] = -np.sin(theta)
+    u[..., 1] = np.cos(theta) * math.cos(eps)
+    u[..., 2] = np.cos(theta) * math.sin(eps)
+    return eph.v_sun * wind_unit_equatorial(site) - eph.v_orbit * u
 
 
-def wind_velocity_equatorial(t, site: SiteGeometry, eph: EphemerisConstants) -> np.ndarray:
-    """Apparent wind velocity vector in the equatorial frame, km/s.
-
-    Sum of the mean wind (from the solar motion) and the reflex of the
-    orbital velocity.  Shape (..., 3).
-    """
-    t = np.asarray(t, dtype=float)
-    w = eph.v_sun * wind_unit_equatorial(site)
-    return w - orbital_velocity_equatorial(t, eph)
-
-
-def device_axis(t, site: SiteGeometry) -> np.ndarray:
-    """Sensor axis in the horizontal frame, including turntable rotation."""
-    t = np.asarray(t, dtype=float)
-    elev = math.radians(site.elevation_deg)
-    azim = math.radians(site.azimuth_deg) + site.turntable_rate_rad_s * t
-    q = np.empty(t.shape + (3,))
-    q[..., 0] = math.cos(elev) * np.sin(azim)
-    q[..., 1] = math.cos(elev) * np.cos(azim)
-    q[..., 2] = math.sin(elev)
-    return q
+def device_axis(site: SiteGeometry) -> np.ndarray:
+    """Sensor axis in the horizontal frame (east, north, up), shape (3,)."""
+    elev, azim = math.radians(site.elevation_deg), math.radians(site.azimuth_deg)
+    cos_e = math.cos(elev)
+    return np.array([cos_e * math.sin(azim), cos_e * math.cos(azim), math.sin(elev)])
 
 
 # samples per chunk of the beta_ratio kernel; bounds its temporaries at a
@@ -203,21 +190,20 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
     formed: q . (R v_eq) = (R^T q) . v_eq, and with h = cos(lat) q_u -
     sin(lat) q_n and s, c the sine and cosine of the local sidereal time,
     R^T q = (h c - q_e s, h s + q_e c, cos(lat) q_n + sin(lat) q_u),
-    dotted with the equatorial wind v_sun w_hat - u_orbit(t).  The
-    samples are taken in chunks of _CHUNK into one output array.
+    dotted with the equatorial wind v_sun w_hat - u_orbit(t).  q and h are
+    fixed; the samples are taken in chunks of _CHUNK into one output array.
     """
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
     out = np.empty(flat.shape)
     lam = math.radians(site.latitude_deg)
     sin_l, cos_l = math.sin(lam), math.cos(lam)
+    q_e, q_n, q_u = device_axis(site)
+    h = cos_l * q_u - sin_l * q_n
     for start in range(0, flat.size, _CHUNK):
         tc = flat[start : start + _CHUNK]
-        q = device_axis(tc, site)
-        q_e, q_n, q_u = q[..., 0], q[..., 1], q[..., 2]
         lst = site.lst0_rad + eph.omega_sidereal * tc
         s, c = np.sin(lst), np.cos(lst)
-        h = cos_l * q_u - sin_l * q_n
         v = wind_velocity_equatorial(tc, site, eph)
         dot = (h * c - q_e * s) * v[:, 0]
         dot += (h * s + q_e * c) * v[:, 1]
@@ -238,7 +224,9 @@ def modulation_model(t, coeffs: ModulationCoefficients, eph: EphemerisConstants)
     """Evaluate the harmonic model defined by a coefficient set.
 
     Three arrays shaped like t, no other temporaries; the terms are
-    summed in the order c0 + daily + annual + cross.
+    summed in the order c0 + daily + annual + cross.  This pure amplitude
+    envelope has symmetric sidebands and lacks the mixed-block component
+    that the fit drops, so it is not beta_ratio.
     """
     t = np.asarray(t, dtype=float)
     daily = _cos_phase(t, eph.omega_sidereal, coeffs.phase_daily)
@@ -259,7 +247,10 @@ def fit_modulation_coefficients(t, series, eph: EphemerisConstants) -> Modulatio
     The basis is {1, cos/sin(Os t), cos/sin(Oa t)} plus the four mixed
     products; the mixed block is then collapsed onto the single
     cross-coefficient consistent with the phases recovered from the pure
-    sidereal and annual terms.  Phases come out modulo 2 pi.
+    sidereal and annual terms; its second component, off those phases, is
+    dropped (singular value 0.1006 at the default site, 0.0918 kept).
+    Phases come out modulo 2 pi.  residual_rms is the nine-term fit's residual,
+    which does not count what the collapse drops.
 
     Raises DegenerateFitError if the design matrix is rank deficient
     (for example when the sampling aliases the sidereal rate).

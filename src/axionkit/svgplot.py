@@ -7,6 +7,7 @@ text legend.  Output bytes are a pure function of the inputs.
 """
 
 import math
+import sys
 
 _COLORS = ("#1f6fb4", "#e07b27", "#2e9e4f", "#c23c3c", "#7a5fa8", "#666666")
 
@@ -19,18 +20,15 @@ def _fmt(x: float) -> str:
 
 
 def _linear_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
+    """Multiples k * step of a 1-2-5 step in [lo, hi], at most n + 1."""
+    raw = hi / n - lo / n  # no overflow at the ends of the float range
+    if not raw >= sys.float_info.min:  # empty, or too narrow for a 1-2-5 step
         return [lo]
-    raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
-    first = math.ceil(lo / step) * step
-    ticks = []
-    value = first
-    while value <= hi + 1e-9 * step:
-        ticks.append(value)
-        value += step
-    return ticks
+    first = math.ceil(lo / step)
+    last = min(math.floor(hi / step + 1e-9), first + n)  # quotients off by ulps
+    return [k * step for k in range(first, last + 1)]
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:

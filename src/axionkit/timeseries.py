@@ -8,8 +8,9 @@ Two on-disk representations, both versioned:
 * binary, same schema tag: a single JSON header line followed by the raw
   little-endian sample bytes.
 
-Readers check each file against its own header: ``n``, ``t0``, ``dt``
-and ``dtype`` fix the row count, the ``t`` column and the payload size.
+Readers check each file against its own header (``n``, ``t0``, ``dt``
+and ``dtype`` fix the row count, the ``t`` column and the payload size)
+and refuse NaN and infinite samples, as write_columns does.
 """
 
 import functools
@@ -113,14 +114,21 @@ def _read_header(text: str) -> tuple[dict, np.dtype]:
     return header, np.dtype(header["dtype"])
 
 
-def _naming_path(read):
-    """Prefix the path to every ValueError a reader meets: its own checks,
-    JSON and UTF-8 decoding, np.loadtxt's cells and TimeSeries' rules."""
+def _checked_read(read):
+    """Refuse a record holding NaN or infinity, naming its first such row,
+    and prefix the path to every ValueError a reader meets: its own
+    checks, JSON and UTF-8 decoding, np.loadtxt's cells and TimeSeries'
+    rules."""
 
     @functools.wraps(read)
     def wrapper(cls, path):
         try:
-            return read(cls, path)
+            series = read(cls, path)
+            parts = series.samples.view(np.float64)  # re, im interleaved if complex
+            if not (np.isfinite(parts.min()) and np.isfinite(parts.max())):  # no temporaries
+                row = np.argmin(np.isfinite(series.samples))
+                raise ValueError(f"non-finite sample at row {row}")
+            return series
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
@@ -175,7 +183,7 @@ class TimeSeries:
         write_columns(path, header, (self.times, *values), canonical_json(self._header()))
 
     @classmethod
-    @_naming_path
+    @_checked_read
     def from_csv(cls, path) -> "TimeSeries":
         with open(path) as fh:
             first = fh.readline()
@@ -189,7 +197,7 @@ class TimeSeries:
         if data.shape != (n, width):
             raise ValueError(f"table of shape {data.shape}, header says ({n}, {width})")
         offset = np.abs(data[:, 0] - (t0 + dt * np.arange(n, dtype=float)))
-        if np.any(offset > T_GRID_TOLERANCE * dt):
+        if not np.all(offset <= T_GRID_TOLERANCE * dt):  # a NaN time fails too
             raise ValueError(f"t column leaves t0 + k*dt at row {np.argmax(offset)}")
         samples = data[:, 1:].copy().view(np.complex128 if width == 3 else np.float64)[:, 0]
         return cls(t0=t0, dt=dt, samples=samples, meta=header["meta"])
@@ -203,7 +211,7 @@ class TimeSeries:
             fh.write(data.tobytes())
 
     @classmethod
-    @_naming_path
+    @_checked_read
     def from_binary(cls, path) -> "TimeSeries":
         with open(path, "rb") as fh:
             header, dtype = _read_header(fh.readline().decode())

@@ -2,10 +2,13 @@ import ast
 import dataclasses
 import hashlib
 import json
+import runpy
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from axionkit import cli, geometry, sensitivity, svgplot
 from axionkit.config import (
@@ -21,7 +24,7 @@ from axionkit.config import (
 # the retired keys, at their former defaults, as manifests of the earlier
 # format carry them
 PARENT_FORMAT_KEYS = {
-    "geometry": {"longitude_deg": 116.4074},
+    "geometry": {"longitude_deg": 116.4074, "turntable_rate_rad_s": 0.0},
     "ephemeris": {"omega_annual": 1.991021277657232e-07, "omega_sidereal": 7.292115857915991e-05},
     "qubit": {
         "b0_t": 0.5, "omega0_rad_s": None, "q_resonator": 10000.0, "t1_s": 0.001, "t2_s": 0.0001,
@@ -355,6 +358,8 @@ class TestCli:
             (["linewidth", "--set", "ephemeris.omega_sidereal=1.0938e-4"],
              "ephemeris.omega_sidereal"),
             (["linewidth", "--set", "qubit.t1_s=2e-3"], "qubit.t1_s"),
+            (["envelope", "--set", "geometry.turntable_rate_rad_s=1e-4"],
+             "geometry.turntable_rate_rad_s"),
             (["linewidth", "--set", "halo.rho_dm=Infinity"],
              "halo.rho_dm: expected a finite number"),
             (["envelope", "--set", "geometry.latitude_deg=NaN"],
@@ -366,8 +371,8 @@ class TestCli:
             (["psd", "--set", "noise.white_psd=1e300"], "noise.pink_amplitude"),
         ],
         ids=["formats-typo", "negative-seed", "negative-noise-seed", "retired-sidereal-rate",
-             "retired-t1", "infinite-rho-dm", "nan-latitude", "equatorial-site",
-             "equatorial-wind", "pink-amplitude-from-white"],
+             "retired-t1", "retired-turntable", "infinite-rho-dm", "nan-latitude",
+             "equatorial-site", "equatorial-wind", "pink-amplitude-from-white"],
     )
     def test_bad_run_setting_exit_code(self, tmp_path, capsys, argv, key):
         out = tmp_path / "out"
@@ -453,6 +458,15 @@ class TestCli:
         assert sorted(path.name for path in out1.iterdir()) == sorted([*outputs, "manifest.json"])
         for name in [*outputs, "manifest.json"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_replay_script_reports_changed_artifacts(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "replay_manifests.py"
+        replay = runpy.run_path(str(script))["replay"]
+        run = tmp_path / "runs" / "00_linewidth"
+        assert self.run("linewidth", "--out", str(run), "--masses", "1,5") == 0
+        assert replay(tmp_path / "runs") == []
+        (run / "linewidth.csv").write_text("edited\n")
+        assert replay(tmp_path / "runs") == [str(run / "linewidth.csv")]
 
     def test_seed_recorded_once_and_old_manifests_fold_it(self, tmp_path):
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -675,6 +689,25 @@ class TestCli:
         assert err.startswith(f"axionkit: triplet failed: {data}: Expecting property name")
         assert not out.exists()
 
+    def test_triplet_on_nonfinite_data_exit_code(self, tmp_path, capsys):
+        from axionkit import TimeSeries
+
+        t = np.arange(0, 120 * 86400.0, 1800.0)
+        data = tmp_path / "nan.csv"
+        TimeSeries(0.0, 1800.0, np.cos(7.29e-5 * t), {"origin": "x"}).to_csv(data)
+        lines = data.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].split(",")[0] + ",nan\n"
+        data.write_text("".join(lines))
+        out = tmp_path / "t"
+        out.mkdir()
+        (out / "kept.txt").write_text("before")
+        assert self.run("triplet", "--out", str(out), "--data", str(data), "--formats", "json",
+                        "--psi-daily", "0", "--psi-annual", "0") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"axionkit: triplet failed: {data}: non-finite sample at row 3")
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text() == "before"
+
     def test_triplet_on_complex_data_exit_code(self, tmp_path, capsys):
         from axionkit import TimeSeries
 
@@ -713,6 +746,14 @@ def test_one_home_for_budget_and_layouts():
     assert mentions("MAX_BYTES") == ["signals.py"]
 
 
+def test_json_artifacts_refuse_nan(tmp_path):
+    # NaN and Infinity are not JSON; a record holding one fails the run
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json({"x": value})(tmp_path / "x.json")
+    assert not (tmp_path / "x.json").exists()
+
+
 class TestSvgPlot:
     def test_deterministic_output(self, tmp_path):
         curves = [{"x": [1, 2, 3], "y": [1.0, 4.0, 9.0], "label": "sq", "markers": True}]
@@ -735,6 +776,23 @@ class TestSvgPlot:
             svgplot.line_plot(
                 tmp_path / "bad.svg", [{"x": [-1, -2], "y": [1, 2]}], xlog=True
             )
+
+    def test_ulp_wide_axis(self, tmp_path):
+        # a tick step below half an ulp of the axis values once looped forever
+        path = tmp_path / "flat.svg"
+        svgplot.line_plot(path, [{"x": [0, 1], "y": [0.5, 0.5 + 1.2e-16]}])
+        assert path.read_text().count('text-anchor="end"') <= 7
+
+    @given(a=st.floats(allow_nan=False, allow_infinity=False),
+           b=st.floats(allow_nan=False, allow_infinity=False))
+    @example(a=0.5, b=float(np.nextafter(0.5, 1.0)))
+    @example(a=1e15, b=1e15 + 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_linear_ticks_bounded_and_ordered(self, a, b):
+        assume(a != b)
+        ticks = svgplot._linear_ticks(min(a, b), max(a, b), 5)
+        assert 1 <= len(ticks) <= 7
+        assert ticks == sorted(ticks)
 
     def test_drops_nonfinite_points(self, tmp_path):
         path = tmp_path / "nan.svg"

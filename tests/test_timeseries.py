@@ -269,9 +269,11 @@ class TestReaderErrorsNameThePath:
             (lambda d: b"".join(d.replace(b'"n":4', b'"n":1', 1).splitlines(keepends=True)[:3]),
              "samples must be a 1-D array with at least 2 entries"),
             (_replace(b'"meta":{"kind":"unit","seed":7}', b'"meta":{}'), "meta must be populated"),
+            (_replace(b"11.0,3.25", b"11.0,nan"), "non-finite sample at row 2"),
+            (_replace(b"11.0,3.25", b"nan,3.25"), "t column leaves t0 + k*dt at row 2"),
         ],
         ids=["header-not-json", "not-utf8", "non-numeric-cell", "short-row", "one-sample",
-             "empty-meta"],
+             "empty-meta", "nan-cell", "nan-time"],
     )
     def test_csv(self, real_series, tmp_path, edit, message):
         path = tmp_path / "series.csv"
@@ -288,8 +290,10 @@ class TestReaderErrorsNameThePath:
             (lambda d: d.replace(b'"n":4', b'"n":1', 1)[: d.index(b"\n") + 9],  # one float
              "samples must be a 1-D array with at least 2 entries"),
             (_replace(b'"meta":{"kind":"unit","seed":7}', b'"meta":{}'), "meta must be populated"),
+            (_replace(np.float64(3.25).tobytes(), np.float64(np.nan).tobytes()),
+             "non-finite sample at row 2"),
         ],
-        ids=["header-not-json", "header-not-utf8", "one-sample", "empty-meta"],
+        ids=["header-not-json", "header-not-utf8", "one-sample", "empty-meta", "nan-payload"],
     )
     def test_binary(self, real_series, tmp_path, edit, message):
         path = tmp_path / "series.bin"
