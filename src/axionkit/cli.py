@@ -244,7 +244,7 @@ def cmd_triplet(cfg: RunConfig, args: dict) -> dict:
     return {
         "triplet.json": _json(
             {
-                "schema": "axionkit-triplet/1",
+                "schema": "axionkit-triplet/2",
                 **dataclasses.asdict(result),
                 "psi_daily": float(psi_daily),
                 "psi_annual": float(psi_annual),
@@ -335,14 +335,13 @@ def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
         ),
         "sensitivity.json": _json(
             {
-                "schema": "axionkit-sensitivity/1",
+                "schema": "axionkit-sensitivity/2",
                 "preset": preset,
                 "gains_mode": gains_mode,
                 "gains": gain_record,
                 "config": {
                     **dataclasses.asdict(cfg.search), "qubit": dataclasses.asdict(qubit),
-                    "halo": dataclasses.asdict(cfg.halo), "mass_dependent": True,
-                    "stacking": "stack",  # a constant, kept so the record's bytes stay the same
+                    "halo": dataclasses.asdict(cfg.halo),
                 },
             }
         ),

@@ -30,10 +30,6 @@ import numpy as np
 from .constants import OBLIQUITY_DEG, OMEGA_ANNUAL, OMEGA_SIDEREAL, SIDEREAL_DAY_S, YEAR_S
 
 
-class DegenerateFitError(ValueError):
-    """Raised when the modulation-coefficient design matrix loses rank."""
-
-
 class GainUnboundedError(ValueError):
     """Raised when the time-averaged projection vanishes and the
     matched-weighting gain is unbounded; the message names the two
@@ -171,9 +167,21 @@ def device_axis(site: SiteGeometry) -> np.ndarray:
     return np.array([cos_e * math.sin(azim), cos_e * math.cos(azim), math.sin(elev)])
 
 
-# samples per chunk of the beta_ratio kernel; bounds its temporaries at a
+# samples per chunk of the geometry kernels; bounds their temporaries at a
 # few MB whatever the length of t
 _CHUNK = 1 << 16
+
+
+def _chunked(t, kernel):
+    """kernel(tc) for each chunk tc of _CHUNK samples of t, written into
+    one output array shaped like t."""
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _CHUNK):
+        tc = flat[start : start + _CHUNK]
+        out[start : start + tc.size] = kernel(tc)
+    return out.reshape(t.shape)[()]
 
 
 def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
@@ -191,17 +199,14 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
     sin(lat) q_n and s, c the sine and cosine of the local sidereal time,
     R^T q = (h c - q_e s, h s + q_e c, cos(lat) q_n + sin(lat) q_u),
     dotted with the equatorial wind v_sun w_hat - u_orbit(t).  q and h are
-    fixed; the samples are taken in chunks of _CHUNK into one output array.
+    fixed; the kernel runs on chunks of _CHUNK samples (_chunked).
     """
-    t = np.asarray(t, dtype=float)
-    flat = t.reshape(-1)
-    out = np.empty(flat.shape)
     lam = math.radians(site.latitude_deg)
     sin_l, cos_l = math.sin(lam), math.cos(lam)
     q_e, q_n, q_u = device_axis(site)
     h = cos_l * q_u - sin_l * q_n
-    for start in range(0, flat.size, _CHUNK):
-        tc = flat[start : start + _CHUNK]
+
+    def kernel(tc):
         lst = site.lst0_rad + eph.omega_sidereal * tc
         s, c = np.sin(lst), np.cos(lst)
         v = wind_velocity_equatorial(tc, site, eph)
@@ -209,36 +214,27 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
         dot += (h * s + q_e * c) * v[:, 1]
         dot += (cos_l * q_n + sin_l * q_u) * v[:, 2]
         dot /= v_ref
-        out[start : start + tc.size] = dot
-    return out.reshape(t.shape)[()]
+        return dot
 
-
-def _cos_phase(t: np.ndarray, omega: float, phase: float) -> np.ndarray:
-    """cos(omega t - phase) in one new array shaped like t."""
-    out = np.multiply(omega, t, out=np.empty_like(t))
-    np.subtract(out, phase, out=out)
-    return np.cos(out, out=out)
+    return _chunked(t, kernel)
 
 
 def modulation_model(t, coeffs: ModulationCoefficients, eph: EphemerisConstants):
     """Evaluate the harmonic model defined by a coefficient set.
 
-    Three arrays shaped like t, no other temporaries; the terms are
-    summed in the order c0 + daily + annual + cross.  This pure amplitude
-    envelope has symmetric sidebands and lacks the mixed-block component
-    that the fit drops, so it is not beta_ratio.
+    The terms are summed in the order c0 + daily + annual + cross, on
+    chunks of _CHUNK samples (_chunked).  This pure amplitude envelope
+    has symmetric sidebands and lacks the mixed-block component that the
+    fit drops, so it is not beta_ratio.
     """
-    t = np.asarray(t, dtype=float)
-    daily = _cos_phase(t, eph.omega_sidereal, coeffs.phase_daily)
-    annual = _cos_phase(t, eph.omega_annual, coeffs.phase_annual)
-    model = np.multiply(coeffs.c_daily, daily, out=np.empty_like(t))
-    np.add(coeffs.c0, model, out=model)
-    daily *= coeffs.c_cross
-    daily *= annual
-    annual *= coeffs.c_annual
-    model += annual
-    model += daily
-    return model[()]
+
+    def kernel(tc):
+        daily = np.cos(eph.omega_sidereal * tc - coeffs.phase_daily)
+        annual = np.cos(eph.omega_annual * tc - coeffs.phase_annual)
+        return (coeffs.c0 + coeffs.c_daily * daily + coeffs.c_annual * annual
+                + coeffs.c_cross * daily * annual)
+
+    return _chunked(t, kernel)
 
 
 def fit_modulation_coefficients(t, series, eph: EphemerisConstants) -> ModulationCoefficients:
@@ -252,7 +248,7 @@ def fit_modulation_coefficients(t, series, eph: EphemerisConstants) -> Modulatio
     Phases come out modulo 2 pi.  residual_rms is the nine-term fit's residual,
     which does not count what the collapse drops.
 
-    Raises DegenerateFitError if the design matrix is rank deficient
+    Raises ValueError if the design matrix is rank deficient
     (for example when the sampling aliases the sidereal rate).
     """
     t = np.asarray(t, dtype=float)
@@ -267,7 +263,7 @@ def fit_modulation_coefficients(t, series, eph: EphemerisConstants) -> Modulatio
     )
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
-        raise DegenerateFitError(
+        raise ValueError(
             f"design matrix rank {rank} < {design.shape[1]}; "
             "sampling or geometry degenerate"
         )
@@ -337,14 +333,15 @@ def daily_rms(day, coeffs: ModulationCoefficients, eph: EphemerisConstants):
 @dataclass(frozen=True)
 class GeometricGains:
     """Gain factors of matched daily weighting and multi-axis readout
-    relative to a single-axis, uniformly weighted baseline."""
+    relative to a single-axis, uniformly weighted baseline; n_axes, the
+    number of identical sensors, is a class constant."""
 
     p0: float
     mean_square_projection: float
     g_daily: float
     g_three_axis: float
     g_total: float
-    n_axes: int = 3
+    n_axes: ClassVar[int] = 3
 
 
 def geometric_gains(site: SiteGeometry) -> GeometricGains:

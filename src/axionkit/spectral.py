@@ -100,8 +100,7 @@ def window_response(window: WindowSpec) -> float:
 @dataclass
 class TripletResult:
     """Demodulated powers at the carrier and the two annual sidebands,
-    the estimated annual depth, and internal signal-to-noise figures.
-    mode names the depth estimator."""
+    the estimated annual depth, and internal signal-to-noise figures."""
 
     x_star: float
     x_plus: float
@@ -112,7 +111,6 @@ class TripletResult:
     epsilon_hat: float
     snr_star: float
     snr_pm: float
-    mode: str = "phase-locked"
 
 
 # samples per block of the blocked line sums; a private constant that sets

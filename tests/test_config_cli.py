@@ -247,7 +247,6 @@ class TestCli:
                     "resource_sqrt_n": np.sqrt(3.0), "total": g.g_total},
         }[gains]
         config = record["config"]
-        assert config["stacking"] == "stack" and config["mass_dependent"] is True
         assert config["qubit"] == dataclasses.asdict(sensitivity.PRESETS["current"])
 
     def test_psd_triplet_with_default_synthesis(self, tmp_path):

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axionkit import EphemerisConstants, TimeSeries, WindowSpec
@@ -189,20 +189,27 @@ class TestTripletStatistic:
         ts = triplet_record(eph, 0.1, 30 * 86400.0, 3600.0)
         record = asdict(spec.triplet_statistic(ts, eph, 0.0, 0.0))
         assert json.loads(json.dumps(record)) == record
-        assert record["mode"] == "phase-locked"
 
 
 def lstsq_depth(ts, eph, psi_d, psi_a):
     """The oracle: the two-template fit as a dense (n x 2) least squares,
-    with 1 - rho^2 of its Gram matrix and the envelope template's norm."""
+    with 1 - rho^2 of its Gram matrix, the envelope template's norm, and
+    the rounding bound of the closed form's 2x2 solve (see
+    test_matches_lstsq_oracle)."""
     t = ts.times
     carrier = np.cos(eph.omega_sidereal * t - psi_d)
     envelope = carrier * np.cos(eph.omega_annual * t - psi_a)
     design = np.column_stack([carrier, envelope])
     coef, *_ = np.linalg.lstsq(design, ts.samples, rcond=None)
-    gram = design.T @ design
-    separation = 1.0 - gram[0, 1] ** 2 / (gram[0, 0] * gram[1, 1])
-    return max(0.0, coef[1] / coef[0]), separation, gram[1, 1]
+    (g_aa, g_ab), (_, g_bb) = design.T @ design
+    r_a, r_b = design.T @ ts.samples
+    separation = 1.0 - g_ab**2 / (g_aa * g_bb)
+    a, b = g_bb * r_a - g_ab * r_b, g_aa * r_b - g_ab * r_a
+    u = np.finfo(float).eps
+    delta_a = u * (abs(g_bb * r_a) + abs(g_ab * r_b))
+    delta_b = u * (abs(g_aa * r_b) + abs(g_ab * r_a))
+    solve_error = delta_b / abs(a) + abs(b) * delta_a / a**2
+    return max(0.0, coef[1] / coef[0]), separation, g_bb, solve_error
 
 
 SIDEREAL_DAY = 2 * np.pi / EphemerisConstants().omega_sidereal
@@ -219,6 +226,8 @@ class TestPhaseLockedDepth:
         psi_a=st.floats(0.0, 2 * np.pi),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(t0=0.0, span_days=2.0, dt_fraction=0.08645978386037113, depth=0.0, noise=1.625,
+             psi_d=1.0, psi_a=0.46875, seed=100001)
     @settings(max_examples=40, deadline=None)
     def test_matches_lstsq_oracle(self, t0, span_days, dt_fraction, depth, noise,
                                   psi_d, psi_a, seed):
@@ -230,7 +239,7 @@ class TestPhaseLockedDepth:
         dt = dt_lo * (dt_hi / dt_lo) ** dt_fraction
         ts = triplet_record(eph, depth, span, dt, t0=t0, psi_d=psi_d, psi_a=psi_a)
         ts.samples += noise * np.random.default_rng(seed).normal(size=ts.samples.size)
-        oracle, separation, envelope_norm = lstsq_depth(ts, eph, psi_d, psi_a)
+        oracle, separation, envelope_norm, solve_error = lstsq_depth(ts, eph, psi_d, psi_a)
         got = spec.triplet_statistic(ts, eph, psi_d, psi_a).epsilon_hat
         # rounding Os t (up to 7e3 rad here) leaves a phase error of order
         # eps Os t in each line sum and closed-form Gram term, an absolute
@@ -239,7 +248,17 @@ class TestPhaseLockedDepth:
         # by 1/(1 - rho^2) as the templates approach collinearity
         phase_error = np.finfo(float).eps * eph.omega_sidereal * ts.times[-1]
         scale = phase_error * ts.samples.size / envelope_norm
-        assert abs(got - oracle) <= scale * max(oracle, 1.0) / separation
+        # the 2x2 solve then rounds on its own: a = g_bb r_a - g_ab r_b is
+        # two products and a difference, each rounded by at most eps/2
+        # relative, so |da| <= eps/2 (|g_bb r_a| + |g_ab r_b| + |a|)
+        # <= eps (|g_bb r_a| + |g_ab r_b|), and likewise
+        # |db| <= eps (|g_aa r_b| + |g_ab r_a|) for b = g_aa r_b - g_ab r_a.
+        # To first order d(b/a) = db/a - b da/a^2, which is solve_error,
+        # with g and r from the dense design (the closed form's to rounding).
+        # Near collinearity a is a small difference of large terms (on the
+        # pinned two-day draw the products are 1.25e9 and a = 139), so this
+        # term, not the phase error, sets the bound there
+        assert abs(got - oracle) <= scale * max(oracle, 1.0) / separation + solve_error
 
     @given(
         t0=st.floats(0.0, YEAR_S),
