@@ -234,7 +234,7 @@ def cmd_triplet(cfg: RunConfig, args: dict) -> dict:
             cfg.geometry, cfg.ephemeris, cfg.axion, cfg.halo, cfg.qubit,
             cfg.noise, *_synthesis_args(cfg, args),
         )
-        coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
+        coeffs = geometry.ModulationCoefficients(**ts.meta["coefficients"])
         if psi_daily is None:
             psi_daily = coeffs.phase_daily
         if psi_annual is None:
@@ -335,7 +335,7 @@ def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
         ),
         "sensitivity.json": _json(
             {
-                "schema": "axionkit-sensitivity/2",
+                "schema": "axionkit-sensitivity/3",
                 "preset": preset,
                 "gains_mode": gains_mode,
                 "gains": gain_record,
@@ -517,12 +517,16 @@ def _publish(outdir: Path, artifacts: dict) -> None:
     """write(path) every artifact into a staging directory in outdir's
     nearest existing ancestor (so a missing outdir is created only on
     success), then move each into outdir.  The staging directory is
-    always removed, so a failed write leaves outdir as it was."""
+    always removed, so a failed write leaves outdir as it was, and its
+    error names the artifact's place in outdir."""
     anchor = next(p for p in outdir.absolute().parents if p.is_dir())
     staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=anchor))
     try:
         for name, write in artifacts.items():
-            write(staging / name)
+            try:
+                write(staging / name)
+            except Exception as exc:
+                raise RuntimeError(str(exc).replace(str(staging), str(outdir))) from exc
         outdir.mkdir(parents=True, exist_ok=True)
         for name in artifacts:
             os.replace(staging / name, outdir / name)

@@ -5,7 +5,8 @@ group.  Unknown keys anywhere are rejected with the offending dotted
 path; every field has a default, so the empty object is a valid
 configuration.  A previously written run manifest can be passed in
 place of a configuration file; load_config extracts its config and its
-subcommand arguments.  A retired key loads only at its former default.
+subcommand arguments.  A retired key loads only at its former default;
+the axion section holds retired keys only.
 """
 
 import dataclasses
@@ -46,7 +47,8 @@ class RunConfig:
     geometry: SiteGeometry = field(default_factory=SiteGeometry)
     ephemeris: EphemerisConstants = field(default_factory=EphemerisConstants)
     halo: HaloParams = field(default_factory=HaloParams)
-    axion: AxionParams = field(default_factory=AxionParams)
+    # not a setting: figures are in units of beta0; sensitivity and linewidth take their masses
+    axion: typing.ClassVar[AxionParams] = AxionParams()
     qubit: QubitParams = field(default_factory=QubitParams)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     search: SearchConfig = field(default_factory=SearchConfig)
@@ -55,12 +57,16 @@ class RunConfig:
 
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
-# keys that earlier manifests carry and no computation read, each with
+# keys that earlier manifests carry and that reach no artifact, each with
 # the only value it may still hold, so those manifests load unchanged
 _RETIRED = {
     "geometry": {"longitude_deg": 116.4074, "turntable_rate_rad_s": 0.0},
     "ephemeris": {"omega_sidereal": OMEGA_SIDEREAL, "omega_annual": OMEGA_ANNUAL},
-    "qubit": {"t1_s": 1e-3, "t2_s": 1e-4, "b0_t": 0.5, "q_resonator": 1e4, "omega0_rad_s": None},
+    "axion": {"mass_uev": 1.0, "g_ae": 1e-13, "phase": 0.0},
+    "qubit": {
+        "gamma_e_hz_t": 28e9, "t1_s": 1e-3, "t2_s": 1e-4, "b0_t": 0.5, "q_resonator": 1e4,
+        "omega0_rad_s": None,
+    },
 }
 
 
@@ -92,9 +98,12 @@ def _coerce(value, annotation, path):
     raise ConfigError(f"{path}: unsupported field type {annotation}")
 
 
-def _build_section(cls, data: dict, section: str):
-    hints = typing.get_type_hints(cls)
-    known = {f.name for f in dataclasses.fields(cls)}
+def _build_section(cls, data, section: str):
+    """The section's dataclass built from data; cls None for a section
+    whose every key is retired, which builds nothing."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section}: expected an object")
+    known = {f.name for f in dataclasses.fields(cls)} if cls else set()
     data = dict(data)
     for key, default in _RETIRED.get(section, {}).items():
         if data.pop(key, default) != default:
@@ -104,6 +113,9 @@ def _build_section(cls, data: dict, section: str):
         raise ConfigError(
             f"{section}.{sorted(unknown)[0]}: unknown key (known: {sorted(known)})"
         )
+    if cls is None:
+        return None
+    hints = typing.get_type_hints(cls)
     kwargs = {
         name: _coerce(value, hints[name], f"{section}.{name}")
         for name, value in data.items()
@@ -122,17 +134,17 @@ def build_config(data: dict) -> RunConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError(f"configuration root must be an object, got {type(data).__name__}")
-    unknown = set(data) - set(_SECTIONS)
+    unknown = set(data) - set(_SECTIONS) - set(_RETIRED)
     if unknown:
         raise ConfigError(
             f"{sorted(unknown)[0]}: unknown section (known: {sorted(_SECTIONS)})"
         )
-    sections = {}
-    for name, factory in _SECTIONS.items():
-        payload = data.get(name, {})
-        if not isinstance(payload, dict):
-            raise ConfigError(f"{name}: expected an object")
-        sections[name] = _build_section(factory, payload, name)
+    for name in _RETIRED.keys() - _SECTIONS.keys():
+        _build_section(None, data.get(name, {}), name)
+    sections = {
+        name: _build_section(factory, data.get(name, {}), name)
+        for name, factory in _SECTIONS.items()
+    }
     v_ref, v_sun = sections["halo"].v_ref, sections["ephemeris"].v_sun
     if v_ref != v_sun:
         raise ConfigError(

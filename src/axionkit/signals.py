@@ -12,6 +12,7 @@ of a single master seed, so records are bit-reproducible.
 
 import math
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import signal as sps, special
@@ -36,17 +37,16 @@ class UnrealizableNoiseError(ValueError):
 
 @dataclass(frozen=True)
 class QubitParams:
-    """Sensor parameters: gyromagnetic ratio in Hz/T, spin count and
-    single-spin field sensitivity in T/sqrt(Hz)."""
+    """Sensor parameters: spin count and single-spin field sensitivity in
+    T/sqrt(Hz); the electron gyromagnetic ratio in Hz/T is a constant."""
 
-    gamma_e_hz_t: float = 28e9
+    gamma_e_hz_t: ClassVar[float] = 28e9
     n_spins: int = 10
     eta_b_t_rthz: float = 1e-15
 
     def __post_init__(self):
-        for name in ("gamma_e_hz_t", "eta_b_t_rthz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.eta_b_t_rthz <= 0:
+            raise ValueError("eta_b_t_rthz must be positive")
         if self.n_spins < 1:
             raise ValueError("n_spins must be at least 1")
 

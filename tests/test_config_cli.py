@@ -1,4 +1,3 @@
-import ast
 import dataclasses
 import hashlib
 import json
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from axionkit import cli, geometry, sensitivity, svgplot
 from axionkit.config import (
     ConfigError,
-    RunConfig,
     apply_overrides,
     build_config,
     config_to_dict,
@@ -26,10 +24,59 @@ from axionkit.config import (
 PARENT_FORMAT_KEYS = {
     "geometry": {"longitude_deg": 116.4074, "turntable_rate_rad_s": 0.0},
     "ephemeris": {"omega_annual": 1.991021277657232e-07, "omega_sidereal": 7.292115857915991e-05},
+    "axion": {"g_ae": 1e-13, "mass_uev": 1.0, "phase": 0.0},
     "qubit": {
-        "b0_t": 0.5, "omega0_rad_s": None, "q_resonator": 10000.0, "t1_s": 0.001, "t2_s": 0.0001,
+        "b0_t": 0.5, "gamma_e_hz_t": 28000000000.0, "omega0_rad_s": None, "q_resonator": 10000.0,
+        "t1_s": 0.001, "t2_s": 0.0001,
     },
 }
+
+# a tiny run of each subcommand, and for each setting the subcommand and a
+# value at which it changes that subcommand's CSVs; the Sun's speed is two
+# keys that move together, and the search bandwidth and false-alarm rate
+# move the curves only once the look-elsewhere threshold exceeds n_sigma
+_TINY = {
+    "envelope": ["--span-days", "3", "--dt", "3000"],
+    "daily-rms": ["--trials", "2", "--samples-per-day", "24"],
+    "psd": ["--span-days", "30", "--dt", "2000"],
+    "triplet": ["--span-days", "30", "--dt", "2000"],
+    "linewidth": ["--masses", "1"],
+    "sensitivity": ["--mass-points", "8"],
+}
+_SUN_SPEED = ("halo.v_ref", "ephemeris.v_sun")
+_MOVES = {
+    "geometry.latitude_deg": ("envelope", 20),
+    "geometry.wind_ra_deg": ("envelope", 250),
+    "geometry.wind_dec_deg": ("envelope", 40),
+    "geometry.elevation_deg": ("envelope", 60),
+    "geometry.azimuth_deg": ("envelope", 30),
+    "geometry.lst0_rad": ("envelope", 1),
+    "ephemeris.v_sun": ("psd", 200),
+    "ephemeris.v_orbit": ("envelope", 20),
+    "ephemeris.obliquity_deg": ("envelope", 10),
+    "ephemeris.orbital_phase": ("envelope", 1),
+    "halo.v0": ("linewidth", 200),
+    "halo.v_esc": ("linewidth", 500),
+    "halo.rho_dm": ("sensitivity", 0.3),
+    "halo.v_ref": ("sensitivity", 200),
+    "qubit.n_spins": ("daily-rms", 3),
+    "qubit.eta_b_t_rthz": ("sensitivity", 3e-15),
+    "noise.white_psd": ("psd", 0.5),
+    "noise.pink_amplitude": ("psd", 1e-3),
+    "noise.pink_exponent": ("psd", 1.5),
+    "noise.rtn_amplitude": ("psd", 0.5),
+    "noise.rtn_rate_hz": ("psd", 1e-3),
+    "noise.readout_f0": ("daily-rms", 0.9),
+    "noise.readout_f1": ("daily-rms", 0.9),
+    "noise.seed": ("triplet", 5),
+    "search.epsilon_safety": ("sensitivity", 0.3),
+    "search.t_cap_s": ("sensitivity", 3e-4),
+    "search.t_tot_s": ("sensitivity", 1e5),
+    "search.bandwidth_hz": ("sensitivity", 1e10),
+    "search.alpha": ("sensitivity", 1e-6),
+    "search.n_sigma": ("sensitivity", 3),
+}
+_SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "scripts" / "sample_config.json"
 
 
 class TestConfig:
@@ -92,10 +139,14 @@ class TestConfig:
             load_config(path)
 
     def test_sample_config_loads(self):
-        sample = Path(__file__).resolve().parent.parent / "scripts" / "sample_config.json"
-        cfg, run_args = load_config(sample)
+        cfg, run_args = load_config(_SAMPLE_CONFIG)
         assert cfg.halo == build_config({}).halo
         assert run_args == {}
+
+    def test_sample_config_holds_every_key(self):
+        sample = json.loads(_SAMPLE_CONFIG.read_text())
+        keys = [f"{section}.{key}" for section, fields in sample.items() for key in fields]
+        assert sorted(keys) == sorted(line.split()[0] for line in list_config_keys())
 
     def test_key_listing_covers_all_sections(self):
         keys = list_config_keys()
@@ -103,7 +154,6 @@ class TestConfig:
         for expected in (
             "geometry.latitude_deg",
             "halo.v0",
-            "axion.mass_uev",
             "qubit.eta_b_t_rthz",
             "noise.seed",
             "search.alpha",
@@ -114,33 +164,27 @@ class TestConfig:
             for key in keys:
                 assert f"{section}.{key} " not in joined
 
-    def test_every_setting_is_read(self):
-        # a field that only its own __post_init__ reads (asdict echoes it
-        # into manifests) is a setting that no computation honours
-        reads = []  # (attribute, class whose __post_init__ reads it, or None)
-        for source in Path(cli.__file__).parent.glob("*.py"):
-            tree = ast.parse(source.read_text())
-            owner = {
-                node: cls.name
-                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                for fn in cls.body
-                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
-                for node in ast.walk(fn)
-            }
-            reads += [
-                (node.attr, owner.get(node)) for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            ]
-        unread = [
-            f"{section.name}.{f.name}"
-            for section in dataclasses.fields(RunConfig)
-            for f in dataclasses.fields(section.default_factory)
-            if not any(
-                attr == f.name and where != section.default_factory.__name__
-                for attr, where in reads
-            )
-        ]
-        assert unread == []
+    def test_every_setting_changes_a_csv(self, tmp_path):
+        # a setting that changes no CSV reaches no artifact; the output
+        # section decides where and in which formats artifacts go
+        def csvs(subcommand, *overrides):
+            out = tmp_path / str(len(list(tmp_path.iterdir())))
+            sets = [arg for override in overrides for arg in ("--set", override)]
+            argv = [subcommand, "--out", str(out), "--formats", "csv", *_TINY[subcommand], *sets]
+            assert cli.main(argv) == 0
+            return {path.name: path.read_bytes() for path in out.glob("*.csv")}
+
+        base = {subcommand: csvs(subcommand) for subcommand in _TINY}
+
+        def moves(key):
+            subcommand, value = _MOVES[key]
+            keys = _SUN_SPEED if key in _SUN_SPEED else (key,)
+            return csvs(subcommand, *(f"{k}={value}" for k in keys)) != base[subcommand]
+
+        exempt = ("output.directory", "output.formats")
+        keys = [line.split()[0] for line in list_config_keys()]
+        idle = [key for key in keys if key not in exempt and not (key in _MOVES and moves(key))]
+        assert idle == []
 
 
 class TestCli:
@@ -322,11 +366,12 @@ class TestCli:
             (lambda path: path.write_text("{not json"), []),
             (lambda path: path.write_text("[1, 2]"), ["halo.v0=230"]),
             (lambda path: path.write_text('{"halo": 5}'), ["halo.v0=230"]),
+            (lambda path: path.write_text('{"axion": 5}'), []),
             (lambda path: path.mkdir(), []),
             (lambda path: path.write_text('{"schema": "axionkit-manifest/1", "args": [1]}'), []),
         ],
         ids=["missing-file", "invalid-json", "list-root", "section-not-object",
-             "directory", "manifest-args-not-object"],
+             "retired-section-not-object", "directory", "manifest-args-not-object"],
     )
     def test_unreadable_config_exit_code(self, tmp_path, capsys, make, overrides):
         cfg_path = tmp_path / "cfg.json"
@@ -359,6 +404,9 @@ class TestCli:
             (["linewidth", "--set", "qubit.t1_s=2e-3"], "qubit.t1_s"),
             (["envelope", "--set", "geometry.turntable_rate_rad_s=1e-4"],
              "geometry.turntable_rate_rad_s"),
+            (["sensitivity", "--set", "axion.g_ae=1e-10"], "axion.g_ae"),
+            (["sensitivity", "--set", "qubit.gamma_e_hz_t=1e9"], "qubit.gamma_e_hz_t"),
+            (["linewidth", "--set", "axion.mass=1"], "axion.mass: unknown key"),
             (["linewidth", "--set", "halo.rho_dm=Infinity"],
              "halo.rho_dm: expected a finite number"),
             (["envelope", "--set", "geometry.latitude_deg=NaN"],
@@ -370,8 +418,9 @@ class TestCli:
             (["psd", "--set", "noise.white_psd=1e300"], "noise.pink_amplitude"),
         ],
         ids=["formats-typo", "negative-seed", "negative-noise-seed", "retired-sidereal-rate",
-             "retired-t1", "retired-turntable", "infinite-rho-dm", "nan-latitude",
-             "equatorial-site", "equatorial-wind", "pink-amplitude-from-white"],
+             "retired-t1", "retired-turntable", "retired-coupling", "retired-gamma",
+             "retired-section-unknown-key", "infinite-rho-dm", "nan-latitude", "equatorial-site",
+             "equatorial-wind", "pink-amplitude-from-white"],
     )
     def test_bad_run_setting_exit_code(self, tmp_path, capsys, argv, key):
         out = tmp_path / "out"
@@ -449,7 +498,7 @@ class TestCli:
             # regenerated, its manifest drops the retired keys again
             record = json.loads(manifest.read_text())
             for section, keys in PARENT_FORMAT_KEYS.items():
-                record["config"][section].update(keys)
+                record["config"].setdefault(section, {}).update(keys)
             manifest = tmp_path / "parent_manifest.json"
             manifest.write_text(json.dumps(record))
         assert self.run(subcommand, "--config", str(manifest), "--out", str(out2)) == 0
@@ -743,6 +792,22 @@ def test_one_home_for_budget_and_layouts():
 
     assert mentions("write_columns") == ["cli.py", "timeseries.py"]
     assert mentions("MAX_BYTES") == ["signals.py"]
+
+
+def test_publish_error_names_the_destination(tmp_path):
+    # the staging directory is gone by the time the error is read
+    out = tmp_path / "X"
+    out.mkdir()
+    (out / "kept.txt").write_text("before")
+    artifacts = {"linewidth.csv": cli._csv("density_per_hz", (np.array([1.0, np.nan]),))}
+    with pytest.raises(RuntimeError) as exc:
+        cli._publish(out, artifacts)
+    message = str(exc.value)
+    assert message == f"{out / 'linewidth.csv'}: column density_per_hz has 1 non-finite values"
+    assert ".X." not in message
+    assert [p.name for p in tmp_path.iterdir()] == ["X"]
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_text() == "before"
 
 
 def test_json_artifacts_refuse_nan(tmp_path):
