@@ -397,7 +397,14 @@ def _one_of(*names: str):
 
 _FINITE = _parser(float, math.isfinite, "a finite number")
 _POSITIVE = _parser(float, _positive, "a positive number")
-_MASSES = _parser(_Masses, lambda m: all(map(_positive, m.values)), "comma-separated positive numbers")
+# shm_lineshape's normalization x0**1.5 leaves the double range below about
+# 1e-217 and above 1e203 ueV at the default halo (infinite or no density);
+# these bounds keep a finite, resolvable line with room to spare for halo.v0
+_MASSES = _parser(
+    _Masses,
+    lambda m: all(1e-150 <= value <= 1e150 for value in m.values),
+    "comma-separated numbers from 1e-150 to 1e150",
+)
 _DT_HELP = "sample spacing in seconds"
 
 # subcommand -> (function, help, ((argument, parser, default, help), ...))

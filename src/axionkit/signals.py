@@ -11,11 +11,12 @@ of a single master seed, so records are bit-reproducible.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy import signal as sps, special
+from scipy import fft, special
 
 from . import geometry
 from .constants import SIDEREAL_DAY_S
@@ -358,6 +359,28 @@ def synthesize_observable(
     return TimeSeries(t0=t0, dt=dt, samples=y, meta=meta)
 
 
+def _kaiser_order(width: float) -> int:
+    """Odd tap count for 80 dB of stop-band attenuation across a transition
+    `width` in units of Nyquist: Kaiser's formula, as in kaiserord."""
+    return math.ceil((80.0 - 7.95) / 2.285 / (math.pi * width) + 1) | 1
+
+
+def _kaiser_lowpass(numtaps: int) -> Callable[[float], np.ndarray]:
+    """taps(c): the one-band firwin low-pass with cutoff c in units of
+    Nyquist, a sinc times the 80 dB Kaiser window (beta as kaiserord's),
+    scaled to unit DC gain.  The window is computed once, here."""
+    beta = 0.1102 * (80.0 - 8.7)
+    alpha = (numtaps - 1) / 2.0
+    m = np.arange(numtaps, dtype=float) - alpha
+    window = special.i0(beta * np.sqrt(1 - (m / alpha) ** 2.0)) / special.i0(beta)
+
+    def taps(c: float) -> np.ndarray:
+        h = c * np.sinc(c * m) * window
+        return h / h.sum()
+
+    return taps
+
+
 def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSeries:
     """Complex demodulation of a narrow band around f_center.
 
@@ -376,8 +399,14 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
     until the two-sided noise-equivalent bandwidth fs * sum(kernel**2)
     (Parseval) is within 1e-4 of the request; meta["heterodyne"] records
     the cutoff, the bandwidth reached and whether the tuning converged.
-    Overlap-add convolution costs O((N + numtaps) log numtaps) time and
-    O(N + numtaps) memory.
+
+    The design reproduces scipy.signal's kaiserord (Kaiser's formula for
+    80 dB of stop-band attenuation) and one-band firwin (a windowed sinc
+    of unit DC gain).  It is written out here because importing
+    scipy.signal, which also imports scipy.stats, costs about a second
+    and 50 MB of every process, and this is the package's only filter.
+    Overlap-save convolution by scipy.fft costs
+    O((N + numtaps) log numtaps) time and O(N + numtaps) memory.
     """
     fs = 1.0 / series.dt
     if not 0 < f_center < fs / 2.0:
@@ -388,33 +417,46 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
     t = series.times
     mixed = 2.0 * series.samples * np.exp(-2j * math.pi * f_center * t)
 
+    n = series.samples.size
     width = bandwidth / 4.0  # transition width beyond the passband edge
-    numtaps, beta = sps.kaiserord(80.0, width / (fs / 2.0))
-    numtaps |= 1
-    if numtaps * 3 >= series.samples.size:
+    numtaps = _kaiser_order(width / (fs / 2.0))
+    if numtaps * 3 >= n:
         raise ValueError(
-            f"record too short ({series.samples.size} samples) for a "
+            f"record too short ({n} samples) for a "
             f"{bandwidth} Hz band at fs={fs} Hz"
         )
+    lowpass = _kaiser_lowpass(numtaps)
+    size = 2 * numtaps - 1
+    n_kernel = fft.next_fast_len(size, real=True)
     # tune the cutoff until the two-sided noise-equivalent bandwidth of the
     # zero-phase kernel, fs * sum(kernel**2) by Parseval, equals the request
     cutoff = bandwidth / 2.0 + width / 2.0
     step = 0.0
     for _ in range(8):
         cutoff += step
-        taps = sps.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs)
-        kernel = sps.fftconvolve(taps, taps[::-1])
+        taps = lowpass(cutoff / (fs / 2.0))
+        # taps (*) taps[::-1] is the autocorrelation, centred on numtaps - 1
+        power = np.abs(fft.rfft(taps, n_kernel)) ** 2
+        kernel = np.roll(fft.irfft(power, n_kernel), numtaps - 1)[:size]
         enbw = fs * float(np.dot(kernel, kernel))
         converged = abs(enbw - bandwidth) < 1e-4 * bandwidth
         if converged:
             break
         step = (bandwidth - enbw) / 2.0
 
+    # overlap-save: a block of n_block extended samples yields hop outputs
+    # free of circular wrap-around; eight kernel lengths measured fastest
     extended = np.pad(mixed, numtaps - 1, mode="reflect", reflect_type="odd")
-    base = sps.oaconvolve(extended, kernel, mode="valid")
+    n_block = fft.next_fast_len(min(n + size - 1, 8 * size))
+    hop = n_block - size + 1
+    response = fft.fft(kernel, n_block)
+    base = np.empty(-(-n // hop) * hop, dtype=complex)
+    for start in range(0, n, hop):
+        block = fft.ifft(fft.fft(extended[start : start + n_block], n_block) * response)
+        base[start : start + hop] = block[size - 1 :]
 
     decim = max(1, int(math.floor(fs / (4.0 * bandwidth))))
-    out = base[::decim]
+    out = base[:n:decim]
     meta = dict(series.meta)
     meta.update(
         {

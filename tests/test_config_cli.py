@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +263,15 @@ class TestCli:
         rows = (out / "linewidth.csv").read_text().splitlines()
         masses = {row.split(",")[0] for row in rows[1:]}
         assert masses == {"1.0", "5.0"}
+
+    def test_linewidth_masses_at_the_domain_ends(self, tmp_path):
+        out = tmp_path / "lw"
+        assert self.run("linewidth", "--out", str(out), "--masses", "1e-150,1e150") == 0
+        table = np.loadtxt(out / "linewidth.csv", delimiter=",", skiprows=1)
+        for mass in (1e-150, 1e150):
+            _, offsets, density = table[table[:, 0] == mass].T
+            assert np.all(np.isfinite(density))
+            assert np.trapezoid(density, offsets) == pytest.approx(1.0, rel=1e-2)
 
     def test_sensitivity_gain_shift(self, tmp_path):
         out_all = tmp_path / "s_all"
@@ -649,6 +661,11 @@ class TestCli:
             ("sensitivity", ["--preset", "bogus"], "preset"),
             ("sensitivity", ["--gains", "x"], "gains"),
             ("envelope", ["--config", "manifest.json"], "dt"),
+            # outside the masses whose halo line is finite and resolvable
+            ("linewidth", ["--masses", "1e-300"], "masses"),
+            ("linewidth", ["--masses", "1,1e300"], "masses"),
+            ("linewidth", ["--masses", "9.9e-151"], "masses"),
+            ("linewidth", ["--masses", "1.01e150"], "masses"),
         ],
     )
     def test_out_of_range_argument_exit_code(self, tmp_path, capsys, monkeypatch,
@@ -792,6 +809,21 @@ def test_one_home_for_budget_and_layouts():
 
     assert mentions("write_columns") == ["cli.py", "timeseries.py"]
     assert mentions("MAX_BYTES") == ["signals.py"]
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal, which imports scipy.stats, costs about a second of
+    # every process's start-up; no subcommand needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = (
+        "import sys, axionkit.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_publish_error_names_the_destination(tmp_path):

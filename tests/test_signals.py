@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, signal as sps
 
@@ -475,6 +475,32 @@ class TestHeterodyne:
         assert out.samples.shape == oracle.shape
         # every sample, the first and last 3*numtaps included
         assert np.max(np.abs(out.samples - oracle)) <= 1e-12 * np.max(np.abs(x))
+
+    @given(
+        ratio=st.one_of(
+            st.floats(5e-4, 0.45),
+            # bandwidth/fs at which Kaiser's numtaps - 1 = 72.05/2.285/(pi w)
+            # lands within a hair of an integer k - 1, w = ratio/2
+            st.builds(
+                lambda k, nudge: 2 * 72.05 / 2.285 / np.pi / (k - 1 + nudge),
+                st.integers(4, 40_000),
+                st.floats(-1e-9, 1e-9),
+            ),
+        ),
+        cutoff_fraction=st.floats(0.05, 0.95),
+    )
+    @example(ratio=2 * 72.05 / 2.285 / np.pi / 1256, cutoff_fraction=0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_design_matches_kaiserord_and_firwin(self, ratio, cutoff_fraction):
+        fs = 10_000.0
+        width = ratio / 2.0  # bandwidth/4 in units of Nyquist
+        numtaps = sig._kaiser_order(width)
+        order, beta = sps.kaiserord(80.0, width)
+        assert numtaps == order | 1
+        cutoff = cutoff_fraction * fs / 2.0
+        taps = sig._kaiser_lowpass(numtaps)(cutoff / (fs / 2.0))
+        oracle = sps.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs)
+        assert np.max(np.abs(taps - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
     def test_narrow_band_at_high_rate(self):
         # 5 Hz at 10 kHz: about 40k taps, where filtfilt's lfilter_zi would
