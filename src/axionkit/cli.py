@@ -304,6 +304,12 @@ def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
             f"args.mass-min and args.mass-max: a grid of {args['mass-points']} masses "
             "needs mass-min below mass-max"
         )
+    masses = np.geomspace(args["mass-min"], args["mass-max"], args["mass-points"])
+    # the segment, so the trial count, shrinks with mass: the largest one fails first
+    _check_args(
+        f"args.mass-{'max' if masses.size > 1 else 'min'} and search.bandwidth_hz",
+        sensitivity.trials_threshold, uev_to_hz(masses[-1]), cfg.search, cfg.halo,
+    )
     qubit = cfg.qubit if preset == "config" else sensitivity.PRESETS[preset]
 
     gains = geometry.geometric_gains(cfg.geometry)
@@ -312,7 +318,6 @@ def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
     if gains_mode == "all":
         gain_record.update(matched_weighting=gains.g_daily, three_axis=gains.g_three_axis,
                            resource_sqrt_n=math.sqrt(gains.n_axes))
-    masses = np.geomspace(args["mass-min"], args["mass-max"], args["mass-points"])
     variants = {
         mode: sensitivity.g_min_curve(masses, qubit, cfg.halo, cfg.search, gains=gain)
         for mode, gain in gain_for.items()
@@ -399,7 +404,7 @@ _FINITE = _parser(float, math.isfinite, "a finite number")
 _POSITIVE = _parser(float, _positive, "a positive number")
 # shm_lineshape's normalization x0**1.5 leaves the double range below about
 # 1e-217 and above 1e203 ueV at the default halo (infinite or no density);
-# these bounds keep a finite, resolvable line with room to spare for halo.v0
+# these bounds keep it inside for every halo.v0 from 1 km/s to c
 _MASSES = _parser(
     _Masses,
     lambda m: all(1e-150 <= value <= 1e150 for value in m.values),

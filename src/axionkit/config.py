@@ -123,7 +123,9 @@ def _build_section(cls, data, section: str):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        # a message that starts with a field's name names its dotted key
+        joint = "." if str(exc).split(" ", 1)[0] in known else ": "
+        raise ConfigError(f"{section}{joint}{exc}") from exc
 
 
 def build_config(data: dict) -> RunConfig:

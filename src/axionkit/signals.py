@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy import fft, special
 
 from . import geometry
 from .constants import SIDEREAL_DAY_S
@@ -129,7 +128,11 @@ def spin_expectation(t, omega0: float, beta_loc: float, axion: AxionParams, phi0
 def bessel_sideband_table(beta: float, n_max: int) -> np.ndarray:
     """FM sideband amplitudes J_0..J_n_max at modulation index beta, from
     scipy.special.jv.  Their powers obey J_0^2 + 2 sum J_n^2 = 1, which the
-    truncated table meets once n_max exceeds |beta| by a few tens."""
+    truncated table meets once n_max exceeds |beta| by a few tens.
+    scipy.special is imported here, not with the package: no subcommand
+    needs it, and it costs about 0.3 s of start-up."""
+    from scipy import special
+
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if not math.isfinite(beta):
@@ -365,20 +368,43 @@ def _kaiser_order(width: float) -> int:
     return math.ceil((80.0 - 7.95) / 2.285 / (math.pi * width) + 1) | 1
 
 
-def _kaiser_lowpass(numtaps: int) -> Callable[[float], np.ndarray]:
-    """taps(c): the one-band firwin low-pass with cutoff c in units of
-    Nyquist, a sinc times the 80 dB Kaiser window (beta as kaiserord's),
-    scaled to unit DC gain.  The window is computed once, here."""
+def _kaiser_window(numtaps: int) -> np.ndarray:
+    """The 80 dB Kaiser window over numtaps points, beta as kaiserord's."""
     beta = 0.1102 * (80.0 - 8.7)
     alpha = (numtaps - 1) / 2.0
     m = np.arange(numtaps, dtype=float) - alpha
-    window = special.i0(beta * np.sqrt(1 - (m / alpha) ** 2.0)) / special.i0(beta)
+    return np.i0(beta * np.sqrt(1 - (m / alpha) ** 2.0)) / np.i0(beta)
+
+
+def _kaiser_lowpass(numtaps: int) -> Callable[[float], np.ndarray]:
+    """taps(c): the one-band firwin low-pass with cutoff c in units of
+    Nyquist, a sinc times the Kaiser window, scaled to unit DC gain.  The
+    window is computed once, here."""
+    m = np.arange(numtaps, dtype=float) - (numtaps - 1) / 2.0
+    window = _kaiser_window(numtaps)
 
     def taps(c: float) -> np.ndarray:
         h = c * np.sinc(c * m) * window
         return h / h.sum()
 
     return taps
+
+
+def _fast_len(n: int, real: bool = False) -> int:
+    """The least length >= n whose FFT is fast, as scipy.fft.next_fast_len
+    picks it: no prime factor above 5 for a real transform, above 11 for
+    a complex one.  Each odd smooth m <= the next power of two is raised
+    by the least power of two that reaches n."""
+    ceiling = 1 << (n - 1).bit_length()
+    odd = [1]
+    for prime in (3, 5) if real else (3, 5, 7, 11):
+        grown = []
+        for m in odd:
+            while m <= ceiling:
+                grown.append(m)
+                m *= prime
+        odd = grown
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
 
 
 def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSeries:
@@ -405,7 +431,8 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
     of unit DC gain).  It is written out here because importing
     scipy.signal, which also imports scipy.stats, costs about a second
     and 50 MB of every process, and this is the package's only filter.
-    Overlap-save convolution by scipy.fft costs
+    Overlap-save convolution by numpy.fft at the lengths
+    scipy.fft.next_fast_len would pick (_fast_len) costs
     O((N + numtaps) log numtaps) time and O(N + numtaps) memory.
     """
     fs = 1.0 / series.dt
@@ -413,9 +440,6 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
         raise ValueError(f"f_center={f_center} Hz outside (0, Nyquist={fs / 2.0} Hz)")
     if not 0 < bandwidth < 2.0 * f_center:
         raise ValueError("need 0 < bandwidth < 2*f_center")
-
-    t = series.times
-    mixed = 2.0 * series.samples * np.exp(-2j * math.pi * f_center * t)
 
     n = series.samples.size
     width = bandwidth / 4.0  # transition width beyond the passband edge
@@ -425,9 +449,26 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
             f"record too short ({n} samples) for a "
             f"{bandwidth} Hz band at fs={fs} Hz"
         )
+    # the mixed record 2 y exp(-i 2 pi f_center t), its cosine and sine
+    # written into the two halves, in the middle of its odd extension
+    pad = numtaps - 1
+    extended = np.empty(n + 2 * pad, dtype=complex)
+    mixed = extended[pad : pad + n]
+    re, im = mixed.real, mixed.imag
+    phase = np.multiply(2.0 * math.pi * f_center, series.times, out=im)
+    np.cos(phase, out=re)
+    np.sin(phase, out=im)
+    twice = 2.0 * series.samples
+    re *= twice
+    im *= twice
+    np.negative(im, out=im)
+    del twice
+    extended[:pad] = 2.0 * mixed[0] - mixed[pad:0:-1]
+    extended[pad + n :] = 2.0 * mixed[-1] - mixed[-2 : -pad - 2 : -1]
+
     lowpass = _kaiser_lowpass(numtaps)
     size = 2 * numtaps - 1
-    n_kernel = fft.next_fast_len(size, real=True)
+    n_kernel = _fast_len(size, real=True)
     # tune the cutoff until the two-sided noise-equivalent bandwidth of the
     # zero-phase kernel, fs * sum(kernel**2) by Parseval, equals the request
     cutoff = bandwidth / 2.0 + width / 2.0
@@ -436,27 +477,30 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
         cutoff += step
         taps = lowpass(cutoff / (fs / 2.0))
         # taps (*) taps[::-1] is the autocorrelation, centred on numtaps - 1
-        power = np.abs(fft.rfft(taps, n_kernel)) ** 2
-        kernel = np.roll(fft.irfft(power, n_kernel), numtaps - 1)[:size]
+        power = np.abs(np.fft.rfft(taps, n_kernel)) ** 2
+        kernel = np.roll(np.fft.irfft(power, n_kernel), numtaps - 1)[:size]
         enbw = fs * float(np.dot(kernel, kernel))
         converged = abs(enbw - bandwidth) < 1e-4 * bandwidth
         if converged:
             break
         step = (bandwidth - enbw) / 2.0
 
-    # overlap-save: a block of n_block extended samples yields hop outputs
-    # free of circular wrap-around; eight kernel lengths measured fastest
-    extended = np.pad(mixed, numtaps - 1, mode="reflect", reflect_type="odd")
-    n_block = fft.next_fast_len(min(n + size - 1, 8 * size))
-    hop = n_block - size + 1
-    response = fft.fft(kernel, n_block)
-    base = np.empty(-(-n // hop) * hop, dtype=complex)
-    for start in range(0, n, hop):
-        block = fft.ifft(fft.fft(extended[start : start + n_block], n_block) * response)
-        base[start : start + hop] = block[size - 1 :]
-
+    # overlap-save: a block of n_block extended samples yields the outputs
+    # start .. start + hop - 1, free of circular wrap-around, of which every
+    # decim-th is kept; eight kernel lengths measured fastest
     decim = max(1, int(math.floor(fs / (4.0 * bandwidth))))
-    out = base[:n:decim]
+    n_block = _fast_len(min(n + size - 1, 8 * size))
+    hop = n_block - size + 1
+    response = np.fft.fft(kernel, n_block)
+    out = np.empty(-(-n // decim), dtype=complex)
+    for start in range(0, n, hop):
+        spectrum = np.fft.fft(extended[start : start + n_block], n_block)
+        spectrum *= response
+        block = np.fft.ifft(spectrum)
+        stop = min(start + hop, n)
+        first, last = -(-start // decim), -(-stop // decim)
+        shift = size - 1 - start  # output i is block[i + shift]
+        out[first:last] = block[first * decim + shift : stop + shift : decim]
     meta = dict(series.meta)
     meta.update(
         {

@@ -58,10 +58,11 @@ def periodogram(series: TimeSeries, window: WindowSpec) -> Spectrum:
     Normalized so that sum(psd) * df equals the variance of a zero-mean
     stationary input (within estimator noise).  Segments are tapered,
     overlapped by the configured fraction, and averaged in fixed order.
-    Each segment is transformed at its own length, not padded to
-    scipy.fft.next_fast_len, even where that length has a large prime
-    factor (a year at dt = 10 s is 3,155,760 = 2^4 3^4 5 487 samples,
-    which transform about three times slower than the next fast length):
+    Each segment is transformed at its own length, not padded to the
+    next 5-smooth length (the one scipy.fft.next_fast_len would pick),
+    even where that length has a large prime factor (a year at
+    dt = 10 s is 3,155,760 = 2^4 3^4 5 487 samples, which transform
+    about three times slower than the next fast length):
     the bin grid k / (nper dt) is the data of record in psd.csv, and
     padding would move it.
     """

@@ -428,11 +428,17 @@ class TestCli:
              "geometry.latitude_deg = 0"),
             (["sensitivity", "--set", "geometry.wind_dec_deg=0"], "geometry.wind_dec_deg = 0"),
             (["psd", "--set", "noise.white_psd=1e300"], "noise.pink_amplitude"),
+            # halos whose line is unresolvable or whose speeds exceed c
+            (["linewidth", "--masses", "1", "--set", "halo.v0=1e-120",
+              "--set", "halo.v_esc=1e-119"], "halo.v0 "),
+            (["linewidth", "--masses", "1", "--set", "halo.v0=1e150",
+              "--set", "halo.v_esc=2e150"], "halo.v_esc "),
         ],
         ids=["formats-typo", "negative-seed", "negative-noise-seed", "retired-sidereal-rate",
              "retired-t1", "retired-turntable", "retired-coupling", "retired-gamma",
              "retired-section-unknown-key", "infinite-rho-dm", "nan-latitude", "equatorial-site",
-             "equatorial-wind", "pink-amplitude-from-white"],
+             "equatorial-wind", "pink-amplitude-from-white", "unresolvable-halo",
+             "superluminal-halo"],
     )
     def test_bad_run_setting_exit_code(self, tmp_path, capsys, argv, key):
         out = tmp_path / "out"
@@ -698,6 +704,11 @@ class TestCli:
             ("sensitivity", ["--mass-points", "100000000"], "args.mass-points"),
             ("linewidth", ["--masses", ",".join(["1"] * 10_000)], "args.masses"),
             ("daily-rms", ["--trials", "10000000000"], "args.trials"),
+            # fewer than one trial per segment at the largest mass
+            ("sensitivity", ["--mass-min", "1", "--mass-max", "3000", "--mass-points", "3"],
+             "args.mass-max and search.bandwidth_hz"),
+            ("sensitivity", ["--mass-min", "3000", "--mass-max", "5000", "--mass-points", "1"],
+             "args.mass-min and search.bandwidth_hz"),
         ],
     )
     def test_cross_argument_limit_exit_code(self, tmp_path, capsys, monkeypatch,
@@ -811,19 +822,31 @@ def test_one_home_for_budget_and_layouts():
     assert mentions("MAX_BYTES") == ["signals.py"]
 
 
-def test_cli_import_skips_scipy_signal():
-    # scipy.signal, which imports scipy.stats, costs about a second of
-    # every process's start-up; no subcommand needs it
+def _fresh_python(code: str) -> str:
+    """stdout of code run in a new interpreter that imports this axionkit."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = (
-        "import sys, axionkit.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
-    )
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal, which imports scipy.stats, costs about a second of
+    # every process's start-up, and scipy.special and scipy.fft about 0.3 s
+    # each; no subcommand needs any of them
+    slow = ("scipy.signal", "scipy.stats", "scipy.special", "scipy.fft")
+    code = f"import sys, axionkit.cli; print(sorted(m for m in {slow} if m in sys.modules))"
+    assert _fresh_python(code) == "[]"
+
+
+def test_bessel_table_imports_scipy_special_when_called():
+    code = (
+        "import sys, axionkit.cli; from axionkit import signals; "
+        "print('scipy.special' in sys.modules, signals.bessel_sideband_table(1.0, 1).tolist())"
+    )
+    assert _fresh_python(code) == "False [0.7651976865579666, 0.44005058574493355]"
 
 
 def test_publish_error_names_the_destination(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from axionkit import AxionParams, HaloParams
 from axionkit.constants import C_KM_S, uev_to_hz
+from axionkit import halo as halo_mod
 from axionkit.halo import (
     coherence_time,
     coherence_time_at_frequency,
@@ -55,6 +56,27 @@ class TestMeanSquareSpeed:
     def test_rejects_degenerate_truncation(self):
         with pytest.raises(ValueError):
             HaloParams(v0=230.0, v_esc=100.0)
+
+    @pytest.mark.parametrize(
+        "v0, v_esc, name",
+        [(1e-120, 1e-119, "v0"), (0.99, 544.0, "v0"), (1e150, 2e150, "v_esc"),
+         (220.0, C_KM_S, "v_esc")],
+    )
+    def test_rejects_unresolvable_or_superluminal_halo(self, v0, v_esc, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            HaloParams(v0=v0, v_esc=v_esc)
+
+
+class TestTruncatedNorm:
+    # the closed form erf(z) - 2 z e^(-z^2)/sqrt(pi) against scipy's
+    # regularized lower incomplete gamma P(3/2, z^2)
+    @given(z=st.floats(1.0, 1e3, exclude_min=True))
+    @example(z=1.0 + 2**-52)
+    @example(z=544.0 / 220.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gammainc(self, z):
+        oracle = special.gamma(1.5) * special.gammainc(1.5, z * z)
+        assert special.gamma(1.5) * halo_mod._truncated_norm(z) == pytest.approx(oracle, rel=1e-14)
 
 
 class TestLinewidthAndCoherence:

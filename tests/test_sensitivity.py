@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -134,6 +134,32 @@ class TestTrialsThreshold:
         first = cfg.bandwidth_hz * t_seg[cfg.bandwidth_hz * t_seg < 1.0][0]
         with pytest.raises(ValueError, match=re.escape(f"= {first} < 1 trial")):
             sens.trials_threshold(nus, cfg, halo)
+
+
+class TestNormalQuantileOfLog:
+    # AS241 in log space against scipy's ndtri_exp, over every per-trial
+    # level the configuration admits: alpha <= 0.1 and N_trials >= 1, down
+    # to alpha = 5e-324 at 1.8e308 trials
+    @given(log_p=st.floats(-700.0, math.log(0.1)))
+    @example(log_p=math.log(0.1))
+    @example(log_p=math.log(0.075))  # the central region's edge
+    @example(log_p=-25.0)  # r = 5, where the two tail fits meet
+    @settings(max_examples=300, deadline=None)
+    def test_matches_ndtri_exp(self, log_p):
+        z = sens._normal_quantile_of_log(log_p)
+        assert abs(z / special.ndtri_exp(log_p) - 1.0) <= 2e-15
+
+    @given(log_p=st.floats(-1460.0, -700.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_ndtri_exp_beyond_design_range(self, log_p):
+        z = sens._normal_quantile_of_log(log_p)
+        assert abs(z / special.ndtri_exp(log_p) - 1.0) <= 1e-11
+
+    def test_array_matches_scalars(self):
+        log_p = np.linspace(-1460.0, math.log(0.1), 997)
+        z = sens._normal_quantile_of_log(log_p)
+        np.testing.assert_array_equal(z, [sens._normal_quantile_of_log(v) for v in log_p])
+        assert np.all(np.diff(z) > 0)
 
 
 class TestGminCurve:

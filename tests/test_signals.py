@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, signal as sps
+from scipy import fft, integrate, special, signal as sps
 
 from axionkit import AxionParams, NoiseConfig, QubitParams, TimeSeries
 from axionkit import geometry as geo
@@ -501,6 +501,22 @@ class TestHeterodyne:
         taps = sig._kaiser_lowpass(numtaps)(cutoff / (fs / 2.0))
         oracle = sps.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs)
         assert np.max(np.abs(taps - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @given(numtaps=st.integers(1, 20_000).map(lambda k: 2 * k + 1))
+    @example(numtaps=3)
+    @example(numtaps=5021)
+    @settings(max_examples=60, deadline=None)
+    def test_window_matches_special_i0(self, numtaps):
+        beta = 0.1102 * (80.0 - 8.7)
+        alpha = (numtaps - 1) / 2.0
+        m = np.arange(numtaps) - alpha
+        oracle = special.i0(beta * np.sqrt(1 - (m / alpha) ** 2)) / special.i0(beta)
+        np.testing.assert_allclose(sig._kaiser_window(numtaps), oracle, rtol=2e-15, atol=0)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_fast_len_matches_next_fast_len(self, real):
+        ours = [sig._fast_len(n, real) for n in range(1, 20_001)]
+        assert ours == [fft.next_fast_len(n, real) for n in range(1, 20_001)]
 
     def test_narrow_band_at_high_rate(self):
         # 5 Hz at 10 kHz: about 40k taps, where filtfilt's lfilter_zi would
