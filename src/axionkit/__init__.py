@@ -3,9 +3,9 @@ with spin-qubit magnetometers."""
 
 __version__ = "0.1.0"
 
-from .halo import AxionParams, HaloParams
+from .halo import HaloParams
 from .geometry import EphemerisConstants, ModulationCoefficients, SiteGeometry
-from .signals import NoiseConfig, QubitParams
+from .signals import AxionParams, NoiseConfig, QubitParams
 from .spectral import Spectrum, TripletResult, WindowSpec
 from .sensitivity import SearchConfig, SensitivityCurve
 from .timeseries import TimeSeries

@@ -267,12 +267,11 @@ def cmd_linewidth(cfg: RunConfig, args: dict) -> dict:
     blocks = []
     curves = []
     for mass in masses:
-        axion = dataclasses.replace(cfg.axion, mass_uev=mass)
         nu_a = uev_to_hz(mass)
-        lo, hi = lineshape_support(axion, cfg.halo)
+        lo, hi = lineshape_support(nu_a, cfg.halo)
         span = (hi - lo) * 1.05
         offsets = np.linspace(-0.02 * span, span, _LINEWIDTH_ROWS)
-        density = shm_lineshape(nu_a + offsets, axion, cfg.halo)
+        density = shm_lineshape(nu_a + offsets, nu_a, cfg.halo)
         blocks.append((np.full(offsets.size, mass), offsets, density))
         curves.append({"x": offsets, "y": density, "label": f"{mass:g} ueV"})
     return {

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 from .constants import OMEGA_ANNUAL, OMEGA_SIDEREAL
 from .geometry import EphemerisConstants, SiteGeometry
-from .halo import AxionParams, HaloParams
+from .halo import HaloParams
 from .sensitivity import SearchConfig
-from .signals import NoiseConfig, QubitParams
+from .signals import AxionParams, NoiseConfig, QubitParams
 
 MANIFEST_SCHEMA = "axionkit-manifest/1"
 

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    C_KM_S,
-    ELECTRON_GAMMA_RAD_S_T,
-    EV_TO_RAD_S,
-    GEV_CM3_TO_EV4,
-    M_E_EV,
-    uev_to_hz,
-    uev_to_rad_s,
-)
+from .constants import C_KM_S, ELECTRON_GAMMA_RAD_S_T, EV_TO_RAD_S, GEV_CM3_TO_EV4, M_E_EV
 
 
 @dataclass(frozen=True)
@@ -64,34 +56,6 @@ class HaloParams:
             raise ValueError(f"v_ref must be positive, got {self.v_ref}")
 
 
-@dataclass(frozen=True)
-class AxionParams:
-    """Oscillating-field parameters: mass in ueV, dimensionless coupling
-    to the electron, and an arbitrary field phase in radians.
-
-    The field amplitude itself never appears: it is eliminated in favor
-    of rho_dm everywhere.
-    """
-
-    mass_uev: float = 1.0
-    g_ae: float = 1e-13
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if not self.mass_uev > 0:
-            raise ValueError(f"mass_uev must be positive, got {self.mass_uev}")
-        if self.g_ae < 0:
-            raise ValueError(f"g_ae must be non-negative, got {self.g_ae}")
-
-    @property
-    def frequency_hz(self) -> float:
-        return uev_to_hz(self.mass_uev)
-
-    @property
-    def omega_rad_s(self) -> float:
-        return uev_to_rad_s(self.mass_uev)
-
-
 def _truncated_norm(z: float) -> float:
     """N(z) = erf(z) - 2 z e^(-z^2)/sqrt(pi), the regularized incomplete gamma
     function P(3/2, z^2): Gamma(3/2) N(z) is the integral of sqrt(u) e^(-u)
@@ -129,27 +93,26 @@ def fractional_linewidth_v0(halo: HaloParams) -> float:
     return halo.v0**2 / (2.0 * C_KM_S**2)
 
 
-def coherence_time(axion: AxionParams, halo: HaloParams) -> float:
-    """Field coherence time tau = 1/(pi * dnu), seconds.
+def coherence_time(nu_hz, halo: HaloParams):
+    """Coherence time tau = 1/(pi * dnu) of a field oscillating at nu_hz,
+    seconds; elementwise over an array of frequencies.
 
-    dnu is the absolute second-moment linewidth nu_a * <v^2>/(2c^2), so
+    dnu is the absolute second-moment linewidth nu_hz * <v^2>/(2c^2), so
     tau scales exactly as 1/mass.  3.34 ms at 1 ueV for the default
     halo.
     """
-    return coherence_time_at_frequency(axion.frequency_hz, halo)
-
-
-def coherence_time_at_frequency(nu_hz, halo: HaloParams):
-    """Coherence time for a field oscillating at nu_hz (same convention
-    as :func:`coherence_time`, parameterized by frequency); elementwise
-    over an array of frequencies."""
     not_positive = np.asarray(nu_hz) <= 0
     if np.any(not_positive):
         raise ValueError(f"frequency must be positive, got {np.extract(not_positive, nu_hz)[0]}")
     return 1.0 / (np.pi * nu_hz * fractional_linewidth_second_moment(halo))
 
 
-def shm_lineshape(nu_hz, axion: AxionParams, halo: HaloParams) -> np.ndarray:
+def _check_line_origin(nu_a: float) -> None:
+    if not 0.0 < nu_a < math.inf:
+        raise ValueError(f"line origin nu_a must be positive and finite, got {nu_a}")
+
+
+def shm_lineshape(nu_hz, nu_a: float, halo: HaloParams) -> np.ndarray:
     """Normalized spectral density g(nu) of the halo line, 1/Hz.
 
     The speed distribution maps through nu = nu_a (1 + v^2/(2 c^2)) with
@@ -162,18 +125,20 @@ def shm_lineshape(nu_hz, axion: AxionParams, halo: HaloParams) -> np.ndarray:
     ----------
     nu_hz : array_like
         Monotonically increasing frequency grid, Hz.
+    nu_a : float
+        Line origin (the field frequency), Hz; positive and finite.
 
     Returns
     -------
     ndarray of densities; zero below nu_a and above the escape edge.
     """
+    _check_line_origin(nu_a)
     nu = np.asarray(nu_hz, dtype=float)
     if nu.size == 0:
         raise ValueError("empty frequency grid")
     if nu.size > 1 and not np.all(np.diff(nu) > 0):
         raise ValueError("frequency grid must be strictly increasing")
 
-    nu_a = axion.frequency_hz
     z = halo.v_esc / halo.v0
     z2 = z**2
     x0 = nu_a * fractional_linewidth_v0(halo)
@@ -186,13 +151,13 @@ def shm_lineshape(nu_hz, axion: AxionParams, halo: HaloParams) -> np.ndarray:
     return out
 
 
-def lineshape_support(axion: AxionParams, halo: HaloParams) -> tuple[float, float]:
-    """Frequency interval [nu_a, nu_a(1 + v_esc^2/(2c^2))] carrying the line."""
-    nu_a = axion.frequency_hz
+def lineshape_support(nu_a: float, halo: HaloParams) -> tuple[float, float]:
+    """Interval [nu_a, nu_a(1 + v_esc^2/(2c^2))] carrying the line with origin nu_a, Hz."""
+    _check_line_origin(nu_a)
     return nu_a, nu_a * (1.0 + halo.v_esc**2 / (2.0 * C_KM_S**2))
 
 
-def effective_field(axion: AxionParams, halo: HaloParams, v_km_s) -> float:
+def effective_field(g_ae: float, halo: HaloParams, v_km_s) -> float:
     """Magnitude of the wind-induced effective magnetic field, Tesla.
 
     B = g_ae * (v/c) * sqrt(2 rho) / (m_e * gamma_e): the spin-precession
@@ -210,14 +175,16 @@ def effective_field(axion: AxionParams, halo: HaloParams, v_km_s) -> float:
     default rho = 0.4 GeV/cm^3 this is 4.19e-21 T.  The other common
     convention, B = g_ae |grad a|/(2e), gives about half of that
     (2.10e-21 T; the ratio is g_e/4 since gamma_e = g_e e/(2 m_e)).
-    signals turns B back into a precession frequency through the qubit's
-    gamma_e and g_min_curve divides by B, so a halved B would halve the
-    simulated precession and double every g_min.
+    signals turns B back into a precession frequency through
+    QubitParams.gamma_e_hz_t and g_min_curve divides by B, so a halved B
+    would halve the simulated precession and double every g_min.
     """
+    if g_ae < 0:
+        raise ValueError(f"g_ae must be non-negative, got {g_ae}")
     v = np.asarray(v_km_s, dtype=float)
     if np.any(v <= 0):
         raise ValueError("speed must be positive")
     rho_ev4 = halo.rho_dm * GEV_CM3_TO_EV4
-    domega_ev = axion.g_ae * (v / C_KM_S) * np.sqrt(2.0 * rho_ev4) / M_E_EV
+    domega_ev = g_ae * (v / C_KM_S) * np.sqrt(2.0 * rho_ev4) / M_E_EV
     b = domega_ev * EV_TO_RAD_S / ELECTRON_GAMMA_RAD_S_T
     return float(b) if np.isscalar(v_km_s) else b

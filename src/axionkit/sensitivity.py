@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import uev_to_hz
 from .geometry import GeometricGains
-from .halo import HaloParams, AxionParams, coherence_time_at_frequency, effective_field
+from .halo import HaloParams, coherence_time, effective_field
 from .signals import QubitParams
 
 
@@ -46,6 +46,12 @@ class SearchConfig:
         for name in ("t_cap_s", "t_tot_s", "bandwidth_hz", "n_sigma"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # bandwidth * T_cap bounds the trials in a segment and T_cap * T_tot
+        # bounds T_coh * T_tot: finite, they keep g_min and log p finite
+        for a, b in (("bandwidth_hz", "t_cap_s"), ("t_cap_s", "t_tot_s")):
+            product = getattr(self, a) * getattr(self, b)
+            if not math.isfinite(product):
+                raise ValueError(f"{a} * {b} = {product} must be finite")
 
 
 # "current" and "future" hardware configurations
@@ -62,7 +68,7 @@ def adaptive_segment(nu_hz, cfg: SearchConfig, halo: HaloParams):
     factor keeps segments strictly inside the field coherence time.
     Elementwise over an array of frequencies.
     """
-    return np.minimum(cfg.epsilon_safety * coherence_time_at_frequency(nu_hz, halo), cfg.t_cap_s)
+    return np.minimum(cfg.epsilon_safety * coherence_time(nu_hz, halo), cfg.t_cap_s)
 
 
 def trials_threshold(nu_hz, cfg: SearchConfig, halo: HaloParams):
@@ -179,15 +185,12 @@ def g_min_curve(
 
     gain_total = _total_gain(gains)
     eta_eff = qubit.eta_b_t_rthz / math.sqrt(qubit.n_spins)
-    b_per_g = effective_field(AxionParams(mass_uev=1.0, g_ae=1.0), halo, halo.v_ref)
+    b_per_g = effective_field(1.0, halo, halo.v_ref)
 
     nu = uev_to_hz(masses)
-    tau = coherence_time_at_frequency(nu, halo)
-    flat = (cfg.epsilon_safety * tau >= cfg.t_cap_s) | (not mass_dependent)
-    if mass_dependent:  # eps < 1 keeps the segment inside tau
-        t_coh = adaptive_segment(nu, cfg, halo)
-    else:
-        t_coh = np.full_like(masses, cfg.t_cap_s)
+    # eps < 1 keeps the segment inside tau; it is the cap exactly where eps tau >= T_cap
+    t_coh = adaptive_segment(nu, cfg, halo) if mass_dependent else np.full_like(masses, cfg.t_cap_s)
+    flat = t_coh == cfg.t_cap_s
     time_factor = np.sqrt(t_coh * cfg.t_tot_s / cfg.t_cap_s)
     z_req = np.maximum(cfg.n_sigma, trials_threshold(nu, cfg, halo))
     g_min = z_req * eta_eff / (b_per_g * time_factor * gain_total)

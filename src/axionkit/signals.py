@@ -18,8 +18,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import geometry
-from .constants import SIDEREAL_DAY_S
-from .halo import AxionParams, HaloParams, effective_field
+from .constants import SIDEREAL_DAY_S, uev_to_hz, uev_to_rad_s
+from .halo import HaloParams, effective_field
 from .timeseries import TimeSeries, short_hash
 
 SYNTH_SCHEMA = "axionkit-baseband/1"
@@ -33,6 +33,34 @@ BYTES_PER_SAMPLE = 40
 class UnrealizableNoiseError(ValueError):
     """A noise setting that passed validation cannot be realized on the
     requested record; the message names the configuration key."""
+
+
+@dataclass(frozen=True)
+class AxionParams:
+    """Oscillating-field parameters: mass in ueV, dimensionless coupling
+    to the electron, and an arbitrary field phase in radians.
+
+    The field amplitude itself never appears: it is eliminated in favor
+    of rho_dm everywhere.
+    """
+
+    mass_uev: float = 1.0
+    g_ae: float = 1e-13
+    phase: float = 0.0
+
+    def __post_init__(self):
+        if not self.mass_uev > 0:
+            raise ValueError(f"mass_uev must be positive, got {self.mass_uev}")
+        if self.g_ae < 0:
+            raise ValueError(f"g_ae must be non-negative, got {self.g_ae}")
+
+    @property
+    def frequency_hz(self) -> float:
+        return uev_to_hz(self.mass_uev)
+
+    @property
+    def omega_rad_s(self) -> float:
+        return uev_to_rad_s(self.mass_uev)
 
 
 @dataclass(frozen=True)
@@ -103,18 +131,14 @@ class NoiseConfig:
 
 
 def modulation_index(
-    axion: AxionParams,
-    halo: HaloParams,
-    qubit: QubitParams,
-    cos_theta: float,
-    v_km_s: float,
+    axion: AxionParams, halo: HaloParams, cos_theta: float, v_km_s: float
 ) -> float:
     """Local FM depth: (gamma_e B_eff / omega_a) * cos(theta).
 
-    With gamma_e in Hz/T and the field frequency in Hz the 2 pi factors
-    cancel.  Linear in the coupling through the effective field.
+    With QubitParams.gamma_e_hz_t in Hz/T and the field frequency in Hz
+    the 2 pi factors cancel.  Linear in the coupling through the effective field.
     """
-    delta_nu = qubit.gamma_e_hz_t * effective_field(axion, halo, v_km_s)
+    delta_nu = QubitParams.gamma_e_hz_t * effective_field(axion.g_ae, halo, v_km_s)
     return delta_nu / axion.frequency_hz * cos_theta
 
 
@@ -307,7 +331,7 @@ def synthesize_observable(
     if coeffs is None:
         coeffs = geometry.modulation_coefficients(site, eph, halo.v_ref)
     clean = geometry.modulation_model(t0 + dt * np.arange(n), coeffs, eph)
-    beta0 = modulation_index(axion, halo, qubit, 1.0, halo.v_ref)
+    beta0 = modulation_index(axion, halo, 1.0, halo.v_ref)
 
     rms = float(np.sqrt(np.mean(clean**2)))
     sigma_white_auto = rms  # single-sample SNR of the modulated tone ~ 1

@@ -21,6 +21,11 @@ def axion():
 
 
 @pytest.fixture
+def nu_a(axion):
+    return axion.frequency_hz
+
+
+@pytest.fixture
 def site():
     return SiteGeometry()
 

@@ -433,12 +433,18 @@ class TestCli:
               "--set", "halo.v_esc=1e-119"], "halo.v0 "),
             (["linewidth", "--masses", "1", "--set", "halo.v0=1e150",
               "--set", "halo.v_esc=2e150"], "halo.v_esc "),
+            # searches whose trial count or integration time overflows
+            (["sensitivity", "--mass-min", "1e-10", "--mass-max", "1e-9",
+              "--set", "search.bandwidth_hz=1e308", "--set", "search.t_cap_s=1e10"],
+             "search.bandwidth_hz * t_cap_s = "),
+            (["sensitivity", "--mass-points", "3", "--set", "search.t_cap_s=1e300",
+              "--set", "search.t_tot_s=1e300"], "search.t_cap_s * t_tot_s = "),
         ],
         ids=["formats-typo", "negative-seed", "negative-noise-seed", "retired-sidereal-rate",
              "retired-t1", "retired-turntable", "retired-coupling", "retired-gamma",
              "retired-section-unknown-key", "infinite-rho-dm", "nan-latitude", "equatorial-site",
              "equatorial-wind", "pink-amplitude-from-white", "unresolvable-halo",
-             "superluminal-halo"],
+             "superluminal-halo", "infinite-trial-count", "infinite-integration-time"],
     )
     def test_bad_run_setting_exit_code(self, tmp_path, capsys, argv, key):
         out = tmp_path / "out"

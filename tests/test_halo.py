@@ -4,12 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
-from axionkit import AxionParams, HaloParams
+from axionkit import HaloParams
 from axionkit.constants import C_KM_S, uev_to_hz
 from axionkit import halo as halo_mod
 from axionkit.halo import (
     coherence_time,
-    coherence_time_at_frequency,
     effective_field,
     fractional_linewidth_second_moment,
     fractional_linewidth_v0,
@@ -95,30 +94,30 @@ class TestLinewidthAndCoherence:
         )
 
     def test_coherence_time_1uev(self, halo):
-        tau = coherence_time(AxionParams(mass_uev=1.0), halo)
+        tau = coherence_time(uev_to_hz(1.0), halo)
         assert tau == pytest.approx(3.3e-3, rel=0.10)
 
     def test_coherence_time_10uev(self, halo):
-        tau = coherence_time(AxionParams(mass_uev=10.0), halo)
+        tau = coherence_time(uev_to_hz(10.0), halo)
         assert tau == pytest.approx(0.33e-3, rel=0.10)
 
     @given(mass=st.floats(0.01, 1000.0))
     @settings(max_examples=40, deadline=None)
     def test_inverse_mass_scaling(self, mass):
         halo = HaloParams()
-        t1 = coherence_time(AxionParams(mass_uev=mass), halo)
-        t2 = coherence_time(AxionParams(mass_uev=2 * mass), halo)
+        t1 = coherence_time(uev_to_hz(mass), halo)
+        t2 = coherence_time(uev_to_hz(2 * mass), halo)
         assert t2 == pytest.approx(0.5 * t1, rel=1e-12)
 
-    def test_coherence_linewidth_consistency(self, halo, axion):
+    def test_coherence_linewidth_consistency(self, halo, nu_a):
         # tau * pi * dnu = 1 exactly
-        dnu = uev_to_hz(axion.mass_uev) * fractional_linewidth_second_moment(halo)
-        assert coherence_time(axion, halo) * np.pi * dnu == pytest.approx(1.0, rel=1e-14)
+        dnu = nu_a * fractional_linewidth_second_moment(halo)
+        assert coherence_time(nu_a, halo) * np.pi * dnu == pytest.approx(1.0, rel=1e-14)
 
-    def test_frequency_parameterization_agrees(self, halo, axion):
-        assert coherence_time_at_frequency(
-            uev_to_hz(axion.mass_uev), halo
-        ) == pytest.approx(coherence_time(axion, halo), rel=1e-14)
+    @pytest.mark.parametrize("nu", [0.0, -1.0, np.array([1.0, 0.0]), np.array([2.0, -3.0])])
+    def test_rejects_nonpositive_frequency(self, halo, nu):
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            coherence_time(nu, halo)
 
 
 class TestQualityFactor:
@@ -129,28 +128,27 @@ class TestQualityFactor:
 
 
 class TestLineshape:
-    def test_zero_below_line_frequency(self, halo, axion):
-        nu_a = uev_to_hz(axion.mass_uev)
+    def test_zero_below_line_frequency(self, halo, nu_a):
         nu = np.linspace(nu_a - 500.0, nu_a - 1e-3, 200)
-        assert np.all(shm_lineshape(nu, axion, halo) == 0.0)
+        assert np.all(shm_lineshape(nu, nu_a, halo) == 0.0)
 
-    def test_support_interval(self, halo, axion):
-        lo, hi = lineshape_support(axion, halo)
+    def test_support_interval(self, halo, nu_a):
+        lo, hi = lineshape_support(nu_a, halo)
         nu = np.array([lo - 1.0, lo + 1e-3, hi - 1e-3, hi + 1.0])
-        g = shm_lineshape(nu, axion, halo)
+        g = shm_lineshape(nu, nu_a, halo)
         assert g[0] == 0.0 and g[3] == 0.0
         assert g[1] > 0.0 and g[2] > 0.0
 
-    def test_normalization_fine_grid(self, halo, axion):
-        lo, hi = lineshape_support(axion, halo)
+    def test_normalization_fine_grid(self, halo, nu_a):
+        lo, hi = lineshape_support(nu_a, halo)
         nu = np.linspace(lo, hi, 200_001)  # resolves the FWHM by far over 50 points
-        total = np.trapezoid(shm_lineshape(nu, axion, halo), nu)
+        total = np.trapezoid(shm_lineshape(nu, nu_a, halo), nu)
         assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_normalization_quadrature(self, halo, axion):
-        lo, hi = lineshape_support(axion, halo)
+    def test_normalization_quadrature(self, halo, nu_a):
+        lo, hi = lineshape_support(nu_a, halo)
         total, _ = integrate.quad(
-            lambda nu: float(shm_lineshape(np.array([nu]), axion, halo)[0]),
+            lambda nu: float(shm_lineshape(np.array([nu]), nu_a, halo)[0]),
             lo,
             hi,
             points=[lo, hi],
@@ -158,13 +156,13 @@ class TestLineshape:
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def _fwhm(self, axion, halo):
-        nu_a = uev_to_hz(axion.mass_uev)
+    def _fwhm(self, mass_uev, halo):
+        nu_a = uev_to_hz(mass_uev)
         x0 = nu_a * fractional_linewidth_v0(halo)
         peak_x = x0 / 2.0
 
         def height(x):
-            return float(shm_lineshape(np.array([nu_a + x]), axion, halo)[0])
+            return float(shm_lineshape(np.array([nu_a + x]), nu_a, halo)[0])
 
         half = 0.5 * height(peak_x)
         left = optimize.brentq(lambda x: height(x) - half, 1e-9 * x0, peak_x)
@@ -172,28 +170,35 @@ class TestLineshape:
         return right - left
 
     def test_fwhm_1uev(self, halo):
-        fwhm = self._fwhm(AxionParams(mass_uev=1.0), halo)
+        fwhm = self._fwhm(1.0, halo)
         # analytic oracle: the half-max points of sqrt(u) e^-u lie 1.7954031 scale
         # units apart
         x0 = uev_to_hz(1.0) * fractional_linewidth_v0(halo)
         assert fwhm == pytest.approx(1.7954030489 * x0, rel=1e-6)
 
     def test_fwhm_scales_linearly_with_mass(self, halo):
-        f1 = self._fwhm(AxionParams(mass_uev=1.0), halo)
-        f5 = self._fwhm(AxionParams(mass_uev=5.0), halo)
+        f1 = self._fwhm(1.0, halo)
+        f5 = self._fwhm(5.0, halo)
         assert f5 == pytest.approx(5 * f1, rel=1e-6)
 
     def test_fwhm_for_v0_230(self):
         halo = HaloParams(v0=230.0, v_esc=544.0)
-        fwhm = self._fwhm(AxionParams(mass_uev=1.0), halo)
+        fwhm = self._fwhm(1.0, halo)
         x0 = uev_to_hz(1.0) * fractional_linewidth_v0(halo)
         assert fwhm == pytest.approx(1.7954030489 * x0, rel=0.01)
 
-    def test_rejects_bad_grids(self, halo, axion):
+    def test_rejects_bad_grids(self, halo, nu_a):
         with pytest.raises(ValueError):
-            shm_lineshape(np.array([]), axion, halo)
+            shm_lineshape(np.array([]), nu_a, halo)
         with pytest.raises(ValueError):
-            shm_lineshape(np.array([3.0, 2.0, 1.0]), axion, halo)
+            shm_lineshape(np.array([3.0, 2.0, 1.0]), nu_a, halo)
+
+    @pytest.mark.parametrize("bad", [0.0, -uev_to_hz(1.0), np.inf, np.nan])
+    def test_rejects_bad_line_origin(self, halo, nu_a, bad):
+        with pytest.raises(ValueError, match="nu_a must be positive and finite"):
+            shm_lineshape(np.array([nu_a, nu_a + 1.0]), bad, halo)
+        with pytest.raises(ValueError, match="nu_a must be positive and finite"):
+            lineshape_support(bad, halo)
 
 
 class TestEffectiveField:
@@ -206,17 +211,16 @@ class TestEffectiveField:
         g, v_frac = 1e-13, 1e-3
         delta_e = g * v_frac * np.sqrt(2 * rho_si * hbarc**3) / (510998.95 * ev_j)
         expected = delta_e / hbar / 1.76085963023e11
-        axion = AxionParams(mass_uev=1.0, g_ae=g)
-        value = effective_field(axion, halo, v_frac * C_KM_S)
+        value = effective_field(g, halo, v_frac * C_KM_S)
         assert value == pytest.approx(expected, rel=1e-9)
         assert value == pytest.approx(4.186144e-21, rel=1e-6)
 
     def test_zero_coupling(self, halo):
-        assert effective_field(AxionParams(mass_uev=1.0, g_ae=0.0), halo, 230.0) == 0.0
+        assert effective_field(0.0, halo, 230.0) == 0.0
 
     def test_linearity_in_coupling(self, halo):
-        b1 = effective_field(AxionParams(mass_uev=1.0, g_ae=1e-13), halo, 230.0)
-        b2 = effective_field(AxionParams(mass_uev=1.0, g_ae=2e-13), halo, 230.0)
+        b1 = effective_field(1e-13, halo, 230.0)
+        b2 = effective_field(2e-13, halo, 230.0)
         assert b2 == 2.0 * b1
 
     @given(
@@ -227,14 +231,17 @@ class TestEffectiveField:
     @settings(max_examples=60, deadline=None)
     def test_bilinear_and_sqrt_rho_scaling(self, g, v, k):
         halo = HaloParams()
-        axion = AxionParams(mass_uev=1.0, g_ae=g)
-        base = effective_field(axion, halo, v)
-        assert effective_field(axion, halo, k * v) == pytest.approx(k * base, rel=1e-12)
+        base = effective_field(g, halo, v)
+        assert effective_field(g, halo, k * v) == pytest.approx(k * base, rel=1e-12)
         scaled_rho = HaloParams(rho_dm=k * halo.rho_dm)
-        assert effective_field(axion, scaled_rho, v) == pytest.approx(
+        assert effective_field(g, scaled_rho, v) == pytest.approx(
             np.sqrt(k) * base, rel=1e-12
         )
 
-    def test_rejects_nonpositive_speed(self, halo, axion):
+    def test_rejects_nonpositive_speed(self, halo):
         with pytest.raises(ValueError):
-            effective_field(axion, halo, 0.0)
+            effective_field(1e-13, halo, 0.0)
+
+    def test_rejects_negative_coupling(self, halo):
+        with pytest.raises(ValueError, match="g_ae must be non-negative"):
+            effective_field(-1e-13, halo, 230.0)

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from axionkit import AxionParams, HaloParams, QubitParams, SearchConfig, SiteGeometry
+from axionkit import HaloParams, QubitParams, SearchConfig, SiteGeometry
 from axionkit import sensitivity as sens
 from axionkit.constants import uev_to_hz
 from axionkit.geometry import geometric_gains
-from axionkit.halo import coherence_time_at_frequency, effective_field
+from axionkit.halo import coherence_time, effective_field
 
 
 def gaussian_tail_quantile_oracle(p):
@@ -29,11 +29,11 @@ def gaussian_tail_quantile_oracle(p):
 def g_min_loop_reference(masses, qubit, halo, cfg, gain_total, mass_dependent):
     """The per-mass scalar loop that g_min_curve vectorizes (no tail branch)."""
     eta_eff = qubit.eta_b_t_rthz / math.sqrt(qubit.n_spins)
-    b_per_g = effective_field(AxionParams(mass_uev=1.0, g_ae=1.0), halo, halo.v_ref)
+    b_per_g = effective_field(1.0, halo, halo.v_ref)
     g_min, regime = [], []
     for m in masses:
         nu = uev_to_hz(m)
-        tau = coherence_time_at_frequency(nu, halo)
+        tau = coherence_time(nu, halo)
         t_seg = min(cfg.epsilon_safety * tau, cfg.t_cap_s)
         t_coh = min(t_seg, tau) if mass_dependent else cfg.t_cap_s
         flat = not mass_dependent or cfg.epsilon_safety * tau >= cfg.t_cap_s
@@ -57,7 +57,7 @@ class TestAdaptiveSegment:
     def test_coherence_binds_at_high_mass(self, cfg, halo):
         nu = uev_to_hz(20.0)
         t_seg = sens.adaptive_segment(nu, cfg, halo)
-        tau = coherence_time_at_frequency(nu, halo)
+        tau = coherence_time(nu, halo)
         assert t_seg == pytest.approx(cfg.epsilon_safety * tau, rel=1e-12)
         assert t_seg < tau  # phase-coherence guard
 
@@ -76,7 +76,7 @@ class TestAdaptiveSegment:
         cfg, halo = SearchConfig(), HaloParams()
         t_seg = sens.adaptive_segment(nu, cfg, halo)
         assert t_seg <= cfg.t_cap_s + 1e-15
-        assert t_seg <= cfg.epsilon_safety * coherence_time_at_frequency(nu, halo) * (1 + 1e-12)
+        assert t_seg <= cfg.epsilon_safety * coherence_time(nu, halo) * (1 + 1e-12)
 
 
 class TestTrialsThreshold:
@@ -179,7 +179,7 @@ class TestGminCurve:
         curve = sens.g_min_curve(masses, qubit, halo, cfg)
         for m, label in zip(curve.mass_uev, curve.regime):
             nu = uev_to_hz(m)
-            cap_binds = cfg.epsilon_safety * coherence_time_at_frequency(nu, halo) >= cfg.t_cap_s
+            cap_binds = cfg.epsilon_safety * coherence_time(nu, halo) >= cfg.t_cap_s
             assert label == ("flat" if cap_binds else "tau_limited")
 
     def test_future_preset_band(self, cfg, halo):

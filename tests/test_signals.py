@@ -19,19 +19,19 @@ def bessel_integral_oracle(n, beta):
 
 
 class TestModulationIndex:
-    def test_zero_projection(self, axion, halo, qubit):
-        assert sig.modulation_index(axion, halo, qubit, 0.0, 230.0) == 0.0
+    def test_zero_projection(self, axion, halo):
+        assert sig.modulation_index(axion, halo, 0.0, 230.0) == 0.0
 
-    def test_linear_in_coupling(self, halo, qubit):
-        b1 = sig.modulation_index(AxionParams(g_ae=1e-13), halo, qubit, 1.0, 230.0)
-        b2 = sig.modulation_index(AxionParams(g_ae=3e-13), halo, qubit, 1.0, 230.0)
+    def test_linear_in_coupling(self, halo):
+        b1 = sig.modulation_index(AxionParams(g_ae=1e-13), halo, 1.0, 230.0)
+        b2 = sig.modulation_index(AxionParams(g_ae=3e-13), halo, 1.0, 230.0)
         assert b2 / b1 == pytest.approx(3.0, rel=1e-12)
 
-    def test_dimensional_oracle(self, halo, qubit):
+    def test_dimensional_oracle(self, halo):
         # independent chain: frozen effective field (from the SI oracle in
         # test_halo) times gamma in Hz/T over the line frequency in Hz
         beta = sig.modulation_index(
-            AxionParams(mass_uev=1.0, g_ae=1e-13), halo, qubit, 1.0, 1e-3 * 299792.458
+            AxionParams(mass_uev=1.0, g_ae=1e-13), halo, 1.0, 1e-3 * 299792.458
         )
         expected = 28e9 * 4.186144e-21 / 241798924.2
         assert beta == pytest.approx(expected, rel=1e-4)
