@@ -83,9 +83,9 @@ def _check_args(names: str, check, *values) -> None:
         raise ConfigError(f"{names}: {exc}") from None
 
 
-# peak bytes of a run per unit of its size, measured with tracemalloc on
-# whole runs (numpy 2.4): a sensitivity grid's mass (four curves, the CSVs
-# and the plot) and a linewidth line shape (_LINEWIDTH_ROWS rows of 160 bytes)
+# peak bytes of a run per unit of its size, measured with tracemalloc on whole
+# runs (numpy 2.4): a sensitivity grid's mass (880 for its one g_min_curve pass,
+# CSVs and plot) and a linewidth line shape (_LINEWIDTH_ROWS rows of 160 bytes)
 _BYTES_PER_MASS = 1000
 _LINEWIDTH_ROWS = 1500
 _BYTES_PER_SHAPE = _LINEWIDTH_ROWS * 160
@@ -317,22 +317,17 @@ def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
     if gains_mode == "all":
         gain_record.update(matched_weighting=gains.g_daily, three_axis=gains.g_three_axis,
                            resource_sqrt_n=math.sqrt(gains.n_axes))
-    variants = {
-        mode: sensitivity.g_min_curve(masses, qubit, cfg.halo, cfg.search, gains=gain)
-        for mode, gain in gain_for.items()
-    }
-    curve = variants[gains_mode]
-    flat = sensitivity.g_min_curve(
-        masses, qubit, cfg.halo, cfg.search,
-        gains=gain_for[gains_mode], mass_dependent=False,
-    )
+    curves = sensitivity.g_min_curve(masses, qubit, cfg.halo, cfg.search, list(gain_for.values()))
+    row = list(gain_for).index(gains_mode)
+    shm, flat = curves.g_min[row], curves.g_min_flat[row]
+    baseline, matched, all_gains = curves.g_min
     dfsz_lo, dfsz_hi, dfsz_bench = sensitivity.dfsz_band(masses)
     return {
-        "sensitivity_shm.csv": _csv("m_a_uev,g_min,regime", (masses, curve.g_min, curve.regime)),
-        "sensitivity_flat.csv": _csv("m_a_uev,g_min,regime", (masses, flat.g_min, flat.regime)),
+        "sensitivity_shm.csv": _csv("m_a_uev,g_min,regime", (masses, shm, curves.regime)),
+        "sensitivity_flat.csv": _csv("m_a_uev,g_min,regime", (masses, flat, ["flat"] * len(flat))),
         "sensitivity_variants.csv": _csv(
             "m_a_uev,g_min_baseline,g_min_matched,g_min_all_gains,regime",
-            (masses, *(v.g_min for v in variants.values()), curve.regime),
+            (masses, baseline, matched, all_gains, curves.regime),
         ),
         "dfsz.csv": _csv(
             "m_a_uev,g_low,g_high,g_tan_beta_1", (masses, dfsz_lo, dfsz_hi, dfsz_bench)
@@ -351,9 +346,9 @@ def cmd_sensitivity(cfg: RunConfig, args: dict) -> dict:
         ),
         "sensitivity.svg": _svg(
             [
-                {"x": masses, "y": variants["none"].g_min, "label": "baseline"},
-                {"x": masses, "y": variants["matched"].g_min, "label": "matched weighting"},
-                {"x": masses, "y": variants["all"].g_min, "label": "all gains"},
+                {"x": masses, "y": baseline, "label": "baseline"},
+                {"x": masses, "y": matched, "label": "matched weighting"},
+                {"x": masses, "y": all_gains, "label": "all gains"},
                 {"x": masses, "y": dfsz_bench, "label": "benchmark model"},
             ],
             xlabel="mass (ueV)",

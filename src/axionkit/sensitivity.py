@@ -15,6 +15,7 @@ is closed-form.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ class SearchConfig:
             product = getattr(self, a) * getattr(self, b)
             if not math.isfinite(product):
                 raise ValueError(f"{a} * {b} = {product} must be finite")
+        # a segment holds a trial, so T_coh >= 1/bandwidth: floors of T_coh * T_tot, time_factor**2
+        per_hz = self.t_tot_s / self.bandwidth_hz
+        for name, floor in (("", per_hz), (" / t_cap_s", per_hz / self.t_cap_s)):
+            if floor < sys.float_info.min:
+                raise ValueError(f"t_tot_s / bandwidth_hz{name} = {floor} underflows")
 
 
 # "current" and "future" hardware configurations
@@ -139,22 +145,21 @@ def _normal_quantile_of_log(log_p):
 
 @dataclass
 class SensitivityCurve:
-    """Minimum detectable coupling over a mass grid, with each mass's
-    regime label ("flat" or "tau_limited"); cli writes it as
-    sensitivity_shm.csv or sensitivity_flat.csv."""
+    """Minimum detectable coupling over a mass grid, one row per gain factor
+    (see g_min_curve), with each mass's regime label ("flat" or "tau_limited")
+    and the coherence-blind g_min_flat, T_coh frozen at the capture cap."""
 
     mass_uev: np.ndarray
     g_min: np.ndarray
+    g_min_flat: np.ndarray
     regime: list
 
 
-def _total_gain(gains) -> float:
-    if gains is None:
-        return 1.0
+def _total_gain(gains) -> np.ndarray:
     if isinstance(gains, GeometricGains):
-        return gains.g_total
-    g = float(gains)
-    if g <= 0:
+        gains = gains.g_total
+    g = np.asarray(1.0 if gains is None else gains, dtype=float)
+    if not np.all(g > 0):
         raise ValueError("gain factor must be positive")
     return g
 
@@ -165,7 +170,6 @@ def g_min_curve(
     halo: HaloParams,
     cfg: SearchConfig,
     gains=None,
-    mass_dependent: bool = True,
 ) -> SensitivityCurve:
     """Minimum detectable coupling over the mass grid.
 
@@ -173,9 +177,10 @@ def g_min_curve(
     look-elsewhere threshold; the achievable SNR per unit coupling is
     (B_eff(g=1, v_ref)/eta_eff) * sqrt(T_coh * T_tot / T_cap) with
     eta_eff = eta_B/sqrt(n_spins), and the closed-form inversion gives
-    g_min directly.  gains may be a GeometricGains record or a plain
-    factor; it divides g_min uniformly.  mass_dependent=False freezes
-    T_coh at the capture cap, producing the coherence-blind variant.
+    g_min directly.  gains may be a GeometricGains record, a plain factor
+    or a sequence of factors, each dividing g_min uniformly: g_min has
+    shape gains.shape + masses.shape, one row per factor.  g_min_flat
+    freezes T_coh at the capture cap: the coherence-blind variant.
     """
     masses = np.asarray(mass_uev, dtype=float)
     if masses.size == 0:
@@ -183,22 +188,22 @@ def g_min_curve(
     if np.any(np.diff(masses) <= 0):
         raise ValueError("mass grid must be strictly increasing")
 
-    gain_total = _total_gain(gains)
+    gain = _total_gain(gains)[..., None]
     eta_eff = qubit.eta_b_t_rthz / math.sqrt(qubit.n_spins)
     b_per_g = effective_field(1.0, halo, halo.v_ref)
 
     nu = uev_to_hz(masses)
     # eps < 1 keeps the segment inside tau; it is the cap exactly where eps tau >= T_cap
-    t_coh = adaptive_segment(nu, cfg, halo) if mass_dependent else np.full_like(masses, cfg.t_cap_s)
-    flat = t_coh == cfg.t_cap_s
-    time_factor = np.sqrt(t_coh * cfg.t_tot_s / cfg.t_cap_s)
-    z_req = np.maximum(cfg.n_sigma, trials_threshold(nu, cfg, halo))
-    g_min = z_req * eta_eff / (b_per_g * time_factor * gain_total)
-    bad = ~(np.isfinite(g_min) & (g_min > 0))
-    if np.any(bad):
-        raise ValueError(f"non-physical coupling at m={np.extract(bad, masses)[0]} ueV")
+    t_coh = adaptive_segment(nu, cfg, halo)
+    regime = np.where(t_coh == cfg.t_cap_s, "flat", "tau_limited").tolist()
+    z_eta = np.maximum(cfg.n_sigma, trials_threshold(nu, cfg, halo)) * eta_eff
+    g_min, g_min_flat = (z_eta / (b_per_g * np.sqrt(t * cfg.t_tot_s / cfg.t_cap_s) * gain)
+                         for t in (t_coh, cfg.t_cap_s))
+    ok = np.isfinite(g_min) & np.isfinite(g_min_flat) & (g_min > 0) & (g_min_flat > 0)
+    if not np.all(ok):
+        raise ValueError(f"non-physical coupling at m={masses[np.nonzero(~ok)[-1].min()]} ueV")
 
-    return SensitivityCurve(masses, g_min, np.where(flat, "flat", "tau_limited").tolist())
+    return SensitivityCurve(masses, g_min, g_min_flat, regime)
 
 
 # benchmark-model constants, used only for the overlay band:

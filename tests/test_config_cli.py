@@ -305,6 +305,47 @@ class TestCli:
         config = record["config"]
         assert config["qubit"] == dataclasses.asdict(sensitivity.PRESETS["current"])
 
+    @pytest.mark.parametrize("preset", ["current", "future"])
+    def test_sensitivity_columns_from_one_pass(self, tmp_path, monkeypatch, preset):
+        from test_sensitivity import g_min_loop_reference
+
+        calls = []
+        g_min_curve = sensitivity.g_min_curve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return g_min_curve(*args, **kwargs)
+
+        monkeypatch.setattr(sensitivity, "g_min_curve", counted)
+        out = tmp_path / preset
+        assert self.run("sensitivity", "--out", str(out), "--preset", preset,
+                        "--gains", "all", "--mass-points", "8") == 0
+        assert len(calls) == 1
+
+        cfg, qubit = build_config({}), sensitivity.PRESETS[preset]
+        g = geometry.geometric_gains(cfg.geometry)
+
+        def read(name):
+            rows = [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+            masses, *columns, regime = zip(*rows)
+            return np.array(masses, dtype=float), np.array(columns, dtype=float), list(regime)
+
+        def reference(masses, gain, coherence_limited):
+            return g_min_loop_reference(masses, qubit, cfg.halo, cfg.search, gain,
+                                        coherence_limited)
+
+        masses, variants, regime = read("sensitivity_variants.csv")
+        for column, gain in zip(variants, (1.0, g.g_daily, g.g_total), strict=True):
+            g_ref, regime_ref = reference(masses, gain, True)
+            np.testing.assert_array_equal(column, g_ref)
+            assert regime == regime_ref
+        for name, coherence_limited in (("sensitivity_shm.csv", True),
+                                        ("sensitivity_flat.csv", False)):
+            masses, (column,), regime = read(name)
+            g_ref, regime_ref = reference(masses, g.g_total, coherence_limited)
+            np.testing.assert_array_equal(column, g_ref)
+            assert regime == regime_ref
+
     def test_psd_triplet_with_default_synthesis(self, tmp_path):
         # four years of default-geometry synthesis with noise: the annual
         # sidebands appear as local maxima at the marker frequencies
@@ -439,12 +480,19 @@ class TestCli:
              "search.bandwidth_hz * t_cap_s = "),
             (["sensitivity", "--mass-points", "3", "--set", "search.t_cap_s=1e300",
               "--set", "search.t_tot_s=1e300"], "search.t_cap_s * t_tot_s = "),
+            # searches whose integration time underflows
+            (["sensitivity", "--mass-points", "3", "--set", "search.t_cap_s=1e-300",
+              "--set", "search.t_tot_s=1e-300", "--set", "search.bandwidth_hz=1e300"],
+             "search.t_tot_s / bandwidth_hz = "),
+            (["sensitivity", "--mass-points", "3", "--set", "search.t_cap_s=1e10",
+              "--set", "search.t_tot_s=1e-300"], "search.t_tot_s / bandwidth_hz / t_cap_s = "),
         ],
         ids=["formats-typo", "negative-seed", "negative-noise-seed", "retired-sidereal-rate",
              "retired-t1", "retired-turntable", "retired-coupling", "retired-gamma",
              "retired-section-unknown-key", "infinite-rho-dm", "nan-latitude", "equatorial-site",
              "equatorial-wind", "pink-amplitude-from-white", "unresolvable-halo",
-             "superluminal-halo", "infinite-trial-count", "infinite-integration-time"],
+             "superluminal-halo", "infinite-trial-count", "infinite-integration-time",
+             "underflowing-integration-time", "subnormal-integration-time"],
     )
     def test_bad_run_setting_exit_code(self, tmp_path, capsys, argv, key):
         out = tmp_path / "out"

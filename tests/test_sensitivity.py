@@ -26,8 +26,9 @@ def gaussian_tail_quantile_oracle(p):
     return 0.5 * (lo + hi)
 
 
-def g_min_loop_reference(masses, qubit, halo, cfg, gain_total, mass_dependent):
-    """The per-mass scalar loop that g_min_curve vectorizes (no tail branch)."""
+def g_min_loop_reference(masses, qubit, halo, cfg, gain_total, coherence_limited):
+    """The per-mass scalar loop that g_min_curve vectorizes (no tail branch):
+    its g_min with coherence_limited, its g_min_flat without."""
     eta_eff = qubit.eta_b_t_rthz / math.sqrt(qubit.n_spins)
     b_per_g = effective_field(1.0, halo, halo.v_ref)
     g_min, regime = [], []
@@ -35,8 +36,8 @@ def g_min_loop_reference(masses, qubit, halo, cfg, gain_total, mass_dependent):
         nu = uev_to_hz(m)
         tau = coherence_time(nu, halo)
         t_seg = min(cfg.epsilon_safety * tau, cfg.t_cap_s)
-        t_coh = min(t_seg, tau) if mass_dependent else cfg.t_cap_s
-        flat = not mass_dependent or cfg.epsilon_safety * tau >= cfg.t_cap_s
+        t_coh = min(t_seg, tau) if coherence_limited else cfg.t_cap_s
+        flat = not coherence_limited or cfg.epsilon_safety * tau >= cfg.t_cap_s
         regime.append("flat" if flat else "tau_limited")
         time_factor = math.sqrt(t_coh * cfg.t_tot_s / cfg.t_cap_s)
         log_p = math.log(cfg.alpha) - math.log(cfg.bandwidth_hz * t_seg)
@@ -222,33 +223,53 @@ class TestGminCurve:
 
     def test_mass_independent_variant_is_flat(self, cfg, halo, qubit):
         masses = np.geomspace(0.1, 50.0, 20)
-        curve = sens.g_min_curve(masses, qubit, halo, cfg, mass_dependent=False)
-        spread = np.log(curve.g_min.max() / curve.g_min.min())
+        g_flat = sens.g_min_curve(masses, qubit, halo, cfg).g_min_flat
+        spread = np.log(g_flat.max() / g_flat.min())
         assert spread < 0.01
-        assert all(r == "flat" for r in curve.regime)
 
     def test_empty_grid_rejected(self, cfg, halo, qubit):
         with pytest.raises(ValueError, match="empty"):
             sens.g_min_curve(np.array([]), qubit, halo, cfg)
 
     @pytest.mark.parametrize("preset", ["current", "future"])
-    @pytest.mark.parametrize("mass_dependent", [True, False])
-    def test_matches_scalar_loop(self, cfg, halo, preset, mass_dependent):
+    @pytest.mark.parametrize("coherence_limited", [True, False])
+    def test_matches_scalar_loop(self, cfg, halo, preset, coherence_limited):
         qubit = sens.PRESETS[preset]
         gains = geometric_gains(SiteGeometry())
         grids = [
-            (np.geomspace(1.0, 10.0, 50), (None, gains.g_daily, gains)),
-            (np.geomspace(0.05, 200.0, 150), (None,)),
+            (np.geomspace(1.0, 10.0, 50),
+             ((None, 1.0), (gains.g_daily, gains.g_daily), (gains, gains.g_total))),
+            (np.geomspace(0.05, 200.0, 150), ((None, 1.0),)),
         ]
         for masses, gain_options in grids:
-            for gain in gain_options:
-                total = sens._total_gain(gain)
-                curve = sens.g_min_curve(masses, qubit, halo, cfg, gains=gain,
-                                         mass_dependent=mass_dependent)
+            for gain, total in gain_options:
+                curve = sens.g_min_curve(masses, qubit, halo, cfg, gains=gain)
                 g_ref, regime_ref = g_min_loop_reference(
-                    masses, qubit, halo, cfg, total, mass_dependent)
-                assert curve.regime == regime_ref
-                np.testing.assert_array_equal(curve.g_min, g_ref)  # same arithmetic, same bits
+                    masses, qubit, halo, cfg, total, coherence_limited)
+                if coherence_limited:
+                    assert curve.regime == regime_ref
+                g_min = curve.g_min if coherence_limited else curve.g_min_flat
+                np.testing.assert_array_equal(g_min, g_ref)  # same arithmetic, same bits
+
+    @given(
+        gain_tuple=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4).map(tuple),
+        masses=st.lists(st.floats(0.05, 200.0), min_size=1, max_size=12, unique=True).map(sorted),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_gains_match_per_gain_calls(self, gain_tuple, masses):
+        cfg, halo, qubit = SearchConfig(), HaloParams(), QubitParams()
+        batch = sens.g_min_curve(masses, qubit, halo, cfg, gains=gain_tuple)
+        assert batch.g_min.shape == batch.g_min_flat.shape == (len(gain_tuple), len(masses))
+        for gain, g_min, g_min_flat in zip(gain_tuple, batch.g_min, batch.g_min_flat):
+            one = sens.g_min_curve(masses, qubit, halo, cfg, gains=gain)
+            np.testing.assert_array_equal(g_min, one.g_min)
+            np.testing.assert_array_equal(g_min_flat, one.g_min_flat)
+            assert one.regime == batch.regime
+
+    @pytest.mark.parametrize("gains", [[2.0, 0.0], [1.0, -1.0], [math.nan]])
+    def test_non_positive_gain_in_batch_rejected(self, cfg, halo, qubit, gains):
+        with pytest.raises(ValueError, match="gain factor must be positive"):
+            sens.g_min_curve(np.geomspace(1.0, 10.0, 4), qubit, halo, cfg, gains=gains)
 
     def test_current_vs_future_ordering(self, cfg, halo):
         masses = np.geomspace(1.0, 10.0, 8)
