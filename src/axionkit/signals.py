@@ -173,29 +173,35 @@ def pink_noise(
 ) -> np.ndarray:
     """Gaussian noise with one-sided PSD A/f^exponent, A given at 1 Hz.
 
-    Spectral shaping in the frequency domain: each rFFT coefficient is
-    drawn with variance matching the target density, the DC term is
-    zeroed, and the record is transformed back.  Exact PSD control at
-    arbitrary record length, deterministic per generator state.
+    Spectral shaping in the frequency domain: each rFFT coefficient of a
+    draw of m = _fast_len(n, real=True) samples, the least 5-smooth
+    length >= n, is drawn with variance matching the target density, the
+    DC term is zeroed, and the first n samples of the inverse transform
+    are kept.  Drawing at m rather than n keeps both transforms off the
+    slow path of a length with a large prime factor (every 365.25-day
+    record carries 487); the kept samples have the target density on
+    the grid k / (m dt), and they are not periodic over the record.
+    Deterministic per generator state.
 
     Raises UnrealizableNoiseError, naming noise.pink_exponent and
     noise.pink_amplitude, when the target density is not finite on the
-    record's frequency grid (a steep exponent or a huge amplitude
-    overflows at the lowest frequency, 1/(n dt)).
+    drawn frequency grid (a steep exponent or a huge amplitude overflows
+    at the lowest frequency, 1/(m dt)).
     """
     if amp_psd_1hz <= 0:
         return np.zeros(n)
+    m = _fast_len(n, real=True)
     # scale holds the frequency grid, then the target density, then the
     # coefficient standard deviation
-    scale = np.fft.rfftfreq(n, dt)
+    scale = np.fft.rfftfreq(m, dt)
     lowest = scale[1]
     density = scale[1:]
     with np.errstate(divide="ignore", over="ignore"):
         density **= exponent
         np.divide(amp_psd_1hz, density, out=density)
         scale[0] = 0.0
-        # one-sided PSD S relates to rfft coefficients via E|X_k|^2 = S_k n / (2 dt)
-        scale *= n
+        # one-sided PSD S relates to rfft coefficients via E|X_k|^2 = S_k m / (2 dt)
+        scale *= m
         scale /= 2.0 * dt
         np.sqrt(scale, out=scale)
     if not np.all(np.isfinite(scale)):
@@ -213,9 +219,9 @@ def pink_noise(
     z.imag *= scale
     del scale, density
     z[0] = 0.0
-    if n % 2 == 0:
+    if m % 2 == 0:
         z[-1] = z[-1].real * math.sqrt(2.0)
-    return np.fft.irfft(z, n)
+    return np.fft.irfft(z, m)[:n]
 
 
 def telegraph_noise(

@@ -32,10 +32,10 @@ class WindowSpec:
         if not 0.0 <= self.overlap <= 0.9:
             raise ValueError(f"overlap must be in [0, 0.9], got {self.overlap}")
 
-    def taper(self, n: int) -> np.ndarray:
-        if self.kind == "rectangular":
-            return np.ones(n)
-        return np.hanning(n)
+    def taper(self, n: int) -> np.ndarray | None:
+        """The taper's n weights, or None for rectangular: the segment is
+        used as is, which is exact and saves a pass."""
+        return None if self.kind == "rectangular" else np.hanning(n)
 
 
 @dataclass
@@ -52,6 +52,60 @@ class Spectrum:
         return self.df * np.arange(len(self.psd))
 
 
+def _split_prime(n: int) -> int:
+    """The largest prime factor p of n when it is above 11 and below n,
+    else 0: the factor at which _rfft_power splits its transform."""
+    rest, p, q = n, 1, 2
+    while q * q <= rest:
+        while rest % q == 0:
+            p, rest = q, rest // q
+        q += 1
+    p = max(p, rest)
+    return p if 11 < p < n else 0
+
+
+def _rfft_power(seg: np.ndarray) -> np.ndarray:
+    """|rfft(seg)|^2 at the segment's own length n.
+
+    pocketfft takes Bluestein's path at a length with a large prime
+    factor, which costs two or three times a fast length.  When n = p m
+    with p the largest prime factor, above 11 and below n, the transform
+    is split at p (four-step Cooley-Tukey, k = k1 + p k2): a real
+    length-p transform down the columns of seg.reshape(p, m), the
+    twiddles exp(-2 pi i k1 n2 / n) applied row by row, and a length-m
+    transform along the rows.  Only rows k1 <= p // 2 are transformed;
+    the others follow from |X[n - k]| = |X[k]| of a real input.  Every
+    other length goes to np.fft.rfft unchanged, so 11-smooth lengths
+    give the same bytes as before.
+    """
+    n = seg.size
+    p = _split_prime(n)
+    if not p:
+        return np.abs(np.fft.rfft(seg)) ** 2
+    m = n // p
+    cols = np.fft.rfft(seg.reshape(p, m), axis=0)  # (p // 2 + 1, m): k1 by n2
+    # k1 n2 < n / 2, so each twiddle angle lies in [-pi, 0]
+    step = (-2.0 * math.pi / n) * np.arange(m)
+    angle = np.empty(m)
+    twiddle = np.empty(m, dtype=complex)
+    for k1 in range(1, cols.shape[0]):
+        np.multiply(step, k1, out=angle)
+        np.cos(angle, out=twiddle.real)
+        np.sin(angle, out=twiddle.imag)
+        cols[k1] *= twiddle
+    np.fft.fft(cols, axis=1, out=cols)
+    half = np.abs(cols)  # |X[k1 + p k2]| for k1 <= p // 2
+    del cols
+    np.square(half, out=half)
+    h, n_freq = half.shape[0], n // 2 + 1
+    k2_rows = -(-n_freq // p)
+    power = np.empty((k2_rows, p))
+    power[:, :h] = half[:, :k2_rows].T
+    # p // 2 < k1 < p: n - k = (p - k1) + p (m - 1 - k2)
+    power[:, h:] = half[p - h : 0 : -1, ::-1][:, :k2_rows].T
+    return power.reshape(-1)[:n_freq]
+
+
 def periodogram(series: TimeSeries, window: WindowSpec) -> Spectrum:
     """Averaged modified periodogram of a real record.
 
@@ -59,12 +113,11 @@ def periodogram(series: TimeSeries, window: WindowSpec) -> Spectrum:
     stationary input (within estimator noise).  Segments are tapered,
     overlapped by the configured fraction, and averaged in fixed order.
     Each segment is transformed at its own length, not padded to the
-    next 5-smooth length (the one scipy.fft.next_fast_len would pick),
-    even where that length has a large prime factor (a year at
-    dt = 10 s is 3,155,760 = 2^4 3^4 5 487 samples, which transform
-    about three times slower than the next fast length):
-    the bin grid k / (nper dt) is the data of record in psd.csv, and
-    padding would move it.
+    next fast length: the bin grid k / (nper dt) is the data of record
+    in psd.csv, and padding would move it.  A length with a prime factor
+    above 11 (a year at dt = 10 s is 3,155,760 = 2^4 3^4 5 487 samples)
+    is transformed by splitting at that prime (_rfft_power), which
+    agrees with np.fft.rfft to rounding.
     """
     y = series.samples
     if np.iscomplexobj(y):
@@ -78,15 +131,14 @@ def periodogram(series: TimeSeries, window: WindowSpec) -> Spectrum:
         raise ValueError(f"segment of {nper} samples exceeds the {n}-sample record")
 
     taper = window.taper(nper)
-    u = float(np.sum(taper**2))
+    u = float(nper) if taper is None else float(np.sum(taper**2))
     step = max(1, int(round(nper * (1.0 - window.overlap))))
     n_freq = nper // 2 + 1
     acc = np.zeros(n_freq)
     count = 0
     for start in range(0, n - nper + 1, step):
-        seg = y[start : start + nper] * taper
-        spec = np.abs(np.fft.rfft(seg)) ** 2
-        acc += spec
+        seg = y[start : start + nper]
+        acc += _rfft_power(seg if taper is None else seg * taper)
         count += 1
     psd = acc * (2.0 * dt / (u * count))
     psd[0] *= 0.5
@@ -126,29 +178,30 @@ _BLOCK = 4096
 
 
 def _line_sums(t0: float, dt: float, y, omega: float, offsets) -> np.ndarray:
-    """sum_k y_k exp(-i (omega + d_j) t_k) for each offset d_j, on the
+    """sum_k y_k exp(-i w_j t_k) for each line w_j = omega + d_j, on the
     uniform grid t_k = t0 + k dt of TimeSeries.times.
 
-    The record is mixed once with exp(-i omega t).  With k = b _BLOCK + m,
-    exp(-i d t_k) splits into the per-block phase exp(-i d t_{b _BLOCK})
-    and the in-block phase exp(-i d m dt), so all sums are one matrix
-    product of the mixed record, zero-padded to whole blocks, followed
-    by a phase-weighted sum over blocks.
+    With k = b _BLOCK + m, exp(-i w t_k) splits into the per-block phase
+    exp(-i w t_{b _BLOCK}) and the in-block phase exp(-i w m dt), so the
+    sums are real matrix products of the record's whole blocks, viewed
+    as rows of _BLOCK samples, with cos(w m dt) and sin(w m dt),
+    followed by a phase-weighted sum over blocks; the partial last
+    block is one short row.  The record is neither copied nor mixed, and
+    no trigonometric function runs per sample.  The per-block phase
+    rounds w t as a per-sample phase would.
     """
     n = y.size
-    blocks = -(-n // _BLOCK)
-    mixed = np.zeros(blocks * _BLOCK, dtype=complex)
-    re, im = mixed.real[:n], mixed.imag[:n]
-    phase = np.multiply(omega, t0 + dt * np.arange(n, dtype=float), out=im)
-    np.cos(phase, out=re)
-    np.sin(phase, out=im)
-    re *= y
-    im *= y
-    np.negative(im, out=im)
-    d = np.asarray(offsets, dtype=float)
-    in_block = np.exp(-1j * np.outer(dt * np.arange(_BLOCK), d))
-    per_block = np.exp(-1j * np.outer(t0 + dt * np.arange(0, n, _BLOCK, dtype=float), d))
-    return np.sum(per_block * (mixed.reshape(blocks, _BLOCK) @ in_block), axis=0)
+    w = omega + np.asarray(offsets, dtype=float)
+    in_block = dt * np.arange(_BLOCK, dtype=float)
+    phase = np.outer(in_block, w)
+    trig = np.hstack([np.cos(phase), np.sin(phase)])  # (_BLOCK, 2 lines)
+    full = n // _BLOCK * _BLOCK
+    products = y[:full].reshape(-1, _BLOCK) @ trig
+    if full < n:
+        products = np.vstack([products, y[full:] @ trig[: n - full]])
+    in_sums = products[:, : w.size] - 1j * products[:, w.size :]
+    per_block = np.exp(-1j * np.outer(t0 + dt * np.arange(0, n, _BLOCK, dtype=float), w))
+    return np.sum(per_block * in_sums, axis=0)
 
 
 def _dirichlet_sum(n: int, dt: float, t_mid: float, omega: float, phase: float) -> float:

@@ -141,17 +141,19 @@ class TestBesselTable:
 
 
 def pink_noise_oracle(rng, n, dt, amp_psd_1hz, exponent=1.0):
-    """Frequency-domain 1/f shaping with whole-array temporaries."""
-    freqs = np.fft.rfftfreq(n, dt)
+    """Frequency-domain 1/f shaping with whole-array temporaries, drawn at
+    scipy's fast real length m >= n and truncated to n samples."""
+    m = fft.next_fast_len(n, real=True)
+    freqs = np.fft.rfftfreq(m, dt)
     target = np.zeros_like(freqs)
     target[1:] = amp_psd_1hz / freqs[1:] ** exponent
-    scale = np.sqrt(target * n / (2.0 * dt))
+    scale = np.sqrt(target * m / (2.0 * dt))
     z = rng.normal(size=freqs.size) + 1j * rng.normal(size=freqs.size)
     z *= scale / np.sqrt(2.0)
     z[0] = 0.0
-    if n % 2 == 0:
+    if m % 2 == 0:
         z[-1] = z[-1].real * np.sqrt(2.0)
-    return np.fft.irfft(z, n)
+    return np.fft.irfft(z, m)[:n]
 
 
 def readout_channel_oracle(rng, analog, n_spins, f0, f1, scale):
@@ -184,24 +186,48 @@ class TestInPlaceBits:
         assert np.array_equal(got, expected)
 
 
+# a power of two, drawn at its own length, and 360 * 1461 = 2^3 3^3 5 487,
+# drawn at the fast length 531,441 = 3^12 and truncated
+PINK_LENGTHS = (1 << 19, 525_960)
+
+
 class TestNoiseGenerators:
     @pytest.mark.parametrize("exponent", [0.8, 1.0, 1.5])
     def test_pink_spectrum_slope(self, exponent):
-        rng = np.random.default_rng(42)
-        dt, n = 100.0, 1 << 19
-        x = sig.pink_noise(rng, n, dt, amp_psd_1hz=1e-3, exponent=exponent)
-        f, p = sps.welch(x, fs=1 / dt, nperseg=4096)  # >100 averages
-        band = (f >= 1e-4) & (f <= 1e-3)
-        slope = np.polyfit(np.log(f[band]), np.log(p[band]), 1)[0]
-        assert slope == pytest.approx(-exponent, abs=0.1)
+        dt = 100.0
+        for n in PINK_LENGTHS:
+            rng = np.random.default_rng(42)
+            x = sig.pink_noise(rng, n, dt, amp_psd_1hz=1e-3, exponent=exponent)
+            f, p = sps.welch(x, fs=1 / dt, nperseg=4096)  # >100 averages
+            band = (f >= 1e-4) & (f <= 1e-3)
+            slope = np.polyfit(np.log(f[band]), np.log(p[band]), 1)[0]
+            assert slope == pytest.approx(-exponent, abs=0.1)
 
     def test_pink_level(self):
-        rng = np.random.default_rng(43)
-        dt, n = 100.0, 1 << 19
-        x = sig.pink_noise(rng, n, dt, amp_psd_1hz=1e-3, exponent=1.0)
-        f, p = sps.welch(x, fs=1 / dt, nperseg=4096)
-        level = np.interp(4e-4, f, p)
-        assert level == pytest.approx(1e-3 / 4e-4, rel=0.15)
+        dt = 100.0
+        for n in PINK_LENGTHS:
+            rng = np.random.default_rng(43)
+            x = sig.pink_noise(rng, n, dt, amp_psd_1hz=1e-3, exponent=1.0)
+            f, p = sps.welch(x, fs=1 / dt, nperseg=4096)
+            level = np.interp(4e-4, f, p)
+            assert level == pytest.approx(1e-3 / 4e-4, rel=0.15)
+
+    @given(
+        n=st.integers(2, 50_000),
+        dt=st.floats(1e-3, 1e3),
+        exponent=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1461, dt=10.0, exponent=1.0, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_pink_is_truncated_fast_length_draw(self, n, dt, exponent, seed):
+        # the record is the head of the draw at the fast length, from the
+        # same generator state
+        m = fft.next_fast_len(n, real=True)
+        got = sig.pink_noise(np.random.default_rng(seed), n, dt, 1e-3, exponent)
+        full = sig.pink_noise(np.random.default_rng(seed), m, dt, 1e-3, exponent)
+        assert got.shape == (n,)
+        assert np.array_equal(got, full[:n])
 
     def test_telegraph_autocorrelation_rate(self):
         rng = np.random.default_rng(7)
