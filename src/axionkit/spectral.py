@@ -173,7 +173,7 @@ class TripletResult:
 
 
 # samples per block of the blocked line sums; a private constant that sets
-# the shape of the (blocks x _BLOCK) @ (_BLOCK x lines) product
+# the shape of the (blocks x _BLOCK) @ (_BLOCK x 2 lines) product
 _BLOCK = 4096
 
 
@@ -221,12 +221,12 @@ def triplet_statistic(
     """Heterodyned powers X = |sum y exp(-i Omega t)|^2 at the three
     target frequencies, plus an annual-depth estimate.
 
-    The record is mixed once with exp(-i Os t); every line is then
-    Os + d for a small offset d (0 and +/-Oa for the triplet, multiples
-    of the comb spacing for the noise floor), and the eleven sums L(d)
-    come out of one blocked matrix product on the uniform time grid (see
-    _line_sums), equal to the direct sums to rounding.  Nothing else
-    touches the record.
+    Every line is Os + d for a small offset d (0 and +/-Oa for the
+    triplet, multiples of the comb spacing for the noise floor).  The
+    eleven sums L(d) are real matrix products of the record's blocks
+    with the in-block cosines and sines of each line, the frequency
+    carried in those and in the per-block phases (see _line_sums), and
+    equal the direct sums to rounding.  Nothing else touches the record.
 
     The depth comes from a least-squares fit of the two-template model
 
