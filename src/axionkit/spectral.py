@@ -52,31 +52,43 @@ class Spectrum:
         return self.df * np.arange(len(self.psd))
 
 
+# _rfft_power splits a length n = p m at its largest prime factor p only
+# where the split was timed faster than np.fft.rfft (2 cores, numpy 2.4):
+# p of at least _SPLIT_MIN_PRIME and m of at least _SPLIT_MIN_COFACTOR.
+# Below p = 400 pocketfft's own pass for p wins (by 2-4x at p = 13 and
+# 101, any m); at m = 2 the two paths are level near p = 400.
+_SPLIT_MIN_PRIME = 400
+_SPLIT_MIN_COFACTOR = 3
+# complex elements per block of rows twiddled and transformed at once
+_SPLIT_ROWS = 1 << 16
+
+
 def _split_prime(n: int) -> int:
-    """The largest prime factor p of n when it is above 11 and below n,
-    else 0: the factor at which _rfft_power splits its transform."""
+    """The largest prime factor p of n when p >= _SPLIT_MIN_PRIME and
+    n / p >= _SPLIT_MIN_COFACTOR, else 0: the factor at which
+    _rfft_power splits its transform."""
     rest, p, q = n, 1, 2
     while q * q <= rest:
         while rest % q == 0:
             p, rest = q, rest // q
         q += 1
     p = max(p, rest)
-    return p if 11 < p < n else 0
+    return p if p >= _SPLIT_MIN_PRIME and n // p >= _SPLIT_MIN_COFACTOR else 0
 
 
 def _rfft_power(seg: np.ndarray) -> np.ndarray:
     """|rfft(seg)|^2 at the segment's own length n.
 
-    pocketfft takes Bluestein's path at a length with a large prime
-    factor, which costs two or three times a fast length.  When n = p m
-    with p the largest prime factor, above 11 and below n, the transform
-    is split at p (four-step Cooley-Tukey, k = k1 + p k2): a real
-    length-p transform down the columns of seg.reshape(p, m), the
-    twiddles exp(-2 pi i k1 n2 / n) applied row by row, and a length-m
-    transform along the rows.  Only rows k1 <= p // 2 are transformed;
-    the others follow from |X[n - k]| = |X[k]| of a real input.  Every
-    other length goes to np.fft.rfft unchanged, so 11-smooth lengths
-    give the same bytes as before.
+    pocketfft is slow at a length with a large prime factor: two or
+    three times a fast length.  When n = p m with p the largest prime
+    factor and _split_prime(n) nonzero, the transform is split at p
+    (four-step Cooley-Tukey, k = k1 + p k2): a real length-p transform
+    down the columns of seg.reshape(p, m), then, a block of rows of
+    about _SPLIT_ROWS elements at a time, the twiddles
+    exp(-2 pi i k1 n2 / n) and a length-m transform along the rows.
+    Only rows k1 <= p // 2 are transformed; the others follow from
+    |X[n - k]| = |X[k]| of a real input.  Every other length goes to
+    np.fft.rfft unchanged and keeps its bytes.
     """
     n = seg.size
     p = _split_prime(n)
@@ -84,20 +96,22 @@ def _rfft_power(seg: np.ndarray) -> np.ndarray:
         return np.abs(np.fft.rfft(seg)) ** 2
     m = n // p
     cols = np.fft.rfft(seg.reshape(p, m), axis=0)  # (p // 2 + 1, m): k1 by n2
+    h = cols.shape[0]
     # k1 n2 < n / 2, so each twiddle angle lies in [-pi, 0]
     step = (-2.0 * math.pi / n) * np.arange(m)
-    angle = np.empty(m)
-    twiddle = np.empty(m, dtype=complex)
-    for k1 in range(1, cols.shape[0]):
-        np.multiply(step, k1, out=angle)
+    rows = max(1, _SPLIT_ROWS // m)
+    for first in range(0, h, rows):
+        block = cols[first : first + rows]
+        angle = np.multiply.outer(np.arange(first, first + block.shape[0]), step)
+        twiddle = np.empty(angle.shape, dtype=complex)
         np.cos(angle, out=twiddle.real)
         np.sin(angle, out=twiddle.imag)
-        cols[k1] *= twiddle
-    np.fft.fft(cols, axis=1, out=cols)
+        block *= twiddle
+        block[:] = np.fft.fft(block, axis=1)
     half = np.abs(cols)  # |X[k1 + p k2]| for k1 <= p // 2
-    del cols
+    del cols, block  # the last block is a view that keeps cols alive
     np.square(half, out=half)
-    h, n_freq = half.shape[0], n // 2 + 1
+    n_freq = n // 2 + 1
     k2_rows = -(-n_freq // p)
     power = np.empty((k2_rows, p))
     power[:, :h] = half[:, :k2_rows].T
@@ -114,10 +128,10 @@ def periodogram(series: TimeSeries, window: WindowSpec) -> Spectrum:
     overlapped by the configured fraction, and averaged in fixed order.
     Each segment is transformed at its own length, not padded to the
     next fast length: the bin grid k / (nper dt) is the data of record
-    in psd.csv, and padding would move it.  A length with a prime factor
-    above 11 (a year at dt = 10 s is 3,155,760 = 2^4 3^4 5 487 samples)
-    is transformed by splitting at that prime (_rfft_power), which
-    agrees with np.fft.rfft to rounding.
+    in psd.csv, and padding would move it.  A length with a large prime
+    factor (a year at dt = 10 s is 3,155,760 = 2^4 3^4 5 487 samples)
+    is transformed by splitting at that prime where that was timed
+    faster (_rfft_power), which agrees with np.fft.rfft to rounding.
     """
     y = series.samples
     if np.iscomplexobj(y):

@@ -144,6 +144,21 @@ class TestSplitTransform:
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
 
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            (3_155_760, 487),  # a year at dt = 10 s
+            (126_230, 971),  # 2 * 5 * 13 * 971
+            (1461, 487),  # 3 * 487: the least cofactor that splits
+            (2 * 99_991, 0),  # cofactor 2 stays on np.fft.rfft
+            (13 * 6480, 0),  # largest prime below the split's minimum
+            (99_991, 0),  # prime
+            (80_640, 0),  # 7-smooth
+        ],
+    )
+    def test_splits_only_where_timed_faster(self, n, p):
+        assert spec._split_prime(n) == p
+
     @pytest.mark.parametrize("nper", [2922, 1461])  # 2 * 3 * 487 and 3 * 487
     def test_parseval_segmented_hann(self, rng, nper):
         # one-sided psd with half-weight DC and Nyquist bins integrates to
