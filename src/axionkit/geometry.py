@@ -27,6 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import workers
 from .constants import OBLIQUITY_DEG, OMEGA_ANNUAL, OMEGA_SIDEREAL, SIDEREAL_DAY_S, YEAR_S
 
 
@@ -150,14 +151,21 @@ def wind_velocity_equatorial(t, site: SiteGeometry, eph: EphemerisConstants) -> 
     ecliptic orbit, whose plane is tilted about the equinox axis by the
     obliquity.  Shape (..., 3).
     """
-    t = np.asarray(t, dtype=float)
+    return np.stack(_wind_components(np.asarray(t, dtype=float), site, eph), axis=-1)
+
+
+def _wind_components(t, site: SiteGeometry, eph: EphemerisConstants):
+    """The three equatorial components of wind_velocity_equatorial, each
+    shaped like t: v_sun w_hat_k - v_orbit u_k, with one sine and one
+    cosine of the orbital phase."""
     theta = eph.omega_annual * t + eph.orbital_phase
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
     eps = math.radians(eph.obliquity_deg)
-    u = np.empty(t.shape + (3,))
-    u[..., 0] = -np.sin(theta)
-    u[..., 1] = np.cos(theta) * math.cos(eps)
-    u[..., 2] = np.cos(theta) * math.sin(eps)
-    return eph.v_sun * wind_unit_equatorial(site) - eph.v_orbit * u
+    w = eph.v_sun * wind_unit_equatorial(site)
+    v_x = w[0] + eph.v_orbit * sin_t
+    v_y = w[1] - eph.v_orbit * (cos_t * math.cos(eps))
+    v_z = w[2] - eph.v_orbit * (cos_t * math.sin(eps))
+    return v_x, v_y, v_z
 
 
 def device_axis(site: SiteGeometry) -> np.ndarray:
@@ -167,20 +175,25 @@ def device_axis(site: SiteGeometry) -> np.ndarray:
     return np.array([cos_e * math.sin(azim), cos_e * math.cos(azim), math.sin(elev)])
 
 
-# samples per chunk of the geometry kernels; bounds their temporaries at a
-# few MB whatever the length of t
-_CHUNK = 1 << 16
+# samples per chunk of the geometry kernels; bounds their temporaries at
+# about a MB per worker whatever the length of t
+_CHUNK = 1 << 14
 
 
 def _chunked(t, kernel):
     """kernel(tc) for each chunk tc of _CHUNK samples of t, written into
-    one output array shaped like t."""
+    one output array shaped like t.  The chunks run on the worker pool
+    (workers.each); each is computed alone, so the bytes do not depend
+    on the number of workers."""
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
     out = np.empty(flat.shape)
-    for start in range(0, flat.size, _CHUNK):
+
+    def fill(start):
         tc = flat[start : start + _CHUNK]
         out[start : start + tc.size] = kernel(tc)
+
+    workers.each(fill, range(0, flat.size, _CHUNK))
     return out.reshape(t.shape)[()]
 
 
@@ -199,7 +212,8 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
     sin(lat) q_n and s, c the sine and cosine of the local sidereal time,
     R^T q = (h c - q_e s, h s + q_e c, cos(lat) q_n + sin(lat) q_u),
     dotted with the equatorial wind v_sun w_hat - u_orbit(t).  q and h are
-    fixed; the kernel runs on chunks of _CHUNK samples (_chunked).
+    fixed; the kernel runs on chunks of _CHUNK samples (_chunked), with
+    one sine and one cosine each of the sidereal and orbital phases.
     """
     lam = math.radians(site.latitude_deg)
     sin_l, cos_l = math.sin(lam), math.cos(lam)
@@ -209,10 +223,10 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
     def kernel(tc):
         lst = site.lst0_rad + eph.omega_sidereal * tc
         s, c = np.sin(lst), np.cos(lst)
-        v = wind_velocity_equatorial(tc, site, eph)
-        dot = (h * c - q_e * s) * v[:, 0]
-        dot += (h * s + q_e * c) * v[:, 1]
-        dot += (cos_l * q_n + sin_l * q_u) * v[:, 2]
+        v_x, v_y, v_z = _wind_components(tc, site, eph)
+        dot = (h * c - q_e * s) * v_x
+        dot += (h * s + q_e * c) * v_y
+        dot += (cos_l * q_n + sin_l * q_u) * v_z
         dot /= v_ref
         return dot
 

@@ -84,7 +84,12 @@ def trials_threshold(nu_hz, cfg: SearchConfig, halo: HaloParams):
     the per-trial level underflows.  Elementwise over an array of
     frequencies.
     """
-    n_trials = cfg.bandwidth_hz * adaptive_segment(nu_hz, cfg, halo)
+    return _segment_threshold(adaptive_segment(nu_hz, cfg, halo), cfg)
+
+
+def _segment_threshold(t_seg, cfg: SearchConfig):
+    """trials_threshold for segments of length t_seg, seconds."""
+    n_trials = cfg.bandwidth_hz * t_seg
     too_few = n_trials < 1.0
     if np.any(too_few):
         raise ValueError(f"bandwidth * T_seg = {np.extract(too_few, n_trials)[0]} < 1 trial")
@@ -196,7 +201,7 @@ def g_min_curve(
     # eps < 1 keeps the segment inside tau; it is the cap exactly where eps tau >= T_cap
     t_coh = adaptive_segment(nu, cfg, halo)
     regime = np.where(t_coh == cfg.t_cap_s, "flat", "tau_limited").tolist()
-    z_eta = np.maximum(cfg.n_sigma, trials_threshold(nu, cfg, halo)) * eta_eff
+    z_eta = np.maximum(cfg.n_sigma, _segment_threshold(t_coh, cfg)) * eta_eff
     g_min, g_min_flat = (z_eta / (b_per_g * np.sqrt(t * cfg.t_tot_s / cfg.t_cap_s) * gain)
                          for t in (t_coh, cfg.t_cap_s))
     ok = np.isfinite(g_min) & np.isfinite(g_min_flat) & (g_min > 0) & (g_min_flat > 0)

@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import geometry
+from . import geometry, workers
 from .constants import SIDEREAL_DAY_S, uev_to_hz, uev_to_rad_s
 from .halo import HaloParams, effective_field
 from .timeseries import TimeSeries, short_hash
@@ -245,6 +245,11 @@ def telegraph_noise(
     return amplitude * state
 
 
+# samples per block of the readout channel; each block draws from its own
+# child generator, so the stream does not depend on the number of workers
+_READOUT_BLOCK = 1 << 16
+
+
 def readout_channel(
     rng: np.random.Generator,
     analog: np.ndarray,
@@ -260,28 +265,45 @@ def readout_channel(
     and is estimated from n_spins Bernoulli draws.  The output is
     debiased back to analog units, so its expectation equals the input
     wherever scale*x stays inside the readout contrast window.
+
+    The stream is read out in blocks of _READOUT_BLOCK samples, the last
+    one shorter.  One rng.integers call draws a seed in [0, 2^63) for
+    each block, and block b's counts come from default_rng(seed_b), so
+    the blocks run on the worker pool (workers.each) and the record is
+    the same whatever the number of workers.
     """
     if not 0 < scale:
         raise ValueError("scale must be positive")
-    # p, then p_obs, then the debiased estimate, all in one array
-    p = np.multiply(scale, analog)
-    np.clip(p, -1.0, 1.0, out=p)
-    p += 1.0
-    p *= 0.5
-    false_high = np.subtract(1.0, p)
-    false_high *= 1.0 - f0
-    p *= f1
-    p += false_high
-    del false_high
-    counts = rng.binomial(n_spins, p)
-    np.divide(counts, n_spins, out=p)
-    del counts
-    p -= 1.0 - f0
-    p /= f0 + f1 - 1.0
-    p *= 2.0
-    p -= 1.0
-    p /= scale
-    return p
+    analog = np.asarray(analog)
+    flat = analog.reshape(-1)
+    out = np.empty(flat.shape)
+    starts = range(0, flat.size, _READOUT_BLOCK)
+    seeds = rng.integers(1 << 63, size=len(starts)).tolist()
+
+    def read(block):
+        start = starts[block]
+        stop = start + _READOUT_BLOCK
+        # p, then p_obs, in one block-sized array; the debiased estimate
+        # is written into the block's slice of the output
+        p = np.multiply(scale, flat[start:stop])
+        np.clip(p, -1.0, 1.0, out=p)
+        p += 1.0
+        p *= 0.5
+        false_high = np.subtract(1.0, p)
+        false_high *= 1.0 - f0
+        p *= f1
+        p += false_high
+        counts = np.random.default_rng(seeds[block]).binomial(n_spins, p)
+        estimate = out[start:stop]
+        np.divide(counts, n_spins, out=estimate)
+        estimate -= 1.0 - f0
+        estimate /= f0 + f1 - 1.0
+        estimate *= 2.0
+        estimate -= 1.0
+        estimate /= scale
+
+    workers.each(read, range(len(starts)))
+    return out.reshape(analog.shape)
 
 
 def check_size(count: float, bytes_each: int, unit: str) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .geometry import EphemerisConstants, check_daily_sampling
 from .timeseries import TimeSeries
 
@@ -84,9 +85,11 @@ def _rfft_power(seg: np.ndarray) -> np.ndarray:
     three times a fast length.  When n = p m with p the largest prime
     factor and _split_prime(n) nonzero, the transform is split at p
     (four-step Cooley-Tukey, k = k1 + p k2): a real length-p transform
-    down the columns of seg.reshape(p, m), then, a block of rows of
-    about _SPLIT_ROWS elements at a time, the twiddles
-    exp(-2 pi i k1 n2 / n) and a length-m transform along the rows.
+    down the columns of seg.reshape(p, m), then, for each block of rows
+    of about _SPLIT_ROWS elements, the twiddles exp(-2 pi i k1 n2 / n)
+    and a length-m transform along the rows.  The blocks run on the
+    worker pool (workers.each); each is transformed alone, so the bytes
+    do not depend on the number of workers.
     Only rows k1 <= p // 2 are transformed; the others follow from
     |X[n - k]| = |X[k]| of a real input.  Every other length goes to
     np.fft.rfft unchanged and keeps its bytes.
@@ -101,7 +104,8 @@ def _rfft_power(seg: np.ndarray) -> np.ndarray:
     # k1 n2 < n / 2, so each twiddle angle lies in [-pi, 0]
     step = (-2.0 * math.pi / n) * np.arange(m)
     rows = max(1, _SPLIT_ROWS // m)
-    for first in range(0, h, rows):
+
+    def transform(first):
         block = cols[first : first + rows]
         angle = np.multiply.outer(np.arange(first, first + block.shape[0]), step)
         twiddle = np.empty(angle.shape, dtype=complex)
@@ -109,8 +113,10 @@ def _rfft_power(seg: np.ndarray) -> np.ndarray:
         np.sin(angle, out=twiddle.imag)
         block *= twiddle
         block[:] = np.fft.fft(block, axis=1)
+
+    workers.each(transform, range(0, h, rows))
     half = np.abs(cols)  # |X[k1 + p k2]| for k1 <= p // 2
-    del cols, block  # the last block is a view that keeps cols alive
+    del cols
     np.square(half, out=half)
     n_freq = n // 2 + 1
     k2_rows = -(-n_freq // p)

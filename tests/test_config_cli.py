@@ -895,6 +895,12 @@ def test_cli_import_skips_scipy_signal():
     assert _fresh_python(code) == "[]"
 
 
+def test_cli_import_starts_no_thread_pool():
+    # concurrent.futures imports logging; workers imports it with its pool
+    code = "import sys, axionkit.cli; print('concurrent.futures' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
 def test_bessel_table_imports_scipy_special_when_called():
     code = (
         "import sys, axionkit.cli; from axionkit import signals; "

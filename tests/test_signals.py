@@ -157,12 +157,20 @@ def pink_noise_oracle(rng, n, dt, amp_psd_1hz, exponent=1.0):
 
 
 def readout_channel_oracle(rng, analog, n_spins, f0, f1, scale):
-    """The binary readout as one expression per stage."""
-    p = 0.5 * (1.0 + np.clip(scale * analog, -1.0, 1.0))
-    p_obs = f1 * p + (1.0 - f0) * (1.0 - p)
-    counts = rng.binomial(n_spins, p_obs)
-    p_hat = (counts / n_spins - (1.0 - f0)) / (f0 + f1 - 1.0)
-    return (2.0 * p_hat - 1.0) / scale
+    """The binary readout as one expression per stage, applied to each
+    block of sig._READOUT_BLOCK samples with its own generator, seeded
+    from one rng.integers draw."""
+    starts = range(0, analog.size, sig._READOUT_BLOCK)
+    seeds = rng.integers(1 << 63, size=len(starts))
+    out = []
+    for start, seed in zip(starts, seeds):
+        x = analog[start : start + sig._READOUT_BLOCK]
+        p = 0.5 * (1.0 + np.clip(scale * x, -1.0, 1.0))
+        p_obs = f1 * p + (1.0 - f0) * (1.0 - p)
+        counts = np.random.default_rng(seed).binomial(n_spins, p_obs)
+        p_hat = (counts / n_spins - (1.0 - f0)) / (f0 + f1 - 1.0)
+        out.append((2.0 * p_hat - 1.0) / scale)
+    return np.concatenate(out)
 
 
 class TestInPlaceBits:
@@ -178,12 +186,14 @@ class TestInPlaceBits:
         [(10, 0.95, 0.95, 0.25), (1, 1.0, 1.0, 1.0), (400, 0.9, 0.93, 3.0)],
     )
     def test_readout_channel(self, n_spins, f0, f1, scale):
-        analog = np.random.default_rng(8).normal(size=5000)
-        got = sig.readout_channel(np.random.default_rng(9), analog, n_spins, f0, f1, scale)
-        expected = readout_channel_oracle(
-            np.random.default_rng(9), analog, n_spins, f0, f1, scale
-        )
-        assert np.array_equal(got, expected)
+        # one partial block, and two and a half blocks
+        for n in (5000, 5 * sig._READOUT_BLOCK // 2):
+            analog = np.random.default_rng(8).normal(size=n)
+            got = sig.readout_channel(np.random.default_rng(9), analog, n_spins, f0, f1, scale)
+            expected = readout_channel_oracle(
+                np.random.default_rng(9), analog, n_spins, f0, f1, scale
+            )
+            assert np.array_equal(got, expected)
 
 
 # a power of two, drawn at its own length, and 360 * 1461 = 2^3 3^3 5 487,
