@@ -351,7 +351,10 @@ def synthesize_observable(
     with everything needed to regenerate the record bit-identically).
     Additive white, 1/f and telegraph noise come from per-component
     child seeds; the optional readout stage quantizes through the
-    Bernoulli channel with the configured fidelities and qubit.n_spins.
+    Bernoulli channel with the configured fidelities and qubit.n_spins,
+    block by block: its child generator seeds one generator per block of
+    _READOUT_BLOCK samples (readout_channel), so the record does not
+    depend on the number of cores that read it out.
     """
     check_record(span_s, dt, eph)
     n = int(round(span_s / dt))

@@ -30,6 +30,17 @@ def _mark_pool_thread():
     _local.in_pool = True
 
 
+def _forget_pool():
+    # a forked child holds none of the parent's pool threads, and a lock
+    # another thread held at the fork stays held: start both afresh
+    global _executor, _lock
+    _executor, _lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def each(fn, items) -> list:
     """[fn(item) for item in items], the calls spread over the pool.
 

@@ -1,4 +1,7 @@
+import os
+import signal
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +70,25 @@ class TestEach:
             threading.get_ident()
         ] * 4
         assert workers._executor is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_pool(monkeypatch):
+    # the child inherits no pool thread; mapping on the parent's pool hung
+    force_workers(monkeypatch, 2)
+    assert workers.each(lambda x: x + 1, range(4)) == [1, 2, 3, 4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
+        pid = os.fork()
+    if pid == 0:  # the child leaves only through os._exit, never back into pytest
+        code = 1
+        try:
+            signal.alarm(20)
+            code = 0 if workers.each(lambda x: x + 1, range(4)) == [1, 2, 3, 4] else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("count", [2, 3])
