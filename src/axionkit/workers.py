@@ -44,8 +44,8 @@ if hasattr(os, "register_at_fork"):
 def each(fn, items) -> list:
     """[fn(item) for item in items], the calls spread over the pool.
 
-    Results come back in the order of items, and the first exception
-    raised by a call is raised here.  The calls run inline, in order,
+    Results come back in the order of items; if calls raise, the
+    exception of the earliest such item is raised here.  The calls run inline, in order,
     when there are fewer than two items, when there is one usable core,
     or when each is called from a pool thread, so a nested call cannot
     wait on the workers that run it.
