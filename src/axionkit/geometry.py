@@ -29,6 +29,7 @@ import numpy as np
 
 from . import workers
 from .constants import OBLIQUITY_DEG, OMEGA_ANNUAL, OMEGA_SIDEREAL, SIDEREAL_DAY_S, YEAR_S
+from .timeseries import grid_phasor
 
 
 class GainUnboundedError(ValueError):
@@ -180,21 +181,19 @@ def device_axis(site: SiteGeometry) -> np.ndarray:
 _CHUNK = 1 << 14
 
 
-def _chunked(t, kernel):
-    """kernel(tc) for each chunk tc of _CHUNK samples of t, written into
-    one output array shaped like t.  The chunks run on the worker pool
-    (workers.each); each is computed alone, so the bytes do not depend
-    on the number of workers."""
-    t = np.asarray(t, dtype=float)
-    flat = t.reshape(-1)
-    out = np.empty(flat.shape)
+def _chunked(n, kernel):
+    """kernel(start, stop) for each chunk start <= k < stop of _CHUNK
+    samples, written into one output array of n samples.  The chunks run
+    on the worker pool (workers.each); each is computed alone, so the
+    bytes do not depend on the number of workers."""
+    out = np.empty(n)
 
     def fill(start):
-        tc = flat[start : start + _CHUNK]
-        out[start : start + tc.size] = kernel(tc)
+        stop = min(start + _CHUNK, n)
+        out[start:stop] = kernel(start, stop)
 
-    workers.each(fill, range(0, flat.size, _CHUNK))
-    return out.reshape(t.shape)[()]
+    workers.each(fill, range(0, n, _CHUNK))
+    return out
 
 
 def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
@@ -214,13 +213,18 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
     dotted with the equatorial wind v_sun w_hat - u_orbit(t).  q and h are
     fixed; the kernel runs on chunks of _CHUNK samples (_chunked), with
     one sine and one cosine each of the sidereal and orbital phases.
+    t may be any array of times, not only a uniform grid, so the phases
+    are not taken from grid_phasor.
     """
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
     lam = math.radians(site.latitude_deg)
     sin_l, cos_l = math.sin(lam), math.cos(lam)
     q_e, q_n, q_u = device_axis(site)
     h = cos_l * q_u - sin_l * q_n
 
-    def kernel(tc):
+    def kernel(start, stop):
+        tc = flat[start:stop]
         lst = site.lst0_rad + eph.omega_sidereal * tc
         s, c = np.sin(lst), np.cos(lst)
         v_x, v_y, v_z = _wind_components(tc, site, eph)
@@ -230,25 +234,38 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
         dot /= v_ref
         return dot
 
-    return _chunked(t, kernel)
+    return _chunked(flat.size, kernel).reshape(t.shape)[()]
 
 
-def modulation_model(t, coeffs: ModulationCoefficients, eph: EphemerisConstants):
-    """Evaluate the harmonic model defined by a coefficient set.
+def modulation_model(
+    t0: float, dt: float, n: int, coeffs: ModulationCoefficients, eph: EphemerisConstants
+) -> np.ndarray:
+    """Evaluate the harmonic model defined by a coefficient set on the n
+    samples of the grid t_k = t0 + k dt.
 
     The terms are summed in the order c0 + daily + annual + cross, on
-    chunks of _CHUNK samples (_chunked).  This pure amplitude envelope
-    has symmetric sidebands and lacks the mixed-block component that the
-    fit drops, so it is not beta_ratio.
+    chunks of _CHUNK samples (_chunked).  Each chunk's two cosines are the
+    real parts of timeseries.grid_phasor at Os and Oa, with each term's
+    phase folded into its block factor, so no time array is formed and no
+    cosine is taken per sample.  This pure amplitude envelope has
+    symmetric sidebands and lacks the mixed-block component that the fit
+    drops, so it is not beta_ratio.
     """
 
-    def kernel(tc):
-        daily = np.cos(eph.omega_sidereal * tc - coeffs.phase_daily)
-        annual = np.cos(eph.omega_annual * tc - coeffs.phase_annual)
+    def kernel(start, stop):
+        daily = grid_phasor(eph.omega_sidereal, t0, dt, start, stop, coeffs.phase_daily).real
+        annual = grid_phasor(eph.omega_annual, t0, dt, start, stop, coeffs.phase_annual).real
         return (coeffs.c0 + coeffs.c_daily * daily + coeffs.c_annual * annual
                 + coeffs.c_cross * daily * annual)
 
-    return _chunked(t, kernel)
+    return _chunked(n, kernel)
+
+
+# rows per block of the fit's QR factorization: a 512 x 10 block stays
+# under the size at which OpenBLAS threads level-2 BLAS; with two BLAS
+# threads and the second core busy, one threaded factorization of the
+# year's 5,861 x 10 rows waited up to 40 ms
+_FIT_ROWS = 512
 
 
 def fit_modulation_coefficients(t, series, eph: EphemerisConstants) -> ModulationCoefficients:
@@ -262,8 +279,16 @@ def fit_modulation_coefficients(t, series, eph: EphemerisConstants) -> Modulatio
     Phases come out modulo 2 pi.  residual_rms is the nine-term fit's residual,
     which does not count what the collapse drops.
 
+    The least-squares problem is solved through the triangular factor R
+    of the QR factorization of [design | y], whose last column holds
+    Q^T y, so Q is never formed; the 9 x 9 system in R is then solved
+    directly.  R is factored from the Rs of blocks of _FIT_ROWS rows, so
+    no factorization is large enough for BLAS to thread it.
+
     Raises ValueError if the design matrix is rank deficient
-    (for example when the sampling aliases the sidereal rate).
+    (for example when the sampling aliases the sidereal rate), by
+    lstsq's rule: singular values at most eps max(M, N) s_max count as
+    zero.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(series, dtype=float)
@@ -272,15 +297,26 @@ def fit_modulation_coefficients(t, series, eph: EphemerisConstants) -> Modulatio
 
     cs, ss = np.cos(eph.omega_sidereal * t), np.sin(eph.omega_sidereal * t)
     ca, sa = np.cos(eph.omega_annual * t), np.sin(eph.omega_annual * t)
-    design = np.column_stack(
-        [np.ones_like(t), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa]
+    # [design | y]: its R holds the design's R and, in its last column,
+    # Q^T y; it is the R of the stacked Rs of its blocks of _FIT_ROWS rows
+    rows = np.column_stack(
+        [np.ones_like(t), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa, y]
     )
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
+    design = rows[:, :-1]
+    starts = range(0, max(len(rows), 1), _FIT_ROWS)  # one empty block if t is empty
+    r = np.concatenate([np.linalg.qr(rows[i : i + _FIT_ROWS], mode="r") for i in starts])
+    r = np.linalg.qr(r, mode="r")
+    # R's singular values are the design's, ranked by lstsq's rule
+    k = design.shape[1]
+    s = np.linalg.svd(r[:k, :k], compute_uv=False)
+    tolerance = np.finfo(float).eps * max(design.shape) * s.max(initial=0.0)
+    rank = int(np.count_nonzero(s > tolerance))
+    if rank < k:
         raise ValueError(
-            f"design matrix rank {rank} < {design.shape[1]}; "
+            f"design matrix rank {rank} < {k}; "
             "sampling or geometry degenerate"
         )
+    coef = np.linalg.solve(r[:k, :k], r[:k, k])
 
     c0 = coef[0]
     c_daily = math.hypot(coef[1], coef[2])

@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry, workers
 from .constants import SIDEREAL_DAY_S, uev_to_hz, uev_to_rad_s
 from .halo import HaloParams, effective_field
-from .timeseries import TimeSeries, short_hash
+from .timeseries import TimeSeries, grid_phasor, short_hash
 
 SYNTH_SCHEMA = "axionkit-baseband/1"
 
@@ -239,10 +239,13 @@ def telegraph_noise(
     p_flip = 0.5 * (1.0 - math.exp(-2.0 * rate_hz * dt))
     flips = rng.random(n) < p_flip
     flips[0] = False
-    state = np.where(np.cumsum(flips) % 2 == 0, 1.0, -1.0)
+    # the parity of the flips so far, in place: True where the state is -1
+    np.logical_xor.accumulate(flips, out=flips)
+    state = np.where(flips, -1.0, 1.0)
     if rng.random() < 0.5:
-        state = -state
-    return amplitude * state
+        np.negative(state, out=state)
+    state *= amplitude
+    return state
 
 
 # samples per block of the readout channel; each block draws from its own
@@ -361,7 +364,7 @@ def synthesize_observable(
 
     if coeffs is None:
         coeffs = geometry.modulation_coefficients(site, eph, halo.v_ref)
-    clean = geometry.modulation_model(t0 + dt * np.arange(n), coeffs, eph)
+    clean = geometry.modulation_model(t0, dt, n, coeffs, eph)
     beta0 = modulation_index(axion, halo, 1.0, halo.v_ref)
 
     rms = float(np.sqrt(np.mean(clean**2)))
@@ -465,7 +468,10 @@ def _fast_len(n: int, real: bool = False) -> int:
 def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSeries:
     """Complex demodulation of a narrow band around f_center.
 
-    The record is mixed with exp(-2 pi i f_center t), low-passed to the
+    The record is mixed with exp(-2 pi i f_center t), written in place
+    by timeseries.grid_phasor on the record's grid t0 + k dt: about
+    2 sqrt(N) complex exponentials and one complex multiply per sample,
+    with no sine or cosine per sample.  It is then low-passed to the
     half-width bandwidth/2 (transition region extends to the full
     bandwidth), scaled so an in-band real tone of amplitude A appears as
     a complex tone of modulus A, and decimated to roughly four samples
@@ -504,20 +510,14 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
             f"record too short ({n} samples) for a "
             f"{bandwidth} Hz band at fs={fs} Hz"
         )
-    # the mixed record 2 y exp(-i 2 pi f_center t), its cosine and sine
-    # written into the two halves, in the middle of its odd extension
+    # the mixed record 2 y exp(-i 2 pi f_center t), written in place in the
+    # middle of its odd extension
     pad = numtaps - 1
     extended = np.empty(n + 2 * pad, dtype=complex)
     mixed = extended[pad : pad + n]
-    re, im = mixed.real, mixed.imag
-    phase = np.multiply(2.0 * math.pi * f_center, series.times, out=im)
-    np.cos(phase, out=re)
-    np.sin(phase, out=im)
-    twice = 2.0 * series.samples
-    re *= twice
-    im *= twice
-    np.negative(im, out=im)
-    del twice
+    grid_phasor(-2.0 * math.pi * f_center, series.t0, series.dt, 0, n, out=mixed)
+    mixed *= series.samples
+    mixed *= 2.0
     extended[:pad] = 2.0 * mixed[0] - mixed[pad:0:-1]
     extended[pad + n :] = 2.0 * mixed[-1] - mixed[-2 : -pad - 2 : -1]
 

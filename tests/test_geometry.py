@@ -205,26 +205,64 @@ def modulation_model_oracle(t, coeffs, eph):
     )
 
 
+def modulation_model_bound(t0, dt, n, coeffs, eph):
+    """Largest |modulation_model - modulation_model_oracle| rounding allows.
+
+    Each cosine of the oracle rounds its phase by up to |O| ulp(T) +
+    ulp(|O| T + |phase|) at T = |t0| + dt (n - 1), and the model's
+    phasors by no more, so two cosines differ by twice that, and the
+    phasor table's step O dt adds |O| dt b eps.  The cross term carries
+    both.  The sums round by a few eps of the coefficients' total.
+    """
+    eps = np.finfo(float).eps
+    big_t = abs(t0) + dt * (n - 1)
+    b = math.isqrt(min(n, geo._CHUNK) - 1) + 1
+
+    def cosine(omega, phase):
+        rounding = omega * np.spacing(big_t) + np.spacing(omega * big_t + abs(phase))
+        return 2.0 * rounding + omega * dt * b * eps + 8.0 * eps
+
+    daily = cosine(eph.omega_sidereal, coeffs.phase_daily)
+    annual = cosine(eph.omega_annual, coeffs.phase_annual)
+    scale = abs(coeffs.c0) + abs(coeffs.c_daily) + abs(coeffs.c_annual) + abs(coeffs.c_cross)
+    return (
+        (abs(coeffs.c_daily) + abs(coeffs.c_cross)) * daily
+        + (abs(coeffs.c_annual) + abs(coeffs.c_cross)) * annual
+        + 8.0 * eps * scale
+    )
+
+
 class TestModulationModel:
     @pytest.mark.parametrize(
-        "t",
+        "t0, dt, n",
         [
-            123_456.7,
-            np.float64(3e7),
-            np.linspace(0.0, YEAR_S, 10_001),
-            np.linspace(-1e5, 2 * YEAR_S, 6_000).reshape(60, 100),
-            [0, 1, 2],
-            np.arange(geo._CHUNK + 123) * 10.0,
+            (123_456.7, 10.0, 1),
+            (0.0, 1.0, 3),
+            (0.0, YEAR_S / 10_000, 10_001),
+            (-1e5, 3600.0, 6_000),
+            (0.0, 10.0, geo._CHUNK + 123),
+            (-2.5e7, 10.0, 3 * geo._CHUNK + 5),
+            (3e7, 600.0, 2 * geo._CHUNK),
         ],
-        ids=["float", "numpy-scalar", "1-d", "2-d", "int-list", "over-one-chunk"],
+        ids=["one", "three", "year", "negative-t0", "over-one-chunk", "chunks-negative-t0",
+             "whole-chunks"],
     )
-    def test_bit_identical_to_the_expression(self, site, eph, t):
+    def test_matches_the_expression(self, site, eph, t0, dt, n):
         coeffs = geo.modulation_coefficients(site, eph, eph.v_sun)
-        got = geo.modulation_model(t, coeffs, eph)
-        expected = modulation_model_oracle(t, coeffs, eph)
-        assert type(got) is type(expected)
-        assert np.shape(got) == np.shape(expected)
-        assert np.array_equal(got, expected)
+        got = geo.modulation_model(t0, dt, n, coeffs, eph)
+        expected = modulation_model_oracle(t0 + dt * np.arange(n), coeffs, eph)
+        assert got.shape == (n,) and got.dtype == np.float64
+        assert np.max(np.abs(got - expected)) <= modulation_model_bound(t0, dt, n, coeffs, eph)
+
+
+def lstsq_fit_oracle(t, y, eph):
+    """The nine-term design's least-squares coefficients by np.linalg.lstsq,
+    its rank by lstsq's rule, its singular values and the residual norm."""
+    cs, ss = np.cos(eph.omega_sidereal * t), np.sin(eph.omega_sidereal * t)
+    ca, sa = np.cos(eph.omega_annual * t), np.sin(eph.omega_annual * t)
+    design = np.column_stack([np.ones_like(t), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa])
+    coef, _, rank, singular = np.linalg.lstsq(design, y, rcond=None)
+    return coef, rank, singular, float(np.linalg.norm(y - design @ coef))
 
 
 class TestModulationFit:
@@ -234,7 +272,8 @@ class TestModulationFit:
             phase_daily=1.1, phase_annual=2.4,
         )
         t = fit_grid()
-        fitted = geo.fit_modulation_coefficients(t, geo.modulation_model(t, truth, eph), eph)
+        model = geo.modulation_model(0.0, SIDEREAL_DAY_S / 16, t.size, truth, eph)
+        fitted = geo.fit_modulation_coefficients(t, model, eph)
         assert fitted.c0 == pytest.approx(truth.c0, abs=1e-6)
         assert fitted.c_daily == pytest.approx(truth.c_daily, abs=1e-6)
         assert fitted.c_annual == pytest.approx(truth.c_annual, abs=1e-6)
@@ -301,6 +340,80 @@ class TestModulationFit:
         assert fitted.c_cross == pytest.approx(c_cross, rel=0.01)
         assert fitted.phase_daily == pytest.approx(psi_d, abs=0.01)
         assert fitted.phase_annual == pytest.approx(psi_a, abs=0.01)
+
+    @given(
+        n=st.integers(200, 2000),
+        dt=st.floats(600.0, 7200.0),
+        t0=st.floats(-1e8, 1e8),
+        c0=st.floats(-1.0, 1.0),
+        pure=st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 2 * np.pi)),
+                      min_size=2, max_size=2),
+        mixed=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        sigma=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_lstsq(self, n, dt, t0, c0, pure, mixed, sigma, seed):
+        eph = EphemerisConstants()
+        t = t0 + dt * np.arange(n)
+        cs, ss = np.cos(eph.omega_sidereal * t), np.sin(eph.omega_sidereal * t)
+        ca, sa = np.cos(eph.omega_annual * t), np.sin(eph.omega_annual * t)
+        columns = [np.ones_like(t), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa]
+        (a_d, phi_d), (a_a, phi_a) = pure
+        truth = [c0, a_d * math.cos(phi_d), a_d * math.sin(phi_d),
+                 a_a * math.cos(phi_a), a_a * math.sin(phi_a), *mixed]
+        y = np.random.default_rng(seed).normal(0.0, sigma, n)
+        for c, column in zip(truth, columns):
+            y += c * column
+        coef, rank, singular, resid = lstsq_fit_oracle(t, y, eph)
+        if rank < 9:
+            with pytest.raises(ValueError, match=f"rank {rank} < 9"):
+                geo.fit_modulation_coefficients(t, y, eph)
+            return
+        fitted = geo.fit_modulation_coefficients(t, y, eph)
+        # Both solvers are backward stable: each solves a problem within
+        # gamma = 10 * 9 * u of the design and y, relative.  By the least-
+        # squares perturbation bound (Higham, Accuracy and Stability, thm
+        # 20.1) each lands within gamma kappa (2 |x| + (kappa + 1) |r| /
+        # s_max) of the exact x, so the two differ by at most twice that.
+        u = np.finfo(float).eps / 2
+        kappa = singular[0] / singular[-1]
+        norm_x = np.linalg.norm(coef)
+        delta = 2 * (90 * u) * kappa * (2 * norm_x + (kappa + 1) * resid / singular[0])
+        rounding = 16 * u * (norm_x + np.max(np.abs(y)))
+        assert fitted.c0 == pytest.approx(coef[0], abs=delta + rounding)
+        # the pure tones as complex amplitudes c e^{i phase}, whose phases
+        # then move by at most (pi/2) |dz| / |z|
+        turns = []
+        for (c, phase), (re, im) in (
+            ((fitted.c_daily, fitted.phase_daily), coef[1:3]),
+            ((fitted.c_annual, fitted.phase_annual), coef[3:5]),
+        ):
+            dz = abs(c * np.exp(1j * phase) - complex(re, im))
+            assert dz <= np.sqrt(2) * delta + rounding
+            turns.append(np.pi / 2 * (np.sqrt(2) * delta + rounding) / abs(complex(re, im)))
+        oracle_cross = self._cross(coef)
+        cross_bound = 2 * delta + np.linalg.norm(coef[5:]) * sum(turns) + rounding
+        assert fitted.c_cross == pytest.approx(oracle_cross, abs=cross_bound)
+        # |A dx| / sqrt(n) <= 2 |dx|: every row of the design has norm 2
+        assert fitted.residual_rms == pytest.approx(
+            resid / np.sqrt(n), abs=2 * 3 * delta + 9 * rounding
+        )
+
+    @staticmethod
+    def _cross(coef):
+        """The cross coefficient from lstsq's coefficients, as the fit forms it."""
+        phase_daily = math.atan2(coef[2], coef[1])
+        phase_annual = math.atan2(coef[4], coef[3])
+        u = np.array(
+            [
+                math.cos(phase_daily) * math.cos(phase_annual),
+                math.cos(phase_daily) * math.sin(phase_annual),
+                math.sin(phase_daily) * math.cos(phase_annual),
+                math.sin(phase_daily) * math.sin(phase_annual),
+            ]
+        )
+        return float(np.dot(coef[5:9], u))
 
     def test_degenerate_sampling_raises(self, eph):
         # sampling at exactly the sidereal period aliases the daily columns

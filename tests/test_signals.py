@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,17 @@ def pink_noise_oracle(rng, n, dt, amp_psd_1hz, exponent=1.0):
     return np.fft.irfft(z, m)[:n]
 
 
+def telegraph_noise_oracle(rng, n, dt, amplitude, rate_hz):
+    """Telegraph noise with the state as the parity of a cumulative sum."""
+    p_flip = 0.5 * (1.0 - math.exp(-2.0 * rate_hz * dt))
+    flips = rng.random(n) < p_flip
+    flips[0] = False
+    state = np.where(np.cumsum(flips) % 2 == 0, 1.0, -1.0)
+    if rng.random() < 0.5:
+        state = -state
+    return amplitude * state
+
+
 def readout_channel_oracle(rng, analog, n_spins, f0, f1, scale):
     """The binary readout as one expression per stage, applied to each
     block of sig._READOUT_BLOCK samples with its own generator, seeded
@@ -180,6 +192,15 @@ class TestInPlaceBits:
         got = sig.pink_noise(np.random.default_rng(n), n, 7.5, 1e-3, exponent)
         expected = pink_noise_oracle(np.random.default_rng(n), n, 7.5, 1e-3, exponent)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 1000, 100_001])
+    @pytest.mark.parametrize("rate_hz", [1e-4, 0.3, 50.0])
+    def test_telegraph_noise(self, n, rate_hz):
+        # seeds 0 to 3 take both signs of the initial state
+        for seed in range(4):
+            got = sig.telegraph_noise(np.random.default_rng(seed), n, 0.5, 1.7, rate_hz)
+            expected = telegraph_noise_oracle(np.random.default_rng(seed), n, 0.5, 1.7, rate_hz)
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize(
         "n_spins, f0, f1, scale",
@@ -482,35 +503,52 @@ class TestHeterodyne:
 
     @staticmethod
     def _filtfilt_oracle(series, out):
-        """filtfilt on the full-rate mixed record, taps rebuilt from meta."""
+        """filtfilt on the full-rate mixed record, taps rebuilt from meta,
+        and the taps.  The mixing phase (-2 pi f_center)(t0 + k dt) is
+        formed in long double, so its rounding is not the oracle's error."""
         h = out.meta["heterodyne"]
         fs = 1.0 / series.dt
         _, beta = sps.kaiserord(80.0, h["bandwidth"] / 4.0 / (fs / 2.0))
         taps = sps.firwin(h["numtaps"], h["cutoff_hz"], window=("kaiser", beta), fs=fs)
-        mixed = 2.0 * series.samples * np.exp(-2j * np.pi * h["f_center"] * series.times)
-        return sps.filtfilt(taps, [1.0], mixed)[:: h["decimation"]]
+        k = np.arange(series.samples.size, dtype=np.longdouble)
+        angle = (-2.0 * np.pi * h["f_center"]) * (series.t0 + series.dt * k)
+        mixed = 2.0 * series.samples * np.exp(1j * angle).astype(complex)
+        return sps.filtfilt(taps, [1.0], mixed)[:: h["decimation"]], taps
 
     @given(
         stretch=st.floats(0.0, 5.0),
         f_center=st.floats(2.0, 9.0),
         bandwidth=st.floats(0.8, 3.0),
         seed=st.integers(0, 2**16),
+        t0=st.one_of(st.just(0.0), st.floats(-1e5, 1e5)),
     )
     @settings(max_examples=25, deadline=None)
-    def test_matches_filtfilt_at_every_sample(self, stretch, f_center, bandwidth, seed):
+    def test_matches_filtfilt_at_every_sample(self, stretch, f_center, bandwidth, seed, t0):
         dt = 0.05
         numtaps = sps.kaiserord(80.0, bandwidth / 4.0 / (0.5 / dt))[0] | 1
         n = 3 * numtaps + 1 + int(stretch * 3 * numtaps)  # just above the guard and up
         rng = np.random.default_rng(seed)
-        t = dt * np.arange(n)
+        t = t0 + dt * np.arange(n)
         x = rng.normal(0.0, 1.0, n) + 2.0 * np.cos(2 * np.pi * (f_center + 0.1) * t)
-        series = TimeSeries(0.0, dt, x, {"kind": "noise"})
+        series = TimeSeries(t0, dt, x, {"kind": "noise"})
         out = sig.heterodyne(series, f_center, bandwidth)
         assert out.meta["heterodyne"]["numtaps"] == numtaps
-        oracle = self._filtfilt_oracle(series, out)
+        oracle, taps = self._filtfilt_oracle(series, out)
         assert out.samples.shape == oracle.shape
+        bound = 1e-12 * np.max(np.abs(x))
+        if t0 != 0.0:
+            # the two mixing phasors differ by their phase roundings: the
+            # long double phases of the oracle and of grid_phasor's blocks,
+            # 4 |omega| T eps_ld at T = |t0| + n dt, and the table's step,
+            # |omega| dt b eps; the kernel taps (*) taps[::-1] passes such
+            # an error on to 2 |x| at most sum|taps|^2 times over
+            omega = 2.0 * np.pi * f_center
+            b = math.isqrt(n - 1) + 1
+            phase = (4.0 * omega * (abs(t0) + n * dt) * np.finfo(np.longdouble).eps
+                     + omega * dt * b * np.finfo(float).eps)
+            bound += 2.0 * np.max(np.abs(x)) * np.sum(np.abs(taps)) ** 2 * phase
         # every sample, the first and last 3*numtaps included
-        assert np.max(np.abs(out.samples - oracle)) <= 1e-12 * np.max(np.abs(x))
+        assert np.max(np.abs(out.samples - oracle)) <= bound
 
     @given(
         ratio=st.one_of(

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import tracemalloc
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from axionkit import TimeSeries, timeseries
-from axionkit.timeseries import _BLOCK_ROWS, canonical_json, short_hash, write_columns
+from axionkit.timeseries import (
+    _BLOCK_ROWS,
+    canonical_json,
+    grid_phasor,
+    short_hash,
+    write_columns,
+)
 
 # finite float64 values, with signed zero, subnormals and the range ends drawn often
 FLOATS = st.one_of(
@@ -337,3 +344,74 @@ class TestHashing:
         assert short_hash({"x": 1}) == short_hash({"x": 1})
         assert short_hash({"x": 1}) != short_hash({"x": 2})
         assert len(short_hash({"x": 1})) == 12
+
+
+def direct_phasor(omega, t0, dt, start, stop, phase=0.0):
+    """The phasor with one exponential per sample, in double."""
+    k = np.arange(start, stop, dtype=float)
+    return np.exp(1j * (omega * (t0 + dt * k) - phase))
+
+
+def phasor_bound(omega, t0, dt, start, stop, phase=0.0):
+    """Largest |grid_phasor - direct_phasor| rounding allows.  The direct
+    form rounds t_k and omega t_k - phase, each by up to an ulp at
+    T = |t0| + |dt| (stop - 1), which bounds every intermediate time;
+    grid_phasor's block phases round at most as much, and its table's
+    step omega dt at most |omega| dt eps per table entry, b entries."""
+    eps = np.finfo(float).eps
+    big_t = abs(t0) + abs(dt) * (stop - 1)
+    b = math.isqrt(max(stop - start, 1) - 1) + 1
+    rounding = abs(omega) * np.spacing(big_t) + np.spacing(abs(omega) * big_t + abs(phase))
+    return 2.0 * rounding + abs(omega) * abs(dt) * b * eps + 8.0 * eps
+
+
+class TestGridPhasor:
+    @given(
+        omega=st.floats(-1e4, 1e4),
+        t0=st.floats(-1e6, 1e6),
+        dt=st.floats(1e-5, 1e3),
+        start=st.integers(0, 1000),
+        size=st.integers(1, 5000),
+        phase=st.floats(-10.0, 10.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_direct_form(self, omega, t0, dt, start, size, phase):
+        got = grid_phasor(omega, t0, dt, start, start + size, phase)
+        expected = direct_phasor(omega, t0, dt, start, start + size, phase)
+        assert got.shape == (size,) and got.dtype == np.complex128
+        bound = phasor_bound(omega, t0, dt, start, start + size, phase)
+        assert np.max(np.abs(got - expected)) <= bound
+
+    # squares and their neighbours fill the last block exactly, by one or
+    # leave one sample over; primes leave a partial last block
+    @pytest.mark.parametrize(
+        "size", [1, 2, 3, 4, 5, 7, 8, 9, 10, 15, 16, 17, 97, 1023, 1024, 1025, 4099]
+    )
+    @pytest.mark.parametrize("start", [0, 1, 12_345])
+    def test_sizes(self, size, start):
+        omega, t0, dt, phase = 7.3, -41.5, 0.013, 0.7
+        got = grid_phasor(omega, t0, dt, start, start + size, phase)
+        expected = direct_phasor(omega, t0, dt, start, start + size, phase)
+        bound = phasor_bound(omega, t0, dt, start, start + size, phase)
+        assert got.shape == (size,)
+        assert np.max(np.abs(got - expected)) <= bound
+
+    def test_empty_range(self):
+        assert grid_phasor(1.0, 0.0, 1.0, 5, 5).shape == (0,)
+
+    def test_out_is_filled_and_returned(self):
+        buffer = np.full(300, 9.0 + 9.0j)
+        middle = buffer[100:200]
+        got = grid_phasor(2.5, 3.0, 0.1, 40, 140, 0.2, out=middle)
+        assert got is middle
+        assert np.array_equal(middle, grid_phasor(2.5, 3.0, 0.1, 40, 140, 0.2))
+        assert np.all(buffer[:100] == 9.0 + 9.0j) and np.all(buffer[200:] == 9.0 + 9.0j)
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(99, complex), np.empty(100), np.empty(200, complex)[::2]],
+        ids=["short", "real", "strided"],
+    )
+    def test_out_must_fit(self, out):
+        with pytest.raises(ValueError, match="contiguous complex128 array of 100"):
+            grid_phasor(1.0, 0.0, 1.0, 0, 100, out=out)

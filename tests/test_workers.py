@@ -20,7 +20,8 @@ def force_workers(monkeypatch, count):
 
 def pooled_outputs(site, eph):
     """The outputs of every pooled kernel, each over several of its blocks."""
-    t = 10.0 * np.arange(3 * geo._CHUNK + 123)
+    n = 3 * geo._CHUNK + 123
+    t = 10.0 * np.arange(n)
     coeffs = geo.modulation_coefficients(site, eph, eph.v_sun)
     rng = np.random.default_rng(5)
     # 126,230 = 2 5 13 971 (one row block) and 730,500 = 2^2 3 5^3 487 (six)
@@ -28,7 +29,7 @@ def pooled_outputs(site, eph):
     analog = rng.normal(size=5 * sig._READOUT_BLOCK // 2)
     return [
         geo.beta_ratio(t, site, eph, 230.0),
-        geo.modulation_model(t, coeffs, eph),
+        geo.modulation_model(-5e6, 10.0, n, coeffs, eph),
         *(spec.periodogram(TimeSeries(0.0, 10.0, y, {"origin": "test"}),
                            WindowSpec("rectangular")).psd for y in records),
         sig.readout_channel(np.random.default_rng(6), analog, 10, 0.95, 0.9, 0.5),
