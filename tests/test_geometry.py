@@ -392,28 +392,18 @@ class TestModulationFit:
             dz = abs(c * np.exp(1j * phase) - complex(re, im))
             assert dz <= np.sqrt(2) * delta + rounding
             turns.append(np.pi / 2 * (np.sqrt(2) * delta + rounding) / abs(complex(re, im)))
-        oracle_cross = self._cross(coef)
+        # the cross coefficient as the fit forms it, from lstsq's coefficients
+        phase_d, phase_a = math.atan2(coef[2], coef[1]), math.atan2(coef[4], coef[3])
+        cos_d, sin_d = math.cos(phase_d), math.sin(phase_d)
+        cos_a, sin_a = math.cos(phase_a), math.sin(phase_a)
+        u = [cos_d * cos_a, cos_d * sin_a, sin_d * cos_a, sin_d * sin_a]
+        oracle_cross = float(np.dot(coef[5:9], u))
         cross_bound = 2 * delta + np.linalg.norm(coef[5:]) * sum(turns) + rounding
         assert fitted.c_cross == pytest.approx(oracle_cross, abs=cross_bound)
         # |A dx| / sqrt(n) <= 2 |dx|: every row of the design has norm 2
         assert fitted.residual_rms == pytest.approx(
             resid / np.sqrt(n), abs=2 * 3 * delta + 9 * rounding
         )
-
-    @staticmethod
-    def _cross(coef):
-        """The cross coefficient from lstsq's coefficients, as the fit forms it."""
-        phase_daily = math.atan2(coef[2], coef[1])
-        phase_annual = math.atan2(coef[4], coef[3])
-        u = np.array(
-            [
-                math.cos(phase_daily) * math.cos(phase_annual),
-                math.cos(phase_daily) * math.sin(phase_annual),
-                math.sin(phase_daily) * math.cos(phase_annual),
-                math.sin(phase_daily) * math.sin(phase_annual),
-            ]
-        )
-        return float(np.dot(coef[5:9], u))
 
     def test_degenerate_sampling_raises(self, eph):
         # sampling at exactly the sidereal period aliases the daily columns
