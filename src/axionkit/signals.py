@@ -252,6 +252,70 @@ def telegraph_noise(
 # child generator, so the stream does not depend on the number of workers
 _READOUT_BLOCK = 1 << 16
 
+# Generator.binomial inverts the CDF wherever n min(p, 1 - p) <= 30, so
+# for every p up to this many spins; above it some draws go to BTPE
+_INVERSION_SPINS = 60
+# samples per pass of the inversion: its work arrays stay in L2
+_INVERSION_CHUNK = 1 << 14
+
+
+def _binomial_by_inversion(generator: np.random.Generator, n: int, p: np.ndarray) -> np.ndarray:
+    """generator.binomial(n, p) for 1 <= n <= _INVERSION_SPINS, as uint8.
+
+    numpy's inversion, as array operations a chunk at a time: one
+    uniform u per sample with p != 0, in order (none where p == 0, which
+    counts 0); X counts the CDF terms at min(p, 1 - p) that u exceeds,
+    the pmf from exp(n log q) by its ratio recurrence, and n - X is
+    returned where p > 0.5.  numpy subtracts each pmf term from u
+    instead of summing them, so a u within rounding of a CDF boundary
+    can count differently, and numpy redraws a count past
+    n p + 10 sqrt(n p q + 1), which no draw reaches at n <= 10 and at
+    most 5e-14 of draws reach up to 60 spins (n = 59, p near 0.02).
+    """
+    if not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise ValueError("p < 0, p > 1 or p contains NaNs")
+    counts = np.zeros(p.shape, np.uint8)
+    size = min(p.size, _INVERSION_CHUNK)
+    u, pmf, cdf, ratio, step = (np.empty(size) for _ in range(5))
+    mask = np.empty(size, bool)
+    # the mask's bytes as uint8 and the pmf ratio's factors as 0-d
+    # arrays: no step then converts a scalar or casts through a buffer,
+    # allocations that tracemalloc would charge on every step
+    above = mask.view(np.uint8)
+    steps = [np.array((n - k) / (k + 1)) for k in range(n)]
+    for start in range(0, p.size, _INVERSION_CHUNK):
+        x = p[start : start + _INVERSION_CHUNK]
+        c = counts[start : start + _INVERSION_CHUNK]
+        m = x.size
+        u_, pmf_, cdf_, ratio_, step_, mask_, above_ = (
+            a[:m] for a in (u, pmf, cdf, ratio, step, mask, above)
+        )
+        np.not_equal(x, 0.0, out=mask_)
+        drawn = np.count_nonzero(mask_)
+        if drawn == m:
+            generator.random(out=u_)
+        else:
+            u_.fill(0.0)
+            u_[mask_] = generator.random(drawn)
+        # the inversion's p, its q, then the ratio p/q and the pmf at 0
+        np.subtract(1.0, x, out=step_)
+        np.minimum(x, step_, out=ratio_)
+        np.subtract(1.0, ratio_, out=pmf_)
+        ratio_ /= pmf_
+        np.log(pmf_, out=pmf_)
+        pmf_ *= n
+        np.exp(pmf_, out=pmf_)
+        np.copyto(cdf_, pmf_)
+        for s in steps:
+            np.greater(u_, cdf_, out=mask_)
+            c += above_
+            np.multiply(ratio_, s, out=step_)
+            pmf_ *= step_
+            cdf_ += pmf_
+        np.greater(x, 0.5, out=mask_)
+        np.subtract(n, c, out=c, where=mask_)
+    return counts
+
 
 def readout_channel(
     rng: np.random.Generator,
@@ -274,6 +338,18 @@ def readout_channel(
     each block, and block b's counts come from default_rng(seed_b), so
     the blocks run on the worker pool (workers.each) and the record is
     the same whatever the number of workers.
+
+    The counts are default_rng(seed_b).binomial(n_spins, p_obs).  Up to
+    _INVERSION_SPINS (60) spins, n_spins min(p, 1 - p) <= 30 for every
+    p, so numpy inverts the CDF for every draw, with one uniform each;
+    _binomial_by_inversion does the same as array operations, at about
+    a third of the CPU of numpy's per-draw loop.  Its counts equal numpy's
+    except where a uniform falls within rounding of a CDF boundary or
+    numpy redraws a far-tail count, each of order 1e-13 per draw or
+    less (see there).  Above 60 spins numpy draws some counts by BTPE,
+    a rejection sampler with a varying number of uniforms, so those
+    blocks call generator.binomial.  A NaN sample raises ValueError
+    either way.
     """
     if not 0 < scale:
         raise ValueError("scale must be positive")
@@ -296,7 +372,11 @@ def readout_channel(
         false_high *= 1.0 - f0
         p *= f1
         p += false_high
-        counts = np.random.default_rng(seeds[block]).binomial(n_spins, p)
+        generator = np.random.default_rng(seeds[block])
+        if 1 <= n_spins <= _INVERSION_SPINS:
+            counts = _binomial_by_inversion(generator, n_spins, p)
+        else:
+            counts = generator.binomial(n_spins, p)
         estimate = out[start:stop]
         np.divide(counts, n_spins, out=estimate)
         estimate -= 1.0 - f0

@@ -250,7 +250,7 @@ class TimeSeries:
         )
         with open(path, "wb") as fh:
             fh.write((canonical_json(self._header()) + "\n").encode())
-            fh.write(data.tobytes())
+            fh.write(data)
 
     @classmethod
     @_checked_read

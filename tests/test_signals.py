@@ -204,7 +204,16 @@ class TestInPlaceBits:
 
     @pytest.mark.parametrize(
         "n_spins, f0, f1, scale",
-        [(10, 0.95, 0.95, 0.25), (1, 1.0, 1.0, 1.0), (400, 0.9, 0.93, 3.0)],
+        [
+            (10, 0.95, 0.95, 0.25),
+            (1, 1.0, 1.0, 1.0),
+            # f0 = 1 and x <= -1/3 give p = 0, which draws no uniform
+            (10, 1.0, 0.9, 3.0),
+            # the last spin count read out by inversion, and the first not
+            (60, 0.95, 0.9, 0.5),
+            (61, 0.9, 0.95, 0.5),
+            (400, 0.9, 0.93, 3.0),
+        ],
     )
     def test_readout_channel(self, n_spins, f0, f1, scale):
         # one partial block, and two and a half blocks
@@ -215,6 +224,39 @@ class TestInPlaceBits:
                 np.random.default_rng(9), analog, n_spins, f0, f1, scale
             )
             assert np.array_equal(got, expected)
+
+
+# p values at and next to the ends of [0, 1] and at the flip point
+SPECIAL_P = [0.0, 2.0**-1074, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]
+
+
+class TestBinomialByInversion:
+    @given(
+        n=st.integers(1, sig._INVERSION_SPINS),
+        values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+        size=st.sampled_from([1, sig._INVERSION_CHUNK + 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=60, values=SPECIAL_P, size=sig._INVERSION_CHUNK + 1, seed=0)
+    @example(n=1, values=SPECIAL_P[::-1], size=sig._INVERSION_CHUNK + 1, seed=1)
+    @example(n=10, values=[0.0], size=sig._INVERSION_CHUNK + 1, seed=2)
+    @example(n=7, values=[1.0 - 2.0**-53], size=1, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_generator_binomial(self, n, values, size, seed):
+        # the p pattern repeats over the record and across the chunk edge
+        p = np.resize(np.array(values), size)
+        got = sig._binomial_by_inversion(np.random.default_rng(seed), n, p)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, np.random.default_rng(seed).binomial(n, p))
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 2.0**-52])
+    def test_refuses_what_generator_binomial_refuses(self, bad):
+        p = np.full(100, 0.5)
+        p[37] = bad
+        with pytest.raises(ValueError, match="p < 0, p > 1 or p contains NaNs"):
+            np.random.default_rng(0).binomial(10, p)
+        with pytest.raises(ValueError, match="p < 0, p > 1 or p contains NaNs"):
+            sig._binomial_by_inversion(np.random.default_rng(0), 10, p)
 
 
 # a power of two, drawn at its own length, and 360 * 1461 = 2^3 3^3 5 487,
@@ -305,6 +347,25 @@ class TestReadoutChannel:
         analog = np.full(200_000, 0.12)
         out = sig.readout_channel(rng, analog, 100, 0.9, 0.95, 1.0)
         assert np.mean(out) == pytest.approx(0.12, abs=2e-3)
+
+    @pytest.mark.parametrize("n_spins", [10, 400])
+    def test_nan_sample_raises(self, n_spins):
+        analog = np.random.default_rng(24).normal(size=3 * sig._READOUT_BLOCK // 2)
+        analog[sig._READOUT_BLOCK + 5] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            sig.readout_channel(np.random.default_rng(25), analog, n_spins, 0.95, 0.95, 0.25)
+
+    @pytest.mark.parametrize("n_spins", [10, 400])
+    def test_infinite_samples_clip(self, n_spins):
+        # +inf reads as p = 1 and -inf as p = 0, as numpy's binomial has them
+        analog = np.random.default_rng(26).normal(size=5000)
+        analog[::7] = np.inf
+        analog[3::7] = -np.inf
+        got = sig.readout_channel(np.random.default_rng(27), analog, n_spins, 1.0, 0.95, 0.25)
+        expected = readout_channel_oracle(
+            np.random.default_rng(27), analog, n_spins, 1.0, 0.95, 0.25
+        )
+        assert np.array_equal(got, expected)
 
     def test_contrast_scaling_round_trip(self):
         rng = np.random.default_rng(23)

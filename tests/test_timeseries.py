@@ -324,6 +324,21 @@ class TestBinaryFormat:
         back = TimeSeries.from_binary(path)
         np.testing.assert_array_equal(back.samples, complex_series.samples)
 
+    @pytest.mark.parametrize(
+        "samples",
+        [np.array([1.0, -2.5, 3.25, 0.0]), np.array([1 + 2j, -0.5j, 3.0 + 0j]),
+         np.arange(12.0)[::3], np.arange(8.0).view(np.complex128)[::2]],
+        ids=["real", "complex", "strided-real", "strided-complex"],
+    )
+    def test_bytes_are_header_line_then_samples(self, samples, tmp_path):
+        # the payload is the array's buffer, written without a bytes copy:
+        # the file is the header line followed by samples.tobytes()
+        series = TimeSeries(3.0, 0.25, samples, {"kind": "layout"})
+        path = tmp_path / "series.bin"
+        series.to_binary(path)
+        header = (canonical_json(series._header()) + "\n").encode()
+        assert path.read_bytes() == header + samples.tobytes()
+
     def test_read_holds_one_record(self, tmp_path):
         samples = np.random.default_rng(3).standard_normal(1_000_000)
         path = tmp_path / "series.bin"
