@@ -754,7 +754,7 @@ class TestCli:
             ("triplet", ["--span-days", "1e9", "--dt", "0.5"], "args.span-days and args.dt"),
             ("envelope", ["--dt", "1e-300"], "args.span-days and args.dt"),
             # byte-budget caps: 2,000,000 masses, 8,333 line shapes, and
-            # 2,844 trials at 48 samples a day
+            # 2,585 trials at 48 samples a day
             ("sensitivity", ["--mass-points", "100000000"], "args.mass-points"),
             ("linewidth", ["--masses", ",".join(["1"] * 10_000)], "args.masses"),
             ("daily-rms", ["--trials", "10000000000"], "args.trials"),

@@ -432,6 +432,36 @@ class TestSynthesize:
         )
         np.testing.assert_array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseConfig(seed=12),
+            NoiseConfig(seed=12, white_psd=0.0, pink_amplitude=1e-4),
+            NoiseConfig.zero(seed=12),
+        ],
+        ids=["default", "white-off", "all-off"],
+    )
+    def test_components_added_in_order(self, site, eph, axion, halo, qubit, noise):
+        # ((clean + white) + 1/f) + telegraph, each component from its own
+        # child of SeedSequence(seed), whatever order synthesis draws them in
+        dt = 1800.0
+        ts = sig.synthesize_observable(
+            site, eph, axion, halo, qubit, noise, 20 * SIDEREAL_DAY_S, dt
+        )
+        n, used = ts.samples.size, ts.meta["noise"]
+        coeffs = geo.ModulationCoefficients(**ts.meta["coefficients"])
+        r0, r1, r2, _ = (
+            np.random.default_rng(s) for s in np.random.SeedSequence(noise.seed).spawn(4)
+        )
+        clean = geo.modulation_model(0.0, dt, n, coeffs, eph)
+        oracle = (
+            (clean + sig.white_noise(r0, n, math.sqrt(used["white_psd"] / (2.0 * dt))))
+            + sig.pink_noise(r1, n, dt, used["pink_amplitude"], used["pink_exponent"])
+        ) + sig.telegraph_noise(r2, n, dt, used["rtn_amplitude"], used["rtn_rate_hz"])
+        np.testing.assert_array_equal(ts.samples, oracle)
+        assert ts.samples.tobytes() == oracle.tobytes()  # signed zeros too
+        assert ts.meta["noise_var_realized"] == np.var(oracle - clean)
+
     def test_seed_changes_noise_not_coefficients(self, site, eph, axion, halo, qubit):
         fits = []
         for seed in (1, 2):
@@ -468,7 +498,11 @@ class TestSynthesize:
 
     @pytest.mark.parametrize(
         "bytes_each, limit",
-        [(40, 50_000_000), (1_000, 2_000_000), (240_000, 8_333)],
+        [
+            (sig.BYTES_PER_SAMPLE, sig.MAX_BYTES // sig.BYTES_PER_SAMPLE),
+            (1_000, 2_000_000),
+            (240_000, 8_333),
+        ],
         ids=["sample", "mass-point", "line-shape"],
     )
     def test_byte_budget_limit_per_unit(self, bytes_each, limit):
@@ -485,19 +519,21 @@ class TestSynthesize:
             )
 
     def test_memory_per_sample(self, site, eph, axion, halo, qubit):
-        # about a million samples, readout on: the modulation model's three
-        # arrays plus its time grid, then clean, y and two noise or readout
-        # buffers at most
+        # a million samples, readout on and off: the 1/f draw's spectrum and
+        # output (two record lengths, and the frequency grid while it
+        # lives) sit on top of clean alone, and the white draw's array
+        # becomes the record; 28.4 B a sample with readout, 25.0 B without
         dt = 30.0
-        tracemalloc.start()
-        ts = sig.synthesize_observable(
-            site, eph, axion, halo, qubit, NoiseConfig(seed=4), 1_000_000 * dt, dt,
-            readout=True,
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert ts.samples.size == 1_000_000
-        assert peak <= 40 * ts.samples.size
+        for readout in (True, False):
+            tracemalloc.start()
+            ts = sig.synthesize_observable(
+                site, eph, axion, halo, qubit, NoiseConfig(seed=4), 1_000_000 * dt, dt,
+                readout=readout,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert ts.samples.size == 1_000_000
+            assert peak <= 30 * ts.samples.size, readout
 
     def test_readout_noise_depends_on_spin_count(self, site, eph, axion, halo):
         out = {}
