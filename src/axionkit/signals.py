@@ -564,13 +564,14 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
     """Complex demodulation of a narrow band around f_center.
 
     The record is mixed with exp(-2 pi i f_center t), written in place
-    by timeseries.grid_phasor on the record's grid t0 + k dt: about
-    2 sqrt(N) complex exponentials and one complex multiply per sample,
-    with no sine or cosine per sample.  It is then low-passed to the
-    half-width bandwidth/2 (transition region extends to the full
-    bandwidth), scaled so an in-band real tone of amplitude A appears as
-    a complex tone of modulus A, and decimated to roughly four samples
-    per bandwidth.  Filtering is zero-phase, preserving tone phases.
+    by timeseries.grid_phasor on each window's stretch of the record's
+    grid t0 + k dt: about 2 sqrt(n_block) complex exponentials a window
+    and one complex multiply per sample, with no sine or cosine per
+    sample.  It is then low-passed to the half-width bandwidth/2
+    (transition region extends to the full bandwidth), scaled so an
+    in-band real tone of amplitude A appears as a complex tone of modulus
+    A, and decimated to roughly four samples per bandwidth.  Filtering is
+    zero-phase, preserving tone phases.
 
     The low-pass is the forward-backward pass of a Kaiser FIR `taps`,
     applied as one convolution with the symmetric kernel
@@ -589,7 +590,12 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
     and 50 MB of every process, and this is the package's only filter.
     Overlap-save convolution by numpy.fft at the lengths
     scipy.fft.next_fast_len would pick (_fast_len) costs
-    O((N + numtaps) log numtaps) time and O(N + numtaps) memory.
+    O((N + numtaps) log numtaps) time.  Its windows are streamed through
+    one buffer of n_block samples, each mixed as it is reached, and the
+    odd extensions are taken from the first and last windows' own mixed
+    samples, so no record-length complex array exists: beyond the record,
+    the memory is O(n_block + N/decimation), with n_block at most about
+    16 numtaps.
     """
     fs = 1.0 / series.dt
     if not 0 < f_center < fs / 2.0:
@@ -605,17 +611,6 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
             f"record too short ({n} samples) for a "
             f"{bandwidth} Hz band at fs={fs} Hz"
         )
-    # the mixed record 2 y exp(-i 2 pi f_center t), written in place in the
-    # middle of its odd extension
-    pad = numtaps - 1
-    extended = np.empty(n + 2 * pad, dtype=complex)
-    mixed = extended[pad : pad + n]
-    grid_phasor(-2.0 * math.pi * f_center, series.t0, series.dt, 0, n, out=mixed)
-    mixed *= series.samples
-    mixed *= 2.0
-    extended[:pad] = 2.0 * mixed[0] - mixed[pad:0:-1]
-    extended[pad + n :] = 2.0 * mixed[-1] - mixed[-2 : -pad - 2 : -1]
-
     lowpass = _kaiser_lowpass(numtaps)
     size = 2 * numtaps - 1
     n_kernel = _fast_len(size, real=True)
@@ -635,18 +630,45 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
             break
         step = (bandwidth - enbw) / 2.0
 
-    # overlap-save: a block of n_block extended samples yields the outputs
-    # start .. start + hop - 1, free of circular wrap-around, of which every
-    # decim-th is kept; eight kernel lengths measured fastest
+    # overlap-save over the extended record: the mixed record
+    # 2 y exp(-i 2 pi f_center t) at extended indices pad .. n + pad - 1,
+    # its odd extensions either side and zeros beyond.  The window of n_block
+    # extended samples from start yields the outputs start .. start + hop - 1,
+    # free of circular wrap-around, of which every decim-th is kept; eight
+    # kernel lengths measured fastest.  The window is one buffer: it carries
+    # the size - 1 samples it shares with the previous window, and only the
+    # new ones are mixed, in place.
     decim = max(1, int(math.floor(fs / (4.0 * bandwidth))))
     n_block = _fast_len(min(n + size - 1, 8 * size))
     hop = n_block - size + 1
+    pad = numtaps - 1
     response = np.fft.fft(kernel, n_block)
+    omega = -2.0 * math.pi * f_center
+    window, block = np.empty(n_block, dtype=complex), np.empty(n_block, dtype=complex)
     out = np.empty(-(-n // decim), dtype=complex)
     for start in range(0, n, hop):
-        spectrum = np.fft.fft(extended[start : start + n_block], n_block)
-        spectrum *= response
-        block = np.fft.ifft(spectrum)
+        # window[j] is extended sample start + j; the new ones run fresh .. end - 1
+        fresh, end = start + size - 1 if start else 0, start + n_block
+        if start:
+            window[: size - 1] = window[hop:]
+        lo, hi = max(fresh, pad), min(end, n + pad)
+        if lo < hi:
+            mixed = window[lo - start : hi - start]
+            grid_phasor(omega, series.t0, series.dt, lo - pad, hi - pad, out=mixed)
+            mixed *= series.samples[lo - pad : hi - pad]
+            mixed *= 2.0
+        if not start:  # filtfilt's odd extension, 2 z[0] - z[pad:0:-1]
+            window[:pad] = 2.0 * window[pad] - window[2 * pad : pad : -1]
+        lo, hi = max(fresh, n + pad), min(end, n + 2 * pad)
+        if lo < hi:  # and at the end, extended sample e mirrors 2 (n + pad - 1) - e
+            mirror = 2 * (n + pad - 1) - start
+            window[lo - start : hi - start] = (
+                2.0 * window[n + pad - 1 - start] - window[mirror - hi + 1 : mirror - lo + 1][::-1]
+            )
+        window[max(fresh, n + 2 * pad) - start :] = 0.0
+        np.fft.fft(window, out=block)
+        block *= response
+        np.fft.ifft(block, out=block)
         stop = min(start + hop, n)
         first, last = -(-start // decim), -(-stop // decim)
         shift = size - 1 - start  # output i is block[i + shift]

@@ -32,6 +32,10 @@ class WindowSpec:
             raise ValueError(f"unknown window kind {self.kind!r}")
         if not 0.0 <= self.overlap <= 0.9:
             raise ValueError(f"overlap must be in [0, 0.9], got {self.overlap}")
+        if not 0.0 <= self.segment_length < math.inf:
+            raise ValueError(
+                f"segment_length must be finite and non-negative, got {self.segment_length}"
+            )
 
     def taper(self, n: int) -> np.ndarray | None:
         """The taper's n weights, or None for rectangular: the segment is

@@ -712,6 +712,35 @@ class TestHeterodyne:
             z = bb.samples[edge:-edge]
             ratios.append(np.mean(np.abs(z) ** 2) / (4.0 * sigma**2 * bw / fs))
         assert np.mean(ratios) == pytest.approx(1.0, rel=0.05)
-        # a dozen complex record-length buffers at most: O(N + numtaps)
-        assert peak <= 12 * 16 * (n + h["numtaps"])
+        # the window, its transform and the kernel's, with a little over,
+        # and the output: no record-length buffer (3.25 windows measured)
+        assert peak <= 4 * self._window_bytes(n, h["numtaps"]) + 16 * bb.samples.size
+
+    @staticmethod
+    def _window_bytes(n, numtaps):
+        """The bytes of one complex overlap-save window, n_block as
+        heterodyne picks it for n samples and numtaps taps."""
+        size = 2 * numtaps - 1
+        return 16 * sig._fast_len(min(n + size - 1, 8 * size))
+
+    def test_memory_does_not_grow_with_the_record(self):
+        # 40 Hz at 10 kHz, 5,021 taps and a window of 80,640 samples: the
+        # traced peak is a few windows plus the output at 1M samples and at
+        # 4M alike, where one record-length complex array would be 64 MB
+        fs, f_c, bw = 10_000.0, 1000.0, 40.0
+        peaks, outputs = [], []
+        for n in (1_000_000, 4_000_000):
+            noise = np.random.default_rng(n).normal(0.0, 1.0, n)
+            series = TimeSeries(0.0, 1.0 / fs, noise, {"kind": "noise"})
+            tracemalloc.start()
+            bb = sig.heterodyne(series, f_c, bw)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            window = self._window_bytes(n, bb.meta["heterodyne"]["numtaps"])
+            assert window == 16 * 80_640
+            assert peak <= 4 * window + 16 * bb.samples.size, n
+            peaks.append(peak)
+            outputs.append(16 * bb.samples.size)
+        # four times the record: only the output grows, and one window at most
+        assert peaks[1] - peaks[0] <= outputs[1] - outputs[0] + window
 

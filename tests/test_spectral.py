@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from dataclasses import asdict
 
@@ -185,6 +186,12 @@ class TestWindowResponse:
         rect = spec.window_response(WindowSpec("rectangular", 1e4, 0.0))
         hann = spec.window_response(WindowSpec("hann", 1e4, 0.0))
         assert hann / rect == pytest.approx(1.44, rel=1e-12)
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan, -1.0], ids=["inf", "nan", "negative"])
+    def test_rejects_unusable_segment_length(self, length):
+        # refused where the spec is made, not by int() or as a nan resolution
+        with pytest.raises(ValueError, match="^segment_length must be finite and non-negative"):
+            WindowSpec("hann", length, 0.5)
 
 
 class TestTripletStatistic:

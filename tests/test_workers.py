@@ -1,7 +1,11 @@
+import hashlib
 import os
 import signal
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,3 +105,35 @@ def test_same_bytes_at_any_worker_count(monkeypatch, site, eph, count):
     assert workers._executor._max_workers == count
     for one, many in zip(serial, pooled, strict=True):
         assert one.tobytes() == many.tobytes()
+
+
+def _cli_digests(out: Path, blas_threads: int) -> dict:
+    """sha256 of every file that psd and triplet write, run in fresh
+    processes with OpenBLAS capped at blas_threads."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(workers.__file__).parents[1]),
+        OPENBLAS_NUM_THREADS=str(blas_threads),
+    )
+    main = "import sys; from axionkit.cli import main; sys.exit(main(sys.argv[1:]))"
+    # 1262.3 days at 864 s is 126,230 = 2 5 13 971 samples, a split length
+    for argv in (["psd", "--span-days", "1262.3", "--dt", "864"],
+                 ["triplet", "--span-days", "120"]):
+        run = subprocess.run(
+            [sys.executable, "-c", main, *argv, "--out", str(out / argv[0])],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+    return {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*")) if path.is_file()
+    }
+
+
+def test_same_bytes_at_any_blas_thread_count(tmp_path):
+    # the pool's blocks are fixed by the data, and so must be what BLAS and
+    # LAPACK compute inside them: the fit's QR and the line sums' products
+    one = _cli_digests(tmp_path / "one", 1)
+    two = _cli_digests(tmp_path / "two", 2)
+    assert len(one) == 7
+    assert one == two
