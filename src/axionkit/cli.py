@@ -91,10 +91,10 @@ _LINEWIDTH_ROWS = 1500
 _BYTES_PER_SHAPE = _LINEWIDTH_ROWS * 160
 
 
-def _synthesis_args(cfg: RunConfig, args: dict) -> tuple[float, float]:
+def _synthesis_args(args: dict) -> tuple[float, float]:
     """The span (s) and dt of a psd or triplet record, checked."""
     span_s, dt = args["span-days"] * 86400.0, args["dt"]
-    _check_args("args.span-days and args.dt", signals.check_record, span_s, dt, cfg.ephemeris)
+    _check_args("args.span-days and args.dt", signals.check_record, span_s, dt)
     return span_s, dt
 
 
@@ -109,7 +109,7 @@ def cmd_envelope(cfg: RunConfig, args: dict) -> dict:
     coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
 
     days = np.arange(0.0, span_days)
-    lo, hi = geometry.daily_envelope(days + 0.5, coeffs, cfg.ephemeris)
+    lo, hi = geometry.daily_envelope(days + 0.5, coeffs)
     t = np.arange(0.0, span_s, dt)
     beta_abs = np.abs(
         geometry.beta_ratio(t, cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
@@ -137,14 +137,14 @@ def cmd_daily_rms(cfg: RunConfig, args: dict) -> dict:
     trials, per_day = args["trials"], args["samples-per-day"]
     band_sigma = args["band-sigma"]
     dt = SIDEREAL_DAY_S / per_day
-    _check_args("args.samples-per-day", signals.check_record, YEAR_S, dt, cfg.ephemeris)
+    _check_args("args.samples-per-day", signals.check_record, YEAR_S, dt)
     _check_args(
         "args.trials", signals.check_size, trials * YEAR_S / dt, signals.BYTES_PER_SAMPLE, "samples"
     )
     coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
 
     days = np.arange(0.0, 365.0)
-    theory = geometry.daily_rms(days + 0.5, coeffs, cfg.ephemeris)
+    theory = geometry.daily_rms(days + 0.5, coeffs)
     theory_norm = theory / np.mean(theory)
 
     child_seeds = np.random.SeedSequence(cfg.noise.seed).generate_state(trials)
@@ -162,6 +162,10 @@ def cmd_daily_rms(cfg: RunConfig, args: dict) -> dict:
     per_trial = np.array(per_trial)
     mc_mean = per_trial.mean(axis=0)
     mc_sigma = per_trial.std(axis=0, ddof=1)
+    # a band past the float range is left out of the plot, which drops
+    # non-finite points
+    with np.errstate(over="ignore"):
+        band_hi, band_lo = mc_mean + band_sigma * mc_sigma, mc_mean - band_sigma * mc_sigma
 
     return {
         "daily_rms.csv": _csv(
@@ -172,8 +176,8 @@ def cmd_daily_rms(cfg: RunConfig, args: dict) -> dict:
             [
                 {"x": days, "y": theory_norm, "label": "geometry only"},
                 {"x": days, "y": mc_mean, "label": "ensemble mean", "markers": True},
-                {"x": days, "y": mc_mean + band_sigma * mc_sigma, "label": f"+{band_sigma:g} sigma"},
-                {"x": days, "y": mc_mean - band_sigma * mc_sigma, "label": f"-{band_sigma:g} sigma"},
+                {"x": days, "y": band_hi, "label": f"+{band_sigma:g} sigma"},
+                {"x": days, "y": band_lo, "label": f"-{band_sigma:g} sigma"},
             ],
             xlabel="sidereal day",
             ylabel="normalized daily RMS",
@@ -185,7 +189,7 @@ def cmd_daily_rms(cfg: RunConfig, args: dict) -> dict:
 def cmd_psd(cfg: RunConfig, args: dict) -> dict:
     ts = signals.synthesize_observable(
         cfg.geometry, cfg.ephemeris, cfg.axion, cfg.halo, cfg.qubit,
-        cfg.noise, *_synthesis_args(cfg, args),
+        cfg.noise, *_synthesis_args(args),
     )
     window = spectral.WindowSpec("rectangular", 0.0, 0.0)
     spectrum = spectral.periodogram(ts, window)
@@ -232,7 +236,7 @@ def cmd_triplet(cfg: RunConfig, args: dict) -> dict:
     else:
         ts = signals.synthesize_observable(
             cfg.geometry, cfg.ephemeris, cfg.axion, cfg.halo, cfg.qubit,
-            cfg.noise, *_synthesis_args(cfg, args),
+            cfg.noise, *_synthesis_args(args),
         )
         coeffs = geometry.ModulationCoefficients(**ts.meta["coefficients"])
         if psi_daily is None:

@@ -85,10 +85,10 @@ class EphemerisConstants:
             raise ValueError("v_sun must be positive and v_orbit non-negative")
 
 
-def check_daily_sampling(dt: float, eph: EphemerisConstants) -> None:
+def check_daily_sampling(dt: float) -> None:
     """Raise ValueError unless a record's spacing dt resolves the daily
     tone: dt at most a tenth of a sidereal day, 2 pi / (10 Os)."""
-    max_dt = 0.1 * 2.0 * math.pi / eph.omega_sidereal
+    max_dt = 0.1 * 2.0 * math.pi / OMEGA_SIDEREAL
     if not dt <= max_dt:
         raise ValueError(
             f"dt={dt} s too coarse for the daily tone; need dt <= {max_dt:.1f} s"
@@ -237,9 +237,7 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
     return _chunked(flat.size, kernel).reshape(t.shape)[()]
 
 
-def modulation_model(
-    t0: float, dt: float, n: int, coeffs: ModulationCoefficients, eph: EphemerisConstants
-) -> np.ndarray:
+def modulation_model(t0: float, dt: float, n: int, coeffs: ModulationCoefficients) -> np.ndarray:
     """Evaluate the harmonic model defined by a coefficient set on the n
     samples of the grid t_k = t0 + k dt.
 
@@ -253,8 +251,8 @@ def modulation_model(
     """
 
     def kernel(start, stop):
-        daily = grid_phasor(eph.omega_sidereal, t0, dt, start, stop, coeffs.phase_daily).real
-        annual = grid_phasor(eph.omega_annual, t0, dt, start, stop, coeffs.phase_annual).real
+        daily = grid_phasor(OMEGA_SIDEREAL, t0, dt, start, stop, coeffs.phase_daily).real
+        annual = grid_phasor(OMEGA_ANNUAL, t0, dt, start, stop, coeffs.phase_annual).real
         return (coeffs.c0 + coeffs.c_daily * daily + coeffs.c_annual * annual
                 + coeffs.c_cross * daily * annual)
 
@@ -268,7 +266,7 @@ def modulation_model(
 _FIT_ROWS = 512
 
 
-def fit_modulation_coefficients(t, series, eph: EphemerisConstants) -> ModulationCoefficients:
+def fit_modulation_coefficients(t, series) -> ModulationCoefficients:
     """Least-squares harmonic fit of a projection series.
 
     The basis is {1, cos/sin(Os t), cos/sin(Oa t)} plus the four mixed
@@ -295,8 +293,8 @@ def fit_modulation_coefficients(t, series, eph: EphemerisConstants) -> Modulatio
     if t.ndim != 1 or t.shape != y.shape:
         raise ValueError("t and series must be 1-D arrays of equal length")
 
-    cs, ss = np.cos(eph.omega_sidereal * t), np.sin(eph.omega_sidereal * t)
-    ca, sa = np.cos(eph.omega_annual * t), np.sin(eph.omega_annual * t)
+    cs, ss = np.cos(OMEGA_SIDEREAL * t), np.sin(OMEGA_SIDEREAL * t)
+    ca, sa = np.cos(OMEGA_ANNUAL * t), np.sin(OMEGA_ANNUAL * t)
     # [design | y]: its R holds the design's R and, in its last column,
     # Q^T y; it is the R of the stacked Rs of its blocks of _FIT_ROWS rows
     rows = np.column_stack(
@@ -353,30 +351,30 @@ def modulation_coefficients(
     given geometry, cached per (site, ephemeris, reference speed)."""
     dt = SIDEREAL_DAY_S / 16.0
     t = np.arange(0.0, YEAR_S, dt)
-    return fit_modulation_coefficients(t, beta_ratio(t, site, eph, v_ref), eph)
+    return fit_modulation_coefficients(t, beta_ratio(t, site, eph, v_ref))
 
 
-def daily_mean_and_excursion(day, coeffs: ModulationCoefficients, eph: EphemerisConstants):
+def daily_mean_and_excursion(day, coeffs: ModulationCoefficients):
     """Slow components at the given (fractional) sidereal day index:
     daily mean mu(t) = c0 + c_annual cos(Oa t - phase_annual) and daily
     excursion K(t) = c_daily + c_cross cos(Oa t - phase_annual)."""
     t = np.asarray(day, dtype=float) * SIDEREAL_DAY_S
-    annual = np.cos(eph.omega_annual * t - coeffs.phase_annual)
+    annual = np.cos(OMEGA_ANNUAL * t - coeffs.phase_annual)
     mu = coeffs.c0 + coeffs.c_annual * annual
     k = coeffs.c_daily + coeffs.c_cross * annual
     return mu, k
 
 
-def daily_envelope(day, coeffs: ModulationCoefficients, eph: EphemerisConstants):
+def daily_envelope(day, coeffs: ModulationCoefficients):
     """(min, max) of the daily waveform on the given day: mu -/+ |K|."""
-    mu, k = daily_mean_and_excursion(day, coeffs, eph)
+    mu, k = daily_mean_and_excursion(day, coeffs)
     return mu - np.abs(k), mu + np.abs(k)
 
 
-def daily_rms(day, coeffs: ModulationCoefficients, eph: EphemerisConstants):
+def daily_rms(day, coeffs: ModulationCoefficients):
     """RMS over one sidereal day of mu + K cos(Os t' - phase):
     sqrt(mu^2 + K^2/2)."""
-    mu, k = daily_mean_and_excursion(day, coeffs, eph)
+    mu, k = daily_mean_and_excursion(day, coeffs)
     return np.sqrt(mu**2 + 0.5 * k**2)
 
 

@@ -175,9 +175,9 @@ def effective_field(g_ae: float, halo: HaloParams, v_km_s) -> float:
     default rho = 0.4 GeV/cm^3 this is 4.19e-21 T.  The other common
     convention, B = g_ae |grad a|/(2e), gives about half of that
     (2.10e-21 T; the ratio is g_e/4 since gamma_e = g_e e/(2 m_e)).
-    signals turns B back into a precession frequency through
-    QubitParams.gamma_e_hz_t and g_min_curve divides by B, so a halved B
-    would halve the simulated precession and double every g_min.
+    signals turns B back into a precession rate through the same
+    constants.ELECTRON_GAMMA_RAD_S_T and g_min_curve divides by B, so a
+    halved B would halve the simulated precession and double every g_min.
     """
     if g_ae < 0:
         raise ValueError(f"g_ae must be non-negative, got {g_ae}")

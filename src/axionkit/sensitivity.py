@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import uev_to_hz
+from .constants import M_E_EV, uev_to_hz
 from .geometry import GeometricGains
 from .halo import HaloParams, coherence_time, effective_field
 from .signals import QubitParams
@@ -215,7 +215,7 @@ def g_min_curve(
 # coupling g = C_e m_e / f_a with C_e = sin^2(beta)/3, and the mass-decay
 # constant relation m_a * f_a = DFSZ_MASS_FA_UEV_GEV (in ueV * GeV).
 DFSZ_MASS_FA_UEV_GEV = 5.7e12
-M_E_GEV = 0.51099895e-3
+M_E_GEV = M_E_EV * 1e-9
 
 
 def dfsz_coupling(mass_uev, tan_beta: float):

@@ -13,12 +13,11 @@ of a single master seed, so records are bit-reproducible.
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from . import geometry, workers
-from .constants import SIDEREAL_DAY_S, uev_to_hz, uev_to_rad_s
+from .constants import ELECTRON_GAMMA_RAD_S_T, SIDEREAL_DAY_S, uev_to_hz, uev_to_rad_s
 from .halo import HaloParams, effective_field
 from .timeseries import TimeSeries, grid_phasor, short_hash
 
@@ -69,9 +68,8 @@ class AxionParams:
 @dataclass(frozen=True)
 class QubitParams:
     """Sensor parameters: spin count and single-spin field sensitivity in
-    T/sqrt(Hz); the electron gyromagnetic ratio in Hz/T is a constant."""
+    T/sqrt(Hz)."""
 
-    gamma_e_hz_t: ClassVar[float] = 28e9
     n_spins: int = 10
     eta_b_t_rthz: float = 1e-15
 
@@ -136,13 +134,13 @@ class NoiseConfig:
 def modulation_index(
     axion: AxionParams, halo: HaloParams, cos_theta: float, v_km_s: float
 ) -> float:
-    """Local FM depth: (gamma_e B_eff / omega_a) * cos(theta).
-
-    With QubitParams.gamma_e_hz_t in Hz/T and the field frequency in Hz
-    the 2 pi factors cancel.  Linear in the coupling through the effective field.
+    """Local FM depth: (gamma_e B_eff / omega_a) * cos(theta), with gamma_e
+    the CODATA ratio in rad/s/T that effective_field divides by, so the
+    depth is the axion-induced precession rate over omega_a.  Linear in
+    the coupling through the effective field.
     """
-    delta_nu = QubitParams.gamma_e_hz_t * effective_field(axion.g_ae, halo, v_km_s)
-    return delta_nu / axion.frequency_hz * cos_theta
+    b_eff = effective_field(axion.g_ae, halo, v_km_s)
+    return ELECTRON_GAMMA_RAD_S_T * b_eff / axion.omega_rad_s * cos_theta
 
 
 def spin_expectation(t, omega0: float, beta_loc: float, axion: AxionParams, phi0: float = 0.0):
@@ -407,12 +405,12 @@ def check_size(count: float, bytes_each: int, unit: str) -> None:
         )
 
 
-def check_record(span_s: float, dt: float, eph: geometry.EphemerisConstants) -> None:
+def check_record(span_s: float, dt: float) -> None:
     """Raise ValueError unless synthesize_observable accepts the record:
     dt resolves the daily tone, the span covers two sidereal days, and
     its span_s / dt samples fit the byte budget (check_size at
     BYTES_PER_SAMPLE)."""
-    geometry.check_daily_sampling(dt, eph)
+    geometry.check_daily_sampling(dt)
     if span_s < 2.0 * SIDEREAL_DAY_S:
         raise ValueError("span must cover at least two sidereal days")
     check_size(span_s / dt, BYTES_PER_SAMPLE, "samples")
@@ -451,12 +449,12 @@ def synthesize_observable(
     samples (readout_channel), so the record does not depend on the
     number of cores that read it out.
     """
-    check_record(span_s, dt, eph)
+    check_record(span_s, dt)
     n = int(round(span_s / dt))
 
     if coeffs is None:
         coeffs = geometry.modulation_coefficients(site, eph, halo.v_ref)
-    clean = geometry.modulation_model(t0, dt, n, coeffs, eph)
+    clean = geometry.modulation_model(t0, dt, n, coeffs)
     beta0 = modulation_index(axion, halo, 1.0, halo.v_ref)
 
     rms = float(np.sqrt(np.mean(clean**2)))
@@ -521,20 +519,13 @@ def _kaiser_order(width: float) -> int:
     return math.ceil((80.0 - 7.95) / 2.285 / (math.pi * width) + 1) | 1
 
 
-def _kaiser_window(numtaps: int) -> np.ndarray:
-    """The 80 dB Kaiser window over numtaps points, beta as kaiserord's."""
-    beta = 0.1102 * (80.0 - 8.7)
-    alpha = (numtaps - 1) / 2.0
-    m = np.arange(numtaps, dtype=float) - alpha
-    return np.i0(beta * np.sqrt(1 - (m / alpha) ** 2.0)) / np.i0(beta)
-
-
 def _kaiser_lowpass(numtaps: int) -> Callable[[float], np.ndarray]:
     """taps(c): the one-band firwin low-pass with cutoff c in units of
-    Nyquist, a sinc times the Kaiser window, scaled to unit DC gain.  The
-    window is computed once, here."""
+    Nyquist, a sinc times the 80 dB Kaiser window (np.kaiser, with
+    kaiserord's beta), scaled to unit DC gain.  The window is computed
+    once, here."""
     m = np.arange(numtaps, dtype=float) - (numtaps - 1) / 2.0
-    window = _kaiser_window(numtaps)
+    window = np.kaiser(numtaps, 0.1102 * (80.0 - 8.7))
 
     def taps(c: float) -> np.ndarray:
         h = c * np.sinc(c * m) * window

@@ -293,7 +293,7 @@ def triplet_statistic(
     y = baseband.samples
     if np.iscomplexobj(y):
         raise ValueError("triplet_statistic expects a real record")
-    check_daily_sampling(baseband.dt, eph)
+    check_daily_sampling(baseband.dt)
     n, t0, dt = y.size, baseband.t0, baseband.dt
 
     om_s, om_a = eph.omega_sidereal, eph.omega_annual

@@ -40,6 +40,22 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return decades or [lo]
 
 
+def _unit(lo: float, hi: float) -> float:
+    """The power of two that values in [lo, hi] are measured in: 4 where an
+    end tops a quarter of the float range, so that no difference of two
+    of them overflows, else 1, which changes no bit."""
+    return 4.0 if max(-lo, hi) > sys.float_info.max / 4 else 1.0
+
+
+def _pad(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] widened on each side, within the float range: by 5 % of its
+    span, or for a point by 1, or by 2**-50 of its size past 2**50, so
+    that the ends stay apart."""
+    unit = _unit(lo, hi)
+    pad = 0.05 * (hi / unit - lo / unit) * unit if hi > lo else max(1.0, abs(lo) * 2.0**-50)
+    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+
+
 class _Axis:
     def __init__(self, lo, hi, pixel_lo, pixel_hi, log):
         if log and lo <= 0:
@@ -49,11 +65,14 @@ class _Axis:
         self.hi = math.log10(hi) if log else hi
         if self.hi == self.lo:
             self.hi = self.lo + 1.0
+        self.unit = _unit(self.lo, self.hi)
+        self.lo_units = self.lo / self.unit
+        self.span_units = self.hi / self.unit - self.lo_units
         self.pixel_lo, self.pixel_hi = pixel_lo, pixel_hi
 
     def __call__(self, value):
         v = math.log10(value) if self.log else value
-        frac = (v - self.lo) / (self.hi - self.lo)
+        frac = (v / self.unit - self.lo_units) / self.span_units
         return self.pixel_lo + frac * (self.pixel_hi - self.pixel_lo)
 
 
@@ -87,15 +106,14 @@ def line_plot(
 
     xs = [p[0] for pts, *_ in cleaned for p in pts]
     ys = [p[1] for pts, *_ in cleaned for p in pts]
-    pad = lambda lo, hi: (lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)) if hi > lo else (lo - 1, hi + 1)
     if xlog:
         x_lo, x_hi = min(xs), max(xs)
     else:
-        x_lo, x_hi = pad(min(xs), max(xs))
+        x_lo, x_hi = _pad(min(xs), max(xs))
     if ylog:
         y_lo, y_hi = min(ys), max(ys)
     else:
-        y_lo, y_hi = pad(min(ys), max(ys))
+        y_lo, y_hi = _pad(min(ys), max(ys))
 
     x_axis = _Axis(x_lo, x_hi, _MARGIN_L, _WIDTH - _MARGIN_R, xlog)
     y_axis = _Axis(y_lo, y_hi, _HEIGHT - _MARGIN_B, _MARGIN_T, ylog)

@@ -192,6 +192,8 @@ class TimeSeries:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.samples.ndim != 1 or self.samples.size < 2:

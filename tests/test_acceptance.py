@@ -256,7 +256,7 @@ class TestCriterion6DailyRmsRobustness:
 
         coeffs = geo.modulation_coefficients(site, eph, halo.v_ref)
         days = np.arange(365.0)
-        theory = geo.daily_rms(days + 0.5, coeffs, eph)
+        theory = geo.daily_rms(days + 0.5, coeffs)
         theory_norm = theory / theory.mean()
 
         trials = []

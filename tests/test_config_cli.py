@@ -2,9 +2,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +377,15 @@ class TestCli:
         theory, mc_mean, mc_sigma = rows[:, 1], rows[:, 2], rows[:, 3]
         inside = np.abs(mc_mean - theory) <= 5 * mc_sigma
         assert np.mean(inside) >= 0.95
+
+    def test_daily_rms_band_past_the_float_range(self, tmp_path):
+        # sigma times 1.7e308 overflows; the band is left out of the plot
+        out = tmp_path / "wide"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run("daily-rms", "--out", str(out), "--trials", "2",
+                            "--samples-per-day", "12", "--band-sigma", "1.7e308") == 0
+        assert "nan" not in (out / "daily_rms.svg").read_text()
 
     def test_degenerate_readout_fidelities_exit_code(self, tmp_path, capsys):
         # f0 + f1 = 1 makes the readout debias divide by zero
@@ -972,6 +983,26 @@ class TestSvgPlot:
         ticks = svgplot._linear_ticks(min(a, b), max(a, b), 5)
         assert 1 <= len(ticks) <= 7
         assert ticks == sorted(ticks)
+
+    @pytest.mark.parametrize(
+        "y",
+        [[-1e308, 1e308], [-sys.float_info.max, sys.float_info.max],
+         [sys.float_info.max, sys.float_info.max / 2], [1e20, 1e20],
+         [-sys.float_info.max, -sys.float_info.max]],
+        ids=["wide", "whole-range", "top", "big-point", "lowest-point"],
+    )
+    def test_axis_anywhere_in_the_float_range(self, tmp_path, y):
+        # the padded span of a wide axis once overflowed, and a point past
+        # 2**53 padded by 1 gave a zero-width axis
+        path = tmp_path / "wide.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svgplot.line_plot(path, [{"x": [0, 1], "y": y}])
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        points = re.search(r'points="([^"]*)"', text).group(1)
+        pixels = [float(v) for xy in points.split() for v in xy.split(",")]
+        assert all(0 <= v <= 720 for v in pixels)
 
     def test_drops_nonfinite_points(self, tmp_path):
         path = tmp_path / "nan.svg"

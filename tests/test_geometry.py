@@ -1,6 +1,10 @@
+import importlib
+import inspect
 import json
 import math
-from dataclasses import asdict
+import pickle
+import pkgutil
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,9 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from axionkit import EphemerisConstants, ModulationCoefficients, SiteGeometry
+import axionkit
+from axionkit import (
+    AxionParams,
+    EphemerisConstants,
+    HaloParams,
+    ModulationCoefficients,
+    NoiseConfig,
+    QubitParams,
+    SiteGeometry,
+)
 from axionkit import geometry as geo
-from axionkit.constants import SIDEREAL_DAY_S, YEAR_S
+from axionkit import signals as sig
+from axionkit.constants import OMEGA_ANNUAL, OMEGA_SIDEREAL, SIDEREAL_DAY_S, YEAR_S
 
 
 def fit_grid(samples_per_day=16, days=366):
@@ -192,11 +206,11 @@ class TestProjection:
         np.testing.assert_allclose(east, [1.0, 0.0, 0.0], atol=1e-12)
 
 
-def modulation_model_oracle(t, coeffs, eph):
+def modulation_model_oracle(t, coeffs):
     """The model as one expression with whole-array temporaries."""
     t = np.asarray(t, dtype=float)
-    daily = np.cos(eph.omega_sidereal * t - coeffs.phase_daily)
-    annual = np.cos(eph.omega_annual * t - coeffs.phase_annual)
+    daily = np.cos(OMEGA_SIDEREAL * t - coeffs.phase_daily)
+    annual = np.cos(OMEGA_ANNUAL * t - coeffs.phase_annual)
     return (
         coeffs.c0
         + coeffs.c_daily * daily
@@ -205,7 +219,7 @@ def modulation_model_oracle(t, coeffs, eph):
     )
 
 
-def modulation_model_bound(t0, dt, n, coeffs, eph):
+def modulation_model_bound(t0, dt, n, coeffs):
     """Largest |modulation_model - modulation_model_oracle| rounding allows.
 
     Each cosine of the oracle rounds its phase by up to |O| ulp(T) +
@@ -222,8 +236,8 @@ def modulation_model_bound(t0, dt, n, coeffs, eph):
         rounding = omega * np.spacing(big_t) + np.spacing(omega * big_t + abs(phase))
         return 2.0 * rounding + omega * dt * b * eps + 8.0 * eps
 
-    daily = cosine(eph.omega_sidereal, coeffs.phase_daily)
-    annual = cosine(eph.omega_annual, coeffs.phase_annual)
+    daily = cosine(OMEGA_SIDEREAL, coeffs.phase_daily)
+    annual = cosine(OMEGA_ANNUAL, coeffs.phase_annual)
     scale = abs(coeffs.c0) + abs(coeffs.c_daily) + abs(coeffs.c_annual) + abs(coeffs.c_cross)
     return (
         (abs(coeffs.c_daily) + abs(coeffs.c_cross)) * daily
@@ -249,31 +263,31 @@ class TestModulationModel:
     )
     def test_matches_the_expression(self, site, eph, t0, dt, n):
         coeffs = geo.modulation_coefficients(site, eph, eph.v_sun)
-        got = geo.modulation_model(t0, dt, n, coeffs, eph)
-        expected = modulation_model_oracle(t0 + dt * np.arange(n), coeffs, eph)
+        got = geo.modulation_model(t0, dt, n, coeffs)
+        expected = modulation_model_oracle(t0 + dt * np.arange(n), coeffs)
         assert got.shape == (n,) and got.dtype == np.float64
-        assert np.max(np.abs(got - expected)) <= modulation_model_bound(t0, dt, n, coeffs, eph)
+        assert np.max(np.abs(got - expected)) <= modulation_model_bound(t0, dt, n, coeffs)
 
 
-def lstsq_fit_oracle(t, y, eph):
+def lstsq_fit_oracle(t, y):
     """The nine-term design's least-squares coefficients by np.linalg.lstsq,
     its rank by lstsq's rule, its singular values and the residual norm."""
-    cs, ss = np.cos(eph.omega_sidereal * t), np.sin(eph.omega_sidereal * t)
-    ca, sa = np.cos(eph.omega_annual * t), np.sin(eph.omega_annual * t)
+    cs, ss = np.cos(OMEGA_SIDEREAL * t), np.sin(OMEGA_SIDEREAL * t)
+    ca, sa = np.cos(OMEGA_ANNUAL * t), np.sin(OMEGA_ANNUAL * t)
     design = np.column_stack([np.ones_like(t), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa])
     coef, _, rank, singular = np.linalg.lstsq(design, y, rcond=None)
     return coef, rank, singular, float(np.linalg.norm(y - design @ coef))
 
 
 class TestModulationFit:
-    def test_round_trip_identity(self, eph):
+    def test_round_trip_identity(self):
         truth = ModulationCoefficients(
             c0=0.3, c_daily=0.62, c_annual=0.05, c_cross=0.08,
             phase_daily=1.1, phase_annual=2.4,
         )
         t = fit_grid()
-        model = geo.modulation_model(0.0, SIDEREAL_DAY_S / 16, t.size, truth, eph)
-        fitted = geo.fit_modulation_coefficients(t, model, eph)
+        model = geo.modulation_model(0.0, SIDEREAL_DAY_S / 16, t.size, truth)
+        fitted = geo.fit_modulation_coefficients(t, model)
         assert fitted.c0 == pytest.approx(truth.c0, abs=1e-6)
         assert fitted.c_daily == pytest.approx(truth.c_daily, abs=1e-6)
         assert fitted.c_annual == pytest.approx(truth.c_annual, abs=1e-6)
@@ -285,9 +299,7 @@ class TestModulationFit:
     def test_pole_geometry_has_no_daily_terms(self, eph_no_orbit):
         site = SiteGeometry(latitude_deg=90.0)
         t = fit_grid()
-        fitted = geo.fit_modulation_coefficients(
-            t, projection(t, site, eph_no_orbit), eph_no_orbit
-        )
+        fitted = geo.fit_modulation_coefficients(t, projection(t, site, eph_no_orbit))
         assert abs(fitted.c_daily) < 1e-9
         assert abs(fitted.c_cross) < 1e-9
 
@@ -295,7 +307,7 @@ class TestModulationFit:
         # the unnormalized wind-vector projection contains only the union of
         # the DC, daily, annual and mixed lines, so the fit is exact
         t = fit_grid()
-        fitted = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0), eph)
+        fitted = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0))
         assert fitted.residual_rms < 1e-12
 
     @given(site=sites, v_orbit=st.floats(0.0, 60.0))
@@ -304,7 +316,7 @@ class TestModulationFit:
         # the fixed sensor axis keeps beta_ratio inside the nine-term basis
         eph = EphemerisConstants(v_orbit=v_orbit)
         t = fit_grid(samples_per_day=8)
-        fitted = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0), eph)
+        fitted = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0))
         assert fitted.residual_rms < 1e-12
 
     def test_default_geometry_against_lockin_oracle(self, site, eph):
@@ -312,7 +324,7 @@ class TestModulationFit:
         subtraction (suppresses leakage across non-orthogonal bins)."""
         t = fit_grid()
         y = geo.beta_ratio(t, site, eph, 230.0)
-        fitted = geo.fit_modulation_coefficients(t, y, eph)
+        fitted = geo.fit_modulation_coefficients(t, y)
 
         def demod(resid, om):
             return np.mean(resid * np.exp(-1j * om * t))
@@ -354,10 +366,9 @@ class TestModulationFit:
     )
     @settings(max_examples=30, deadline=None)
     def test_agrees_with_lstsq(self, n, dt, t0, c0, pure, mixed, sigma, seed):
-        eph = EphemerisConstants()
         t = t0 + dt * np.arange(n)
-        cs, ss = np.cos(eph.omega_sidereal * t), np.sin(eph.omega_sidereal * t)
-        ca, sa = np.cos(eph.omega_annual * t), np.sin(eph.omega_annual * t)
+        cs, ss = np.cos(OMEGA_SIDEREAL * t), np.sin(OMEGA_SIDEREAL * t)
+        ca, sa = np.cos(OMEGA_ANNUAL * t), np.sin(OMEGA_ANNUAL * t)
         columns = [np.ones_like(t), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa]
         (a_d, phi_d), (a_a, phi_a) = pure
         truth = [c0, a_d * math.cos(phi_d), a_d * math.sin(phi_d),
@@ -365,12 +376,12 @@ class TestModulationFit:
         y = np.random.default_rng(seed).normal(0.0, sigma, n)
         for c, column in zip(truth, columns):
             y += c * column
-        coef, rank, singular, resid = lstsq_fit_oracle(t, y, eph)
+        coef, rank, singular, resid = lstsq_fit_oracle(t, y)
         if rank < 9:
             with pytest.raises(ValueError, match=f"rank {rank} < 9"):
-                geo.fit_modulation_coefficients(t, y, eph)
+                geo.fit_modulation_coefficients(t, y)
             return
-        fitted = geo.fit_modulation_coefficients(t, y, eph)
+        fitted = geo.fit_modulation_coefficients(t, y)
         # Both solvers are backward stable: each solves a problem within
         # gamma = 10 * 9 * u of the design and y, relative.  By the least-
         # squares perturbation bound (Higham, Accuracy and Stability, thm
@@ -405,11 +416,11 @@ class TestModulationFit:
             resid / np.sqrt(n), abs=2 * 3 * delta + 9 * rounding
         )
 
-    def test_degenerate_sampling_raises(self, eph):
+    def test_degenerate_sampling_raises(self):
         # sampling at exactly the sidereal period aliases the daily columns
         t = np.arange(0, 400) * SIDEREAL_DAY_S
         with pytest.raises(ValueError, match="rank"):
-            geo.fit_modulation_coefficients(t, np.ones_like(t), eph)
+            geo.fit_modulation_coefficients(t, np.ones_like(t))
 
     @given(scale=st.floats(0.1, 50.0))
     @settings(max_examples=30, deadline=None)
@@ -417,8 +428,8 @@ class TestModulationFit:
         site, eph = SiteGeometry(), EphemerisConstants()
         t = fit_grid(samples_per_day=8)
         y = geo.beta_ratio(t, site, eph, 230.0)
-        base = geo.fit_modulation_coefficients(t, y, eph).annual_depth
-        scaled = geo.fit_modulation_coefficients(t, scale * y, eph).annual_depth
+        base = geo.fit_modulation_coefficients(t, y).annual_depth
+        scaled = geo.fit_modulation_coefficients(t, scale * y).annual_depth
         assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_envelope_depth_canonicalization(self):
@@ -437,32 +448,32 @@ class TestModulationFit:
 
 
 class TestDailySummaries:
-    def test_constant_envelope_without_annual_terms(self, eph):
+    def test_constant_envelope_without_annual_terms(self):
         c = ModulationCoefficients(
             c0=0.3, c_daily=0.6, c_annual=0.0, c_cross=0.0,
             phase_daily=0.2, phase_annual=0.0,
         )
         for day in (0, 50, 200):
-            lo, hi = geo.daily_envelope(day, c, eph)
+            lo, hi = geo.daily_envelope(day, c)
             assert lo == pytest.approx(0.3 - 0.6, abs=1e-14)
             assert hi == pytest.approx(0.3 + 0.6, abs=1e-14)
 
-    def test_envelope_at_annual_maximum(self, eph):
+    def test_envelope_at_annual_maximum(self):
         c = ModulationCoefficients(
             c0=0.3, c_daily=0.6, c_annual=0.05, c_cross=0.08,
             phase_daily=0.0, phase_annual=0.0,
         )
-        lo, hi = geo.daily_envelope(0.0, c, eph)  # cos term = +1 at day 0
+        lo, hi = geo.daily_envelope(0.0, c)  # cos term = +1 at day 0
         assert hi == pytest.approx((0.3 + 0.05) + abs(0.6 + 0.08), abs=1e-12)
         assert lo == pytest.approx((0.3 + 0.05) - abs(0.6 + 0.08), abs=1e-12)
 
     def test_envelope_tracks_dense_series(self, site, eph):
         t = fit_grid()
-        coeffs = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0), eph)
+        coeffs = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0))
         t_day = np.arange(0.0, SIDEREAL_DAY_S, 30.0)
         for day in range(0, 366, 30):
             series = geo.beta_ratio(day * SIDEREAL_DAY_S + t_day, site, eph, 230.0)
-            lo, hi = geo.daily_envelope(day + 0.5, coeffs, eph)
+            lo, hi = geo.daily_envelope(day + 0.5, coeffs)
             assert hi == pytest.approx(series.max(), abs=0.012)
             assert lo == pytest.approx(series.min(), abs=0.012)
 
@@ -475,24 +486,24 @@ class TestDailySummaries:
         c = ModulationCoefficients(
             c0=mu, c_daily=k, c_annual=0.0, c_cross=0.0, phase_daily=0.0, phase_annual=0.0
         )
-        rms = geo.daily_rms(12.0, c, EphemerisConstants())
+        rms = geo.daily_rms(12.0, c)
         assert rms == pytest.approx(oracle, abs=1e-7)
         assert rms == pytest.approx(np.sqrt(mu**2 + k**2 / 2), abs=1e-10)
 
-    def test_daily_rms_limits(self, eph):
+    def test_daily_rms_limits(self):
         c_mu0 = ModulationCoefficients(0.0, 0.7, 0.0, 0.0, 0.0, 0.0)
-        assert geo.daily_rms(3.0, c_mu0, eph) == pytest.approx(0.7 / np.sqrt(2), abs=1e-12)
+        assert geo.daily_rms(3.0, c_mu0) == pytest.approx(0.7 / np.sqrt(2), abs=1e-12)
         c_k0 = ModulationCoefficients(-0.4, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert geo.daily_rms(3.0, c_k0, eph) == pytest.approx(0.4, abs=1e-12)
+        assert geo.daily_rms(3.0, c_k0) == pytest.approx(0.4, abs=1e-12)
 
     def test_daily_rms_tracks_dense_series(self, site, eph):
         t = fit_grid()
-        coeffs = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0), eph)
+        coeffs = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0))
         t_day = np.arange(0.0, SIDEREAL_DAY_S, 30.0)
         for day in range(0, 366, 45):
             series = geo.beta_ratio(day * SIDEREAL_DAY_S + t_day, site, eph, 230.0)
             oracle = np.sqrt(np.mean(series**2))
-            assert geo.daily_rms(day + 0.5, coeffs, eph) == pytest.approx(oracle, rel=0.01)
+            assert geo.daily_rms(day + 0.5, coeffs) == pytest.approx(oracle, rel=0.01)
 
 
 class TestGeometricGains:
@@ -534,3 +545,52 @@ class TestSiteValidation:
         assert site.wind_ra_deg == pytest.approx(90.0)
         assert site.azimuth_deg == pytest.approx(270.0)
         assert 0 <= site.lst0_rad < 2 * np.pi
+
+
+def _ephemeris_callers():
+    """Every public function of the package with an EphemerisConstants
+    parameter, by "module.name"."""
+    found = set()
+    for info in pkgutil.iter_modules(axionkit.__path__):
+        module = importlib.import_module(f"axionkit.{info.name}")
+        for name, obj in vars(module).items():
+            fn = inspect.unwrap(obj) if callable(obj) else None
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            if fn.__module__ != module.__name__:
+                continue
+            params = inspect.signature(fn).parameters.values()
+            if any(p.annotation is EphemerisConstants for p in params):
+                found.add(f"{info.name}.{name}")
+    return found
+
+
+_GRID = np.linspace(0.0, YEAR_S, 37)
+_EPHEMERIS_CALLS = {
+    "geometry.wind_velocity_equatorial":
+        lambda eph: geo.wind_velocity_equatorial(_GRID, SiteGeometry(), eph),
+    "geometry.beta_ratio": lambda eph: geo.beta_ratio(_GRID, SiteGeometry(), eph, 230.0),
+    "geometry.modulation_coefficients":
+        lambda eph: geo.modulation_coefficients(SiteGeometry(), eph, 230.0),
+    "signals.synthesize_observable": lambda eph: sig.synthesize_observable(
+        SiteGeometry(), eph, AxionParams(), HaloParams(), QubitParams(), NoiseConfig(seed=1),
+        3 * SIDEREAL_DAY_S, 1800.0,
+    ),
+}
+# triplet_statistic reads only the class rates; it keeps its eph because
+# the benchmark's workloads pass it positionally
+_EPHEMERIS_EXEMPT = {"spectral.triplet_statistic"}
+
+
+def test_every_ephemeris_caller_is_listed():
+    assert _ephemeris_callers() == set(_EPHEMERIS_CALLS) | _EPHEMERIS_EXEMPT
+
+
+@pytest.mark.parametrize("field", ["v_sun", "v_orbit", "obliquity_deg", "orbital_phase"])
+@pytest.mark.parametrize("name", sorted(_EPHEMERIS_CALLS))
+def test_every_ephemeris_argument_is_read(name, field):
+    # an ephemeris that no instance field of can move the output is not an input
+    base = EphemerisConstants()
+    moved = replace(base, **{field: getattr(base, field) + 1.0})
+    call = _EPHEMERIS_CALLS[name]
+    assert pickle.dumps(call(moved)) != pickle.dumps(call(base))

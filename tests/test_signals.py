@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import fft, integrate, special, signal as sps
+from scipy import fft, integrate, signal as sps
 
 from axionkit import AxionParams, NoiseConfig, QubitParams, TimeSeries
 from axionkit import geometry as geo
 from axionkit import signals as sig
-from axionkit.constants import SIDEREAL_DAY_S, YEAR_S, uev_to_hz
+from axionkit.constants import (
+    C_KM_S,
+    EV_TO_RAD_S,
+    GEV_CM3_TO_EV4,
+    M_E_EV,
+    SIDEREAL_DAY_S,
+    YEAR_S,
+    uev_to_hz,
+    uev_to_rad_s,
+)
 
 
 def bessel_integral_oracle(n, beta):
@@ -30,12 +39,24 @@ class TestModulationIndex:
 
     def test_dimensional_oracle(self, halo):
         # independent chain: frozen effective field (from the SI oracle in
-        # test_halo) times gamma in Hz/T over the line frequency in Hz
+        # test_halo) times CODATA gamma_e / 2 pi in Hz/T over the line
+        # frequency in Hz
         beta = sig.modulation_index(
             AxionParams(mass_uev=1.0, g_ae=1e-13), halo, 1.0, 1e-3 * 299792.458
         )
-        expected = 28e9 * 4.186144e-21 / 241798924.2
+        expected = 28.0249514e9 * 4.186144e-21 / 241798924.2
         assert beta == pytest.approx(expected, rel=1e-4)
+
+    @pytest.mark.parametrize("mass_uev, g_ae, v_km_s", [(1.0, 1e-13, 230.0), (7.5, 3e-12, 550.0)])
+    def test_is_precession_rate_over_field_rate(self, halo, mass_uev, g_ae, v_km_s):
+        # natural-unit chain with no gyromagnetic ratio in it: the
+        # precession rate g_ae (v/c) sqrt(2 rho) / m_e, in eV, to rad/s,
+        # over the field's angular frequency
+        rho_ev4 = halo.rho_dm * GEV_CM3_TO_EV4
+        precession_ev = g_ae * (v_km_s / C_KM_S) * math.sqrt(2.0 * rho_ev4) / M_E_EV
+        expected = precession_ev * EV_TO_RAD_S / uev_to_rad_s(mass_uev)
+        beta = sig.modulation_index(AxionParams(mass_uev=mass_uev, g_ae=g_ae), halo, 1.0, v_km_s)
+        assert beta == pytest.approx(expected, rel=1e-13)
 
 
 class TestSpinExpectation:
@@ -419,7 +440,7 @@ class TestSynthesize:
         coeffs = geo.ModulationCoefficients(**ts.meta["coefficients"])
         for day in range(0, 360, 20):
             seg = ts.samples[day * 48 : (day + 1) * 48]
-            oracle = geo.daily_rms(day + 0.5, coeffs, eph)
+            oracle = geo.daily_rms(day + 0.5, coeffs)
             assert np.sqrt(np.mean(seg**2)) == pytest.approx(oracle, rel=1e-3)
 
     def test_bit_reproducible(self, site, eph, axion, halo, qubit):
@@ -453,7 +474,7 @@ class TestSynthesize:
         r0, r1, r2, _ = (
             np.random.default_rng(s) for s in np.random.SeedSequence(noise.seed).spawn(4)
         )
-        clean = geo.modulation_model(0.0, dt, n, coeffs, eph)
+        clean = geo.modulation_model(0.0, dt, n, coeffs)
         oracle = (
             (clean + sig.white_noise(r0, n, math.sqrt(used["white_psd"] / (2.0 * dt))))
             + sig.pink_noise(r1, n, dt, used["pink_amplitude"], used["pink_exponent"])
@@ -468,7 +489,7 @@ class TestSynthesize:
             ts = sig.synthesize_observable(
                 site, eph, axion, halo, qubit, NoiseConfig(seed=seed), YEAR_S, 1800.0
             )
-            fits.append(geo.fit_modulation_coefficients(ts.times, ts.samples, eph))
+            fits.append(geo.fit_modulation_coefficients(ts.times, ts.samples))
         clean = sig.synthesize_observable(
             site, eph, axion, halo, qubit, NoiseConfig.zero(), YEAR_S, 1800.0
         )
@@ -672,17 +693,6 @@ class TestHeterodyne:
         taps = sig._kaiser_lowpass(numtaps)(cutoff / (fs / 2.0))
         oracle = sps.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs)
         assert np.max(np.abs(taps - oracle)) <= 1e-14 * np.max(np.abs(oracle))
-
-    @given(numtaps=st.integers(1, 20_000).map(lambda k: 2 * k + 1))
-    @example(numtaps=3)
-    @example(numtaps=5021)
-    @settings(max_examples=60, deadline=None)
-    def test_window_matches_special_i0(self, numtaps):
-        beta = 0.1102 * (80.0 - 8.7)
-        alpha = (numtaps - 1) / 2.0
-        m = np.arange(numtaps) - alpha
-        oracle = special.i0(beta * np.sqrt(1 - (m / alpha) ** 2)) / special.i0(beta)
-        np.testing.assert_allclose(sig._kaiser_window(numtaps), oracle, rtol=2e-15, atol=0)
 
     @pytest.mark.parametrize("real", [True, False])
     def test_fast_len_matches_next_fast_len(self, real):

@@ -63,6 +63,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             TimeSeries(0.0, dt, np.arange(4.0), {"x": 1})
 
+    @pytest.mark.parametrize("t0", [math.inf, -math.inf, math.nan])
+    def test_requires_finite_t0(self, t0):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            TimeSeries(t0, 1e-3, np.arange(4.0), {"x": 1})
+
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             TimeSeries(0.0, 1.0, np.array([1.0]), {"x": 1})

@@ -33,7 +33,7 @@ def pooled_outputs(site, eph):
     analog = rng.normal(size=5 * sig._READOUT_BLOCK // 2)
     return [
         geo.beta_ratio(t, site, eph, 230.0),
-        geo.modulation_model(-5e6, 10.0, n, coeffs, eph),
+        geo.modulation_model(-5e6, 10.0, n, coeffs),
         *(spec.periodogram(TimeSeries(0.0, 10.0, y, {"origin": "test"}),
                            WindowSpec("rectangular")).psd for y in records),
         sig.readout_channel(np.random.default_rng(6), analog, 10, 0.95, 0.9, 0.5),
