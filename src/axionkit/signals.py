@@ -285,7 +285,7 @@ def _binomial_by_inversion(generator: np.random.Generator, n: int, p: np.ndarray
     # arrays: no step then converts a scalar or casts through a buffer,
     # allocations that tracemalloc would charge on every step
     above = mask.view(np.uint8)
-    steps = [np.array((n - k) / (k + 1)) for k in range(n)]
+    steps = [np.array((n - k) / (k + 1)) for k in range(n - 1)]
     for start in range(0, p.size, _INVERSION_CHUNK):
         x = p[start : start + _INVERSION_CHUNK]
         c = counts[start : start + _INVERSION_CHUNK]
@@ -309,12 +309,15 @@ def _binomial_by_inversion(generator: np.random.Generator, n: int, p: np.ndarray
         pmf_ *= n
         np.exp(pmf_, out=pmf_)
         np.copyto(cdf_, pmf_)
+        # n comparisons of u with the CDF, which grows by one pmf term between two
         for s in steps:
             np.greater(u_, cdf_, out=mask_)
             c += above_
             np.multiply(ratio_, s, out=step_)
             pmf_ *= step_
             cdf_ += pmf_
+        np.greater(u_, cdf_, out=mask_)
+        c += above_
         np.greater(x, 0.5, out=mask_)
         np.subtract(n, c, out=c, where=mask_)
     return counts
@@ -573,6 +576,9 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
     until the two-sided noise-equivalent bandwidth fs * sum(kernel**2)
     (Parseval) is within 1e-4 of the request; meta["heterodyne"] records
     the cutoff, the bandwidth reached and whether the tuning converged.
+    That sum is a numpy reduction, not a BLAS dot product, so its bytes do
+    not depend on the BLAS thread count, and the heterodyne calls no BLAS
+    routine at all.
 
     The design reproduces scipy.signal's kaiserord (Kaiser's formula for
     80 dB of stop-band attenuation) and one-band firwin (a windowed sinc
@@ -615,7 +621,7 @@ def heterodyne(series: TimeSeries, f_center: float, bandwidth: float) -> TimeSer
         # taps (*) taps[::-1] is the autocorrelation, centred on numtaps - 1
         power = np.abs(np.fft.rfft(taps, n_kernel)) ** 2
         kernel = np.roll(np.fft.irfft(power, n_kernel), numtaps - 1)[:size]
-        enbw = fs * float(np.dot(kernel, kernel))
+        enbw = fs * float(np.sum(np.square(kernel)))
         converged = abs(enbw - bandwidth) < 1e-4 * bandwidth
         if converged:
             break

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import signal
 import subprocess
@@ -107,23 +108,29 @@ def test_same_bytes_at_any_worker_count(monkeypatch, site, eph, count):
         assert one.tobytes() == many.tobytes()
 
 
-def _cli_digests(out: Path, blas_threads: int) -> dict:
-    """sha256 of every file that psd and triplet write, run in fresh
-    processes with OpenBLAS capped at blas_threads."""
+def _python(blas_threads: int, *args: str) -> str:
+    """stdout of python run with args in a fresh process that imports
+    axionkit from this tree, with OpenBLAS capped at blas_threads."""
     env = dict(
         os.environ,
         PYTHONPATH=str(Path(workers.__file__).parents[1]),
         OPENBLAS_NUM_THREADS=str(blas_threads),
     )
+    run = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def _cli_digests(out: Path, blas_threads: int) -> dict:
+    """sha256 of every file that psd and triplet write, run in fresh
+    processes with OpenBLAS capped at blas_threads."""
     main = "import sys; from axionkit.cli import main; sys.exit(main(sys.argv[1:]))"
     # 1262.3 days at 864 s is 126,230 = 2 5 13 971 samples, a split length
     for argv in (["psd", "--span-days", "1262.3", "--dt", "864"],
                  ["triplet", "--span-days", "120"]):
-        run = subprocess.run(
-            [sys.executable, "-c", main, *argv, "--out", str(out / argv[0])],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert run.returncode == 0, run.stderr
+        _python(blas_threads, "-c", main, *argv, "--out", str(out / argv[0]))
     return {
         str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*")) if path.is_file()
@@ -137,3 +144,40 @@ def test_same_bytes_at_any_blas_thread_count(tmp_path):
     two = _cli_digests(tmp_path / "two", 2)
     assert len(one) == 7
     assert one == two
+
+
+# a 400,000-sample, 10 kHz record of white noise, heterodyned at 1 kHz
+_HETERODYNE = """
+import hashlib, json, sys, time
+import numpy as np
+from axionkit import TimeSeries, signals
+record = TimeSeries(0.0, 1e-4, np.random.default_rng(3).normal(size=400_000), {"kind": "noise"})
+time.sleep(float(sys.argv[2]))
+out = signals.heterodyne(record, 1000.0, float(sys.argv[1]))
+before = time.process_time()
+time.sleep(0.2)
+print(json.dumps({
+    "sha256": hashlib.sha256(out.samples.tobytes()).hexdigest(),
+    "heterodyne": out.meta["heterodyne"],
+    "spin_s": time.process_time() - before,
+}))
+"""
+
+
+def _heterodyne(blas_threads: int, bandwidth: float, sleep_s: float = 0.0) -> dict:
+    return json.loads(_python(blas_threads, "-c", _HETERODYNE, str(bandwidth), str(sleep_s)))
+
+
+def test_heterodyne_same_bytes_at_any_blas_thread_count():
+    # a 20 Hz band has 10,039 taps, so its zero-phase kernel has 20,077
+    # points, past the length at which a BLAS dot product splits over threads
+    one, two = (_heterodyne(count, 20.0) for count in (1, 2))
+    assert one["heterodyne"]["numtaps"] == 10_039
+    assert (one["sha256"], one["heterodyne"]) == (two["sha256"], two["heterodyne"])
+
+
+def test_heterodyne_leaves_no_thread_spinning():
+    # the sleep after import lets OpenBLAS's start-up spin end; a threaded
+    # BLAS call in heterodyne left a worker busy-waiting for about 0.1 s
+    spin_s = _heterodyne(2, 40.0, sleep_s=0.5)["spin_s"]
+    assert spin_s < 0.02
