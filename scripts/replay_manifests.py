@@ -6,12 +6,16 @@ Usage: python scripts/replay_manifests.py DIR
 Each DIR/*/manifest.json is passed back to the CLI with --config, into a
 temporary directory.  Every output artifact whose bytes differ from the
 file beside the manifest is printed; the manifests themselves are not
-compared, since a retired key drops out of the regenerated one.  The
-exit code is 1 if any artifact differs or a run fails, 0 if all match.
+compared, since a retired key drops out of the regenerated one.  Beside a
+differing CSV stands the largest relative difference of its numeric
+cells and whether any text cell differs, which tells rounding (another
+CPU's SIMD paths, say) from a changed result.  The exit code is 1 if any
+artifact differs or a run fails, 0 if all match.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -20,9 +24,47 @@ import tempfile
 from axionkit.cli import main
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def describe(old: pathlib.Path, new: pathlib.Path) -> str:
+    """How the artifact old differs from its regeneration new.  For a CSV
+    of the same shape: the largest relative difference of the cells that
+    both read as numbers, and whether any other cell differs."""
+    if not new.is_file():
+        return "not regenerated"
+    if not old.is_file():
+        return "not in the recorded run"
+    if old.suffix != ".csv":
+        return "bytes differ"
+    rows = [[line.split(",") for line in path.read_text().splitlines()] for path in (old, new)]
+    if len(rows[0]) != len(rows[1]):
+        return f"{len(rows[0]):,} rows, regenerated {len(rows[1]):,}"
+    if [len(row) for row in rows[0]] != [len(row) for row in rows[1]]:
+        return "cells per row differ"
+    worst, text = 0.0, False
+    for a, b in zip(itertools.chain(*rows[0]), itertools.chain(*rows[1])):
+        if a == b:
+            continue
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            text = True
+        elif x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return (
+        f"largest relative difference of numeric cells {worst:.3g}, "
+        f"text cells {'differ' if text else 'identical'}"
+    )
+
+
 def replay(root) -> list[str]:
-    """The artifacts under root (one line each) that do not regenerate
-    byte for byte, and the runs that exit non-zero."""
+    """The artifacts under root that do not regenerate byte for byte, one
+    line each with how they differ (describe), and the runs that exit
+    non-zero."""
     mismatches = []
     with tempfile.TemporaryDirectory() as scratch:
         for manifest in sorted(pathlib.Path(root).glob("*/manifest.json")):
@@ -38,7 +80,7 @@ def replay(root) -> list[str]:
             for name in sorted(names):
                 old, new = manifest.parent / name, out / name
                 if not (old.is_file() and new.is_file() and old.read_bytes() == new.read_bytes()):
-                    mismatches.append(str(old))
+                    mismatches.append(f"{old}: {describe(old, new)}")
     return mismatches
 
 

@@ -596,8 +596,35 @@ class TestCli:
         run = tmp_path / "runs" / "00_linewidth"
         assert self.run("linewidth", "--out", str(run), "--masses", "1,5") == 0
         assert replay(tmp_path / "runs") == []
+        rows = len((run / "linewidth.csv").read_text().splitlines())
         (run / "linewidth.csv").write_text("edited\n")
-        assert replay(tmp_path / "runs") == [str(run / "linewidth.csv")]
+        assert replay(tmp_path / "runs") == [f"{run / 'linewidth.csv'}: 1 rows, regenerated {rows:,}"]
+
+    def test_replay_script_measures_changed_cells(self, tmp_path, capsys):
+        script = runpy.run_path(
+            str(Path(__file__).resolve().parent.parent / "scripts" / "replay_manifests.py")
+        )
+        run = tmp_path / "runs" / "00_psd"
+        assert self.run("psd", "--out", str(run), "--span-days", "30", "--dt", "2000") == 0
+        assert script["run"]([str(tmp_path / "runs")]) == 0
+        capsys.readouterr()
+        path = run / "psd.csv"
+        regenerated = path.read_text()
+        lines = regenerated.splitlines(keepends=True)
+        # one density cell moved by about three parts in 10^9
+        f_hz, psd = lines[5].rstrip("\n").split(",")
+        lines[5] = f"{f_hz},{float(psd) * (1 + 3e-9)!r}\n"
+        path.write_text("".join(lines))
+        assert script["run"]([str(tmp_path / "runs")]) == 1
+        line = capsys.readouterr().out.strip()
+        prefix = f"{path}: largest relative difference of numeric cells "
+        assert line.startswith(prefix) and line.endswith(", text cells identical")
+        assert float(line[len(prefix) :].split(",")[0]) == pytest.approx(3e-9, rel=1e-3)
+        # a header cell is text
+        path.write_text(regenerated.replace("f_hz,psd", "f_Hz,psd", 1))
+        assert script["replay"](tmp_path / "runs") == [
+            f"{path}: largest relative difference of numeric cells 0, text cells differ"
+        ]
 
     def test_seed_recorded_once_and_old_manifests_fold_it(self, tmp_path):
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"

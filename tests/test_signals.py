@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -245,6 +246,53 @@ class TestInPlaceBits:
                 np.random.default_rng(9), analog, n_spins, f0, f1, scale
             )
             assert np.array_equal(got, expected)
+
+
+# even 5-smooth lengths m = 2^(a + 1) 3^b 5^c, up to 21,600
+EVEN_SMOOTH = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2)).map(
+    lambda e: 2 ** (e[0] + 1) * 3 ** e[1] * 5 ** e[2]
+)
+
+
+def irfft_bound(expected):
+    """How far two inverse real FFTs of one spectrum may part: each output
+    passes log2(m) radix stages, plus the fold, the twiddle table and the
+    twiddle, in either transform, and each rounds by at most eps of the
+    largest sample."""
+    return 2.0 * np.finfo(float).eps * (math.log2(expected.size) + 4.0) * np.max(np.abs(expected))
+
+
+class TestBlockedInverse:
+    @given(m=EVEN_SMOOTH, block=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    # the year's draw, q = 3^13 = 729 x 2187, at the real block size
+    @example(m=3_188_646, block=sig._IRFFT_BLOCK, seed=0)
+    # q = 2^20 = 1024 x 1024, even, with its self-paired middle term
+    @example(m=1 << 21, block=sig._IRFFT_BLOCK, seed=1)
+    @example(m=2, block=1, seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_irfft(self, m, block, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=m // 2 + 1) + 1j * rng.normal(size=m // 2 + 1)
+        expected = np.fft.irfft(z, m)
+        with mock.patch.object(sig, "_IRFFT_BLOCK", block):
+            got = sig._irfft_blocked(z.copy())
+            # irfft ignores the imaginary parts of the DC and Nyquist terms
+            z[0], z[-1] = z[0].real, z[-1].real
+            assert np.array_equal(sig._irfft_blocked(z), got)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - expected)) <= irfft_bound(expected)
+
+    def test_pink_noise_takes_it_from_the_constant(self):
+        # an even draw at the constant goes through the blocked inverse, one
+        # just below it through irfft, bit for bit as pink_noise_oracle
+        # (the blocked inverse rounds differently somewhere in a million
+        # samples); 1,036,800 is the even fast length below 2^20
+        for m, blocked in ((sig._BLOCKED_MIN, True), (1_036_800, False)):
+            assert sig._fast_len(m, real=True) == m
+            got = sig.pink_noise(np.random.default_rng(5), m, 10.0, 1e-3)
+            expected = pink_noise_oracle(np.random.default_rng(5), m, 10.0, 1e-3)
+            assert np.array_equal(got, expected) is not blocked
+            assert np.max(np.abs(got - expected)) <= irfft_bound(expected)
 
 
 # p values at and next to the ends of [0, 1] and at the flip point

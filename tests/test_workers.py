@@ -181,3 +181,31 @@ def test_heterodyne_leaves_no_thread_spinning():
     # BLAS call in heterodyne left a worker busy-waiting for about 0.1 s
     spin_s = _heterodyne(2, 40.0, sleep_s=0.5)["spin_s"]
     assert spin_s < 0.02
+
+
+# the rise of peak RSS over one 1/f draw of n = argv[1] samples, in bytes
+# (ru_maxrss counts KiB on Linux), after a small draw has loaded numpy.fft
+_PINK_PEAK = """
+import resource, sys
+import numpy as np
+from axionkit import signals
+signals.pink_noise(np.random.default_rng(1), 1000, 10.0, 1e-3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+signals.pink_noise(np.random.default_rng(0), int(sys.argv[1]), 10.0, 1e-3)
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux only")
+def test_pink_noise_peak_rss():
+    # tracemalloc (test_memory_per_sample) cannot see pocketfft's buffers:
+    # at this length np.fft.irfft held its own copy of the spectrum and a
+    # work buffer on top of the spectrum and the output, a rise of 1.8 to
+    # 2.25 times both (numpy 2.4.6); the blocked inverse's rise of 1.27
+    # times both holds a few blocks and the draw's last half-record normal
+    # temporary, which malloc may keep, within a headroom of 0.4 times both
+    n = 1 << 21
+    assert sig._fast_len(n, real=True) == n >= sig._BLOCKED_MIN
+    spectrum, output = 16 * (n // 2 + 1), 8 * n
+    rise = int(_python(1, "-c", _PINK_PEAK, str(n)))
+    assert rise < 1.4 * (spectrum + output)
