@@ -8,9 +8,10 @@ temporary directory.  Every output artifact whose bytes differ from the
 file beside the manifest is printed; the manifests themselves are not
 compared, since a retired key drops out of the regenerated one.  Beside a
 differing CSV stands the largest relative difference of its numeric
-cells and whether any text cell differs, which tells rounding (another
-CPU's SIMD paths, say) from a changed result.  The exit code is 1 if any
-artifact differs or a run fails, 0 if all match.
+cells and whether any text cell differs, and beside a differing JSON
+file the same for its numeric and other leaves, which tells rounding
+(another CPU's SIMD paths, say) from a changed result.  The exit code is
+1 if any artifact differs or a run fails, 0 if all match.
 """
 
 import contextlib
@@ -31,14 +32,58 @@ def _number(cell: str) -> float | None:
         return None
 
 
+def _json_number(leaf) -> float | None:
+    return float(leaf) if isinstance(leaf, int | float) and not isinstance(leaf, bool) else None
+
+
+def _leaves(value, path=()):
+    """(path, leaf) for every leaf of a parsed JSON value, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, (*path, index))
+    else:
+        yield path, value
+
+
+def _measure(pairs, number, unit: str, other: str) -> str:
+    """The largest relative difference of the pairs that both read as
+    numbers, and whether any other pair differs."""
+    worst, text = 0.0, False
+    for a, b in pairs:
+        if a == b:
+            continue
+        x, y = number(a), number(b)
+        if x is None or y is None:
+            text = True
+        elif x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return (
+        f"largest relative difference of numeric {unit} {worst:.3g}, "
+        f"{other} {'differ' if text else 'identical'}"
+    )
+
+
 def describe(old: pathlib.Path, new: pathlib.Path) -> str:
     """How the artifact old differs from its regeneration new.  For a CSV
-    of the same shape: the largest relative difference of the cells that
-    both read as numbers, and whether any other cell differs."""
+    of the same shape, or a JSON file with the same keys and list
+    lengths: the largest relative difference of the cells or leaves that
+    both read as numbers, and whether any other cell or leaf differs."""
     if not new.is_file():
         return "not regenerated"
     if not old.is_file():
         return "not in the recorded run"
+    if old.suffix == ".json":
+        try:
+            trees = [list(_leaves(json.loads(path.read_text()))) for path in (old, new)]
+        except ValueError:
+            return "bytes differ, not both valid JSON"
+        if [path for path, _ in trees[0]] != [path for path, _ in trees[1]]:
+            return "keys or list lengths differ"
+        pairs = ((a, b) for (_, a), (_, b) in zip(*trees))
+        return _measure(pairs, _json_number, "leaves", "other leaves")
     if old.suffix != ".csv":
         return "bytes differ"
     rows = [[line.split(",") for line in path.read_text().splitlines()] for path in (old, new)]
@@ -46,19 +91,8 @@ def describe(old: pathlib.Path, new: pathlib.Path) -> str:
         return f"{len(rows[0]):,} rows, regenerated {len(rows[1]):,}"
     if [len(row) for row in rows[0]] != [len(row) for row in rows[1]]:
         return "cells per row differ"
-    worst, text = 0.0, False
-    for a, b in zip(itertools.chain(*rows[0]), itertools.chain(*rows[1])):
-        if a == b:
-            continue
-        x, y = _number(a), _number(b)
-        if x is None or y is None:
-            text = True
-        elif x != y:
-            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-    return (
-        f"largest relative difference of numeric cells {worst:.3g}, "
-        f"text cells {'differ' if text else 'identical'}"
-    )
+    pairs = zip(itertools.chain(*rows[0]), itertools.chain(*rows[1]))
+    return _measure(pairs, _number, "cells", "text cells")
 
 
 def replay(root) -> list[str]:

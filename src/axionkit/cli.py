@@ -83,12 +83,15 @@ def _check_args(names: str, check, *values) -> None:
         raise ConfigError(f"{names}: {exc}") from None
 
 
-# peak bytes of a run per unit of its size, measured with tracemalloc on whole
-# runs (numpy 2.4): a sensitivity grid's mass (880 for its one g_min_curve pass,
-# CSVs and plot) and a linewidth line shape (_LINEWIDTH_ROWS rows of 160 bytes)
+# peak bytes of a run per unit of its size (numpy 2.4).  A sensitivity grid's
+# mass: 880 for its one g_min_curve pass, CSVs and plot, measured with
+# tracemalloc on whole runs.  A linewidth line shape of _LINEWIDTH_ROWS rows:
+# the slope of ru_maxrss between fresh processes at two mass counts, which
+# also sees the buffers tracemalloc misses; 372,000-376,000 bytes from 50 to
+# 400 masses, two thirds of it the SVG's points (test_fresh_process)
 _BYTES_PER_MASS = 1000
 _LINEWIDTH_ROWS = 1500
-_BYTES_PER_SHAPE = _LINEWIDTH_ROWS * 160
+_BYTES_PER_SHAPE = 420_000
 
 
 def _synthesis_args(args: dict) -> tuple[float, float]:

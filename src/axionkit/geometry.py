@@ -27,7 +27,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import workers
 from .constants import OBLIQUITY_DEG, OMEGA_ANNUAL, OMEGA_SIDEREAL, SIDEREAL_DAY_S, YEAR_S
 from .timeseries import grid_phasor
 
@@ -177,22 +176,19 @@ def device_axis(site: SiteGeometry) -> np.ndarray:
 
 
 # samples per chunk of the geometry kernels; bounds their temporaries at
-# about a MB per worker whatever the length of t
+# about a MB whatever the length of t, and with the chunks' boundaries
+# defines the bytes
 _CHUNK = 1 << 14
 
 
 def _chunked(n, kernel):
     """kernel(start, stop) for each chunk start <= k < stop of _CHUNK
-    samples, written into one output array of n samples.  The chunks run
-    on the worker pool (workers.each); each is computed alone, so the
-    bytes do not depend on the number of workers."""
+    samples, in order, written into one output array of n samples.  Each
+    chunk is computed alone, so the chunks define the bytes."""
     out = np.empty(n)
-
-    def fill(start):
+    for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         out[start:stop] = kernel(start, stop)
-
-    workers.each(fill, range(0, n, _CHUNK))
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import geometry, workers
+from . import geometry
 from .constants import ELECTRON_GAMMA_RAD_S_T, SIDEREAL_DAY_S, uev_to_hz, uev_to_rad_s
 from .halo import HaloParams, effective_field
 from .timeseries import TimeSeries, grid_phasor, short_hash
@@ -349,7 +349,7 @@ def telegraph_noise(
 
 
 # samples per block of the readout channel; each block draws from its own
-# child generator, so the stream does not depend on the number of workers
+# child generator, so the blocks and their seeds define the stream
 _READOUT_BLOCK = 1 << 16
 
 # Generator.binomial inverts the CDF wherever n min(p, 1 - p) <= 30, so
@@ -438,9 +438,8 @@ def readout_channel(
 
     The stream is read out in blocks of _READOUT_BLOCK samples, the last
     one shorter.  One rng.integers call draws a seed in [0, 2^63) for
-    each block, and block b's counts come from default_rng(seed_b), so
-    the blocks run on the worker pool (workers.each) and the record is
-    the same whatever the number of workers.
+    each block, and block b's counts come from default_rng(seed_b); the
+    blocks and their seeds define the record's bytes.
 
     The counts are default_rng(seed_b).binomial(n_spins, p_obs).  Up to
     _INVERSION_SPINS (60) spins, n_spins min(p, 1 - p) <= 30 for every
@@ -461,9 +460,7 @@ def readout_channel(
     out = np.empty(flat.shape)
     starts = range(0, flat.size, _READOUT_BLOCK)
     seeds = rng.integers(1 << 63, size=len(starts)).tolist()
-
-    def read(block):
-        start = starts[block]
+    for start, seed in zip(starts, seeds):
         stop = start + _READOUT_BLOCK
         # p, then p_obs, in one block-sized array; the debiased estimate
         # is written into the block's slice of the output
@@ -475,7 +472,7 @@ def readout_channel(
         false_high *= 1.0 - f0
         p *= f1
         p += false_high
-        generator = np.random.default_rng(seeds[block])
+        generator = np.random.default_rng(seed)
         if 1 <= n_spins <= _INVERSION_SPINS:
             counts = _binomial_by_inversion(generator, n_spins, p)
         else:
@@ -487,8 +484,6 @@ def readout_channel(
         estimate *= 2.0
         estimate -= 1.0
         estimate /= scale
-
-    workers.each(read, range(len(starts)))
     return out.reshape(analog.shape)
 
 
@@ -546,8 +541,8 @@ def synthesize_observable(
     optional readout stage quantizes through the Bernoulli channel with
     the configured fidelities and qubit.n_spins, block by block: its
     child generator seeds one generator per block of _READOUT_BLOCK
-    samples (readout_channel), so the record does not depend on the
-    number of cores that read it out.
+    samples (readout_channel), so the blocks and their seeds define the
+    record's bytes.
     """
     check_record(span_s, dt)
     n = int(round(span_s / dt))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import workers
 from .geometry import EphemerisConstants, check_daily_sampling
 from .timeseries import TimeSeries
 
@@ -91,9 +90,8 @@ def _rfft_power(seg: np.ndarray) -> np.ndarray:
     (four-step Cooley-Tukey, k = k1 + p k2): a real length-p transform
     down the columns of seg.reshape(p, m), then, for each block of rows
     of about _SPLIT_ROWS elements, the twiddles exp(-2 pi i k1 n2 / n)
-    and a length-m transform along the rows.  The blocks run on the
-    worker pool (workers.each); each is transformed alone, so the bytes
-    do not depend on the number of workers.
+    and a length-m transform along the rows.  Each block is transformed
+    alone, in place, so the blocks, fixed by n, define the bytes.
     Only rows k1 <= p // 2 are transformed; the others follow from
     |X[n - k]| = |X[k]| of a real input.  Every other length goes to
     np.fft.rfft unchanged and keeps its bytes.
@@ -108,8 +106,7 @@ def _rfft_power(seg: np.ndarray) -> np.ndarray:
     # k1 n2 < n / 2, so each twiddle angle lies in [-pi, 0]
     step = (-2.0 * math.pi / n) * np.arange(m)
     rows = max(1, _SPLIT_ROWS // m)
-
-    def transform(first):
+    for first in range(0, h, rows):
         block = cols[first : first + rows]
         angle = np.multiply.outer(np.arange(first, first + block.shape[0]), step)
         twiddle = np.empty(angle.shape, dtype=complex)
@@ -117,8 +114,6 @@ def _rfft_power(seg: np.ndarray) -> np.ndarray:
         np.sin(angle, out=twiddle.imag)
         block *= twiddle
         block[:] = np.fft.fft(block, axis=1)
-
-    workers.each(transform, range(0, h, rows))
     half = np.abs(cols)  # |X[k1 + p k2]| for k1 <= p // 2
     del cols
     np.square(half, out=half)

@@ -626,6 +626,29 @@ class TestCli:
             f"{path}: largest relative difference of numeric cells 0, text cells differ"
         ]
 
+    def test_replay_script_measures_changed_json_leaves(self, tmp_path):
+        replay = runpy.run_path(
+            str(Path(__file__).resolve().parent.parent / "scripts" / "replay_manifests.py")
+        )["replay"]
+        run = tmp_path / "runs" / "00_linewidth"
+        assert self.run("linewidth", "--out", str(run), "--masses", "1,5") == 0
+        path = run / "linewidth_meta.json"
+        regenerated = json.loads(path.read_text())
+        # one numeric leaf moved by about three parts in 10^9
+        width = regenerated["fractional_scale_width"] * (1 + 3e-9)
+        path.write_text(json.dumps({**regenerated, "fractional_scale_width": width}))
+        (line,) = replay(tmp_path / "runs")
+        prefix = f"{path}: largest relative difference of numeric leaves "
+        assert line.startswith(prefix) and line.endswith(", other leaves identical")
+        assert float(line[len(prefix) :].split(",")[0]) == pytest.approx(3e-9, rel=1e-3)
+        # a string leaf
+        path.write_text(json.dumps({**regenerated, "schema": "axionkit-linewidth/0"}))
+        assert replay(tmp_path / "runs") == [
+            f"{path}: largest relative difference of numeric leaves 0, other leaves differ"
+        ]
+        path.write_text(json.dumps({**regenerated, "extra": 1}))
+        assert replay(tmp_path / "runs") == [f"{path}: keys or list lengths differ"]
+
     def test_seed_recorded_once_and_old_manifests_fold_it(self, tmp_path):
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         argv = ["--span-days", "30", "--dt", "2000", "--formats", "csv,json"]
@@ -791,7 +814,7 @@ class TestCli:
             ("psd", ["--dt", "9000"], "args.span-days and args.dt"),
             ("triplet", ["--span-days", "1e9", "--dt", "0.5"], "args.span-days and args.dt"),
             ("envelope", ["--dt", "1e-300"], "args.span-days and args.dt"),
-            # byte-budget caps: 2,000,000 masses, 8,333 line shapes, and
+            # byte-budget caps: 2,000,000 masses, 4,761 line shapes, and
             # 2,585 trials at 48 samples a day
             ("sensitivity", ["--mass-points", "100000000"], "args.mass-points"),
             ("linewidth", ["--masses", ",".join(["1"] * 10_000)], "args.masses"),
@@ -933,10 +956,19 @@ def test_cli_import_skips_scipy_signal():
     assert _fresh_python(code) == "[]"
 
 
-def test_cli_import_starts_no_thread_pool():
-    # concurrent.futures imports logging; workers imports it with its pool
-    code = "import sys, axionkit.cli; print('concurrent.futures' in sys.modules)"
-    assert _fresh_python(code) == "False"
+def test_cli_import_starts_no_thread_pool(tmp_path):
+    # the package starts no thread of its own, not even over a default psd
+    # run's year-scale blocks; a thread pool would import concurrent.futures
+    # (and with it logging) and leave its threads alive at exit
+    code = (
+        "import sys, threading, axionkit.cli; "
+        "print('concurrent.futures' in sys.modules, threading.active_count()); "
+        f"code = axionkit.cli.main(['psd', '--out', {str(tmp_path)!r}]); "
+        "print(code, 'concurrent.futures' in sys.modules, threading.active_count())"
+    )
+    lines = _fresh_python(code).splitlines()
+    assert lines[0] == "False 1"
+    assert lines[-1] == "0 False 1"
 
 
 def test_bessel_table_imports_scipy_special_when_called():

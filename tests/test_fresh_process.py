@@ -1,111 +1,18 @@
+"""Checks that need a fresh interpreter: the CLI's bytes and the
+heterodyne's at one and two OpenBLAS threads, a spinning BLAS worker,
+and peak RSS (ru_maxrss) against the byte budgets."""
+
 import hashlib
 import json
 import os
-import signal
 import subprocess
 import sys
-import threading
-import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from axionkit import TimeSeries, WindowSpec, workers
-from axionkit import geometry as geo
+from axionkit import cli
 from axionkit import signals as sig
-from axionkit import spectral as spec
-
-
-def force_workers(monkeypatch, count):
-    """Run the pool with count workers, started afresh."""
-    monkeypatch.setattr(workers, "_WORKERS", count)
-    monkeypatch.setattr(workers, "_executor", None)
-
-
-def pooled_outputs(site, eph):
-    """The outputs of every pooled kernel, each over several of its blocks."""
-    n = 3 * geo._CHUNK + 123
-    t = 10.0 * np.arange(n)
-    coeffs = geo.modulation_coefficients(site, eph, eph.v_sun)
-    rng = np.random.default_rng(5)
-    # 126,230 = 2 5 13 971 (one row block) and 730,500 = 2^2 3 5^3 487 (six)
-    records = [rng.normal(size=n) for n in (126_230, 730_500)]
-    analog = rng.normal(size=5 * sig._READOUT_BLOCK // 2)
-    return [
-        geo.beta_ratio(t, site, eph, 230.0),
-        geo.modulation_model(-5e6, 10.0, n, coeffs),
-        *(spec.periodogram(TimeSeries(0.0, 10.0, y, {"origin": "test"}),
-                           WindowSpec("rectangular")).psd for y in records),
-        sig.readout_channel(np.random.default_rng(6), analog, 10, 0.95, 0.9, 0.5),
-    ]
-
-
-class TestEach:
-    def test_order_and_results(self, monkeypatch):
-        force_workers(monkeypatch, 3)
-        assert workers.each(lambda x: x * x, range(50)) == [x * x for x in range(50)]
-        assert workers.each(lambda x: x, []) == []
-
-    def test_raises_what_a_call_raised(self, monkeypatch):
-        force_workers(monkeypatch, 2)
-
-        def fail_on_three(x):
-            if x == 3:
-                raise KeyError(x)
-            return x
-
-        with pytest.raises(KeyError):
-            workers.each(fail_on_three, range(8))
-
-    def test_nested_call_runs_inline(self, monkeypatch):
-        force_workers(monkeypatch, 2)
-        main = threading.get_ident()
-
-        def outer(_):
-            inner = workers.each(lambda _: threading.get_ident(), range(4))
-            return threading.get_ident(), inner
-
-        for ident, inner in workers.each(outer, range(6)):
-            assert ident != main
-            assert inner == [ident] * 4
-
-    def test_one_worker_starts_no_pool(self, monkeypatch):
-        force_workers(monkeypatch, 1)
-        assert workers.each(lambda _: threading.get_ident(), range(4)) == [
-            threading.get_ident()
-        ] * 4
-        assert workers._executor is None
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_starts_its_own_pool(monkeypatch):
-    # the child inherits no pool thread; mapping on the parent's pool hung
-    force_workers(monkeypatch, 2)
-    assert workers.each(lambda x: x + 1, range(4)) == [1, 2, 3, 4]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
-        pid = os.fork()
-    if pid == 0:  # the child leaves only through os._exit, never back into pytest
-        code = 1
-        try:
-            signal.alarm(20)
-            code = 0 if workers.each(lambda x: x + 1, range(4)) == [1, 2, 3, 4] else 1
-        finally:
-            os._exit(code)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-
-
-@pytest.mark.parametrize("count", [2, 3])
-def test_same_bytes_at_any_worker_count(monkeypatch, site, eph, count):
-    force_workers(monkeypatch, 1)
-    serial = pooled_outputs(site, eph)
-    force_workers(monkeypatch, count)
-    pooled = pooled_outputs(site, eph)
-    assert workers._executor._max_workers == count
-    for one, many in zip(serial, pooled, strict=True):
-        assert one.tobytes() == many.tobytes()
 
 
 def _python(blas_threads: int, *args: str) -> str:
@@ -113,7 +20,7 @@ def _python(blas_threads: int, *args: str) -> str:
     axionkit from this tree, with OpenBLAS capped at blas_threads."""
     env = dict(
         os.environ,
-        PYTHONPATH=str(Path(workers.__file__).parents[1]),
+        PYTHONPATH=str(Path(sig.__file__).parents[1]),
         OPENBLAS_NUM_THREADS=str(blas_threads),
     )
     run = subprocess.run(
@@ -138,8 +45,8 @@ def _cli_digests(out: Path, blas_threads: int) -> dict:
 
 
 def test_same_bytes_at_any_blas_thread_count(tmp_path):
-    # the pool's blocks are fixed by the data, and so must be what BLAS and
-    # LAPACK compute inside them: the fit's QR and the line sums' products
+    # the kernels' blocks are fixed by the data, and so must be what BLAS
+    # and LAPACK compute inside them: the fit's QR and the line sums' products
     one = _cli_digests(tmp_path / "one", 1)
     two = _cli_digests(tmp_path / "two", 2)
     assert len(one) == 7
@@ -209,3 +116,30 @@ def test_pink_noise_peak_rss():
     spectrum, output = 16 * (n // 2 + 1), 8 * n
     rise = int(_python(1, "-c", _PINK_PEAK, str(n)))
     assert rise < 1.4 * (spectrum + output)
+
+
+# peak RSS, in bytes, of a linewidth run over argv[2] masses into argv[1]
+_LINEWIDTH_PEAK = """
+import contextlib, io, resource, sys
+from axionkit.cli import main
+n = int(sys.argv[2])
+masses = ",".join(f"{1 + k / n:g}" for k in range(n))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["linewidth", "--masses", masses, "--out", sys.argv[1]])
+if code:
+    sys.exit(code)
+print(1024 * resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux only")
+def test_linewidth_rss_slope_within_budget(tmp_path):
+    # the size guard charges _BYTES_PER_SHAPE a line shape; the slope of
+    # peak RSS was 372,000 B a shape from 50 to 200 masses and 376,000 B
+    # from 200 to 400 (numpy 2.4.6), headroom of 13 % and 12 % under
+    # 420,000
+    peaks = {
+        n: int(_python(1, "-c", _LINEWIDTH_PEAK, str(tmp_path / str(n)), str(n)))
+        for n in (50, 200)
+    }
+    assert (peaks[200] - peaks[50]) / 150 <= cli._BYTES_PER_SHAPE
