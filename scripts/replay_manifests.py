@@ -7,10 +7,11 @@ Each DIR/*/manifest.json is passed back to the CLI with --config, into a
 temporary directory.  Every output artifact whose bytes differ from the
 file beside the manifest is printed; the manifests themselves are not
 compared, since a retired key drops out of the regenerated one.  Beside a
-differing CSV stands the largest relative difference of its numeric
-cells and whether any text cell differs, and beside a differing JSON
-file the same for its numeric and other leaves, which tells rounding
-(another CPU's SIMD paths, say) from a changed result.  The exit code is
+differing CSV stand the largest relative and the largest absolute
+difference of its numeric cells and whether any text cell differs, and
+beside a differing JSON file the same for its numeric and other leaves,
+which tells rounding (another CPU's SIMD paths, say) from a changed
+result.  The exit code is
 1 if any artifact differs or a run fails, 0 if all match.
 """
 
@@ -49,9 +50,11 @@ def _leaves(value, path=()):
 
 
 def _measure(pairs, number, unit: str, other: str) -> str:
-    """The largest relative difference of the pairs that both read as
-    numbers, and whether any other pair differs."""
-    worst, text = 0.0, False
+    """The largest relative and the largest absolute difference of the
+    pairs that both read as numbers, and whether any other pair differs.
+    The absolute one tells rounding near a zero crossing, where the
+    relative one is large, from a changed result."""
+    worst, worst_abs, text = 0.0, 0.0, False
     for a, b in pairs:
         if a == b:
             continue
@@ -60,17 +63,19 @@ def _measure(pairs, number, unit: str, other: str) -> str:
             text = True
         elif x != y:
             worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+            worst_abs = max(worst_abs, abs(x - y))
     return (
         f"largest relative difference of numeric {unit} {worst:.3g}, "
-        f"{other} {'differ' if text else 'identical'}"
+        f"largest absolute {worst_abs:.3g}, {other} {'differ' if text else 'identical'}"
     )
 
 
 def describe(old: pathlib.Path, new: pathlib.Path) -> str:
     """How the artifact old differs from its regeneration new.  For a CSV
     of the same shape, or a JSON file with the same keys and list
-    lengths: the largest relative difference of the cells or leaves that
-    both read as numbers, and whether any other cell or leaf differs."""
+    lengths: the largest relative and absolute difference of the cells or
+    leaves that both read as numbers, and whether any other cell or leaf
+    differs."""
     if not new.is_file():
         return "not regenerated"
     if not old.is_file():

@@ -83,13 +83,14 @@ def _check_args(names: str, check, *values) -> None:
         raise ConfigError(f"{names}: {exc}") from None
 
 
-# peak bytes of a run per unit of its size (numpy 2.4).  A sensitivity grid's
-# mass: 880 for its one g_min_curve pass, CSVs and plot, measured with
-# tracemalloc on whole runs.  A linewidth line shape of _LINEWIDTH_ROWS rows:
-# the slope of ru_maxrss between fresh processes at two mass counts, which
-# also sees the buffers tracemalloc misses; 372,000-376,000 bytes from 50 to
-# 400 masses, two thirds of it the SVG's points (test_fresh_process)
-_BYTES_PER_MASS = 1000
+# peak bytes of a run per unit of its size (numpy 2.4): the slope of
+# ru_maxrss between fresh processes at two sizes, which sees the C-level
+# buffers that tracemalloc misses, with headroom (test_fresh_process holds
+# each slope under its constant).  A sensitivity grid's mass: 1,008-1,083
+# bytes between 20,000 and 400,000 mass points.  A linewidth line shape of
+# _LINEWIDTH_ROWS rows: 372,000-376,000 bytes from 50 to 400 masses, two
+# thirds of it the SVG's points
+_BYTES_PER_MASS = 1200
 _LINEWIDTH_ROWS = 1500
 _BYTES_PER_SHAPE = 420_000
 

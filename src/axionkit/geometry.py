@@ -149,17 +149,17 @@ def wind_velocity_equatorial(t, site: SiteGeometry, eph: EphemerisConstants) -> 
     """Apparent wind velocity vector in the equatorial frame, km/s: the mean
     wind (from the solar motion) less Earth's orbital velocity on a circular
     ecliptic orbit, whose plane is tilted about the equinox axis by the
-    obliquity.  Shape (..., 3).
+    obliquity.  Shape (..., 3).  t may be any array of times: the orbital
+    phase takes one sine and one cosine per sample.
     """
-    return np.stack(_wind_components(np.asarray(t, dtype=float), site, eph), axis=-1)
+    theta = eph.omega_annual * np.asarray(t, dtype=float) + eph.orbital_phase
+    return np.stack(_wind_components(np.sin(theta), np.cos(theta), site, eph), axis=-1)
 
 
-def _wind_components(t, site: SiteGeometry, eph: EphemerisConstants):
+def _wind_components(sin_t, cos_t, site: SiteGeometry, eph: EphemerisConstants):
     """The three equatorial components of wind_velocity_equatorial, each
-    shaped like t: v_sun w_hat_k - v_orbit u_k, with one sine and one
-    cosine of the orbital phase."""
-    theta = eph.omega_annual * t + eph.orbital_phase
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    shaped like sin_t: v_sun w_hat_k - v_orbit u_k, from the sine and
+    cosine of the orbital phase Oa t + orbital_phase."""
     eps = math.radians(eph.obliquity_deg)
     w = eph.v_sun * wind_unit_equatorial(site)
     v_x = w[0] + eph.v_orbit * sin_t
@@ -181,15 +181,62 @@ def device_axis(site: SiteGeometry) -> np.ndarray:
 _CHUNK = 1 << 14
 
 
-def _chunked(n, kernel):
+def _chunked(n, kernel, dtype=float):
     """kernel(start, stop) for each chunk start <= k < stop of _CHUNK
-    samples, in order, written into one output array of n samples.  Each
-    chunk is computed alone, so the chunks define the bytes."""
-    out = np.empty(n)
+    samples, in order, written into one output array of n samples of
+    dtype.  Each chunk is computed alone, so the chunks define the bytes."""
+    out = np.empty(n, dtype=dtype)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         out[start:stop] = kernel(start, stop)
     return out
+
+
+# a time may leave its grid by this many eps of the grid's largest |t|:
+# t0 + dt * np.arange(n), np.linspace and TimeSeries.times round each time
+# by at most a few, and so does the spacing read back from the end points
+_GRID_ULPS = 8.0
+
+
+def _grid(t: np.ndarray) -> tuple[float, float]:
+    """(t0, dt) of the uniform grid t_k = t0 + k dt that the n times of t,
+    flattened, hold: t0 = t[0] and dt = (t[-1] - t[0]) / (n - 1), or 0
+    when n < 2 (an empty t gives t0 = 0).
+
+    Raises ValueError naming the first t_k that leaves t0 + k dt by more
+    than _GRID_ULPS eps max(|t[0]|, |t[-1]|); a NaN or infinite time
+    fails.  The check runs on chunks of _CHUNK samples, so it forms no
+    temporary of t's size.
+    """
+    flat = t.reshape(-1)
+    n = flat.size
+    if n == 0:
+        return 0.0, 0.0
+    t0, last = float(flat[0]), float(flat[-1])
+    dt = (last - t0) / (n - 1) if n > 1 else 0.0
+    tolerance = _GRID_ULPS * np.finfo(float).eps * max(abs(t0), abs(last))
+
+    def off_grid(k):
+        index = ", ".join(str(int(i)) for i in np.unravel_index(k, t.shape))
+        value = float(flat[k])
+        reason = "is not finite" if not math.isfinite(value) else (
+            f"is off the uniform grid t0 + k dt (t0 = {t0!r}, dt = {dt!r}) "
+            f"by more than {tolerance:.3g}"
+        )
+        return ValueError(f"t[{index}] = {value!r} {reason}; times must be a uniform grid")
+
+    if not math.isfinite(tolerance):
+        raise off_grid(0 if not math.isfinite(t0) else n - 1)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        offset = np.arange(start, stop, dtype=float)
+        offset *= dt
+        offset += t0
+        offset -= flat[start:stop]
+        np.abs(offset, out=offset)
+        if not offset.max() <= tolerance:  # a NaN fails too
+            raise off_grid(start + int(np.argmax(~(offset <= tolerance))))
+    return t0, dt
 
 
 def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
@@ -207,30 +254,36 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
     sin(lat) q_n and s, c the sine and cosine of the local sidereal time,
     R^T q = (h c - q_e s, h s + q_e c, cos(lat) q_n + sin(lat) q_u),
     dotted with the equatorial wind v_sun w_hat - u_orbit(t).  q and h are
-    fixed; the kernel runs on chunks of _CHUNK samples (_chunked), with
-    one sine and one cosine each of the sidereal and orbital phases.
-    t may be any array of times, not only a uniform grid, so the phases
-    are not taken from grid_phasor.
+    fixed; the kernel runs on chunks of _CHUNK samples (_chunked).
+
+    t, of any shape, must hold a uniform grid t_k = t0 + k dt in its
+    flattened order, as a time array made by np.arange, np.linspace or
+    TimeSeries.times does: each chunk's sidereal and orbital sines and
+    cosines are the imaginary and real parts of two
+    timeseries.grid_phasor on that grid, so no sine or cosine is taken
+    per sample.  Raises ValueError naming the first time off the grid
+    (_grid).
     """
     t = np.asarray(t, dtype=float)
-    flat = t.reshape(-1)
+    t0, dt = _grid(t)
     lam = math.radians(site.latitude_deg)
     sin_l, cos_l = math.sin(lam), math.cos(lam)
     q_e, q_n, q_u = device_axis(site)
     h = cos_l * q_u - sin_l * q_n
 
     def kernel(start, stop):
-        tc = flat[start:stop]
-        lst = site.lst0_rad + eph.omega_sidereal * tc
-        s, c = np.sin(lst), np.cos(lst)
-        v_x, v_y, v_z = _wind_components(tc, site, eph)
+        # exp(i (lst0 + Os t)) and exp(i (Oa t + orbital_phase))
+        lst = grid_phasor(eph.omega_sidereal, t0, dt, start, stop, -site.lst0_rad)
+        orbit = grid_phasor(eph.omega_annual, t0, dt, start, stop, -eph.orbital_phase)
+        s, c = lst.imag, lst.real
+        v_x, v_y, v_z = _wind_components(orbit.imag, orbit.real, site, eph)
         dot = (h * c - q_e * s) * v_x
         dot += (h * s + q_e * c) * v_y
         dot += (cos_l * q_n + sin_l * q_u) * v_z
         dot /= v_ref
         return dot
 
-    return _chunked(flat.size, kernel).reshape(t.shape)[()]
+    return _chunked(t.size, kernel).reshape(t.shape)[()]
 
 
 def modulation_model(t0: float, dt: float, n: int, coeffs: ModulationCoefficients) -> np.ndarray:
@@ -273,6 +326,12 @@ def fit_modulation_coefficients(t, series) -> ModulationCoefficients:
     Phases come out modulo 2 pi.  residual_rms is the nine-term fit's residual,
     which does not count what the collapse drops.
 
+    t must be a uniform grid t_k = t0 + k dt, as for beta_ratio: the
+    basis' cosines and sines are the real and imaginary parts of
+    timeseries.grid_phasor at Os and Oa, on the chunks of _CHUNK samples
+    on which beta_ratio takes its phasors, so no sine or cosine is taken
+    per sample.  Raises ValueError naming the first time off the grid.
+
     The least-squares problem is solved through the triangular factor R
     of the QR factorization of [design | y], whose last column holds
     Q^T y, so Q is never formed; the 9 x 9 system in R is then solved
@@ -288,13 +347,17 @@ def fit_modulation_coefficients(t, series) -> ModulationCoefficients:
     y = np.asarray(series, dtype=float)
     if t.ndim != 1 or t.shape != y.shape:
         raise ValueError("t and series must be 1-D arrays of equal length")
+    t0, dt = _grid(t)
 
-    cs, ss = np.cos(OMEGA_SIDEREAL * t), np.sin(OMEGA_SIDEREAL * t)
-    ca, sa = np.cos(OMEGA_ANNUAL * t), np.sin(OMEGA_ANNUAL * t)
+    def phasor(omega):
+        return _chunked(t.size, lambda a, b: grid_phasor(omega, t0, dt, a, b), complex)
+
+    daily, annual = phasor(OMEGA_SIDEREAL), phasor(OMEGA_ANNUAL)
+    cs, ss, ca, sa = daily.real, daily.imag, annual.real, annual.imag
     # [design | y]: its R holds the design's R and, in its last column,
     # Q^T y; it is the R of the stacked Rs of its blocks of _FIT_ROWS rows
     rows = np.column_stack(
-        [np.ones_like(t), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa, y]
+        [np.ones(t.size), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa, y]
     )
     design = rows[:, :-1]
     starts = range(0, max(len(rows), 1), _FIT_ROWS)  # one empty block if t is empty

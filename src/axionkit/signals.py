@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry
 from .constants import ELECTRON_GAMMA_RAD_S_T, SIDEREAL_DAY_S, uev_to_hz, uev_to_rad_s
 from .halo import HaloParams, effective_field
-from .timeseries import TimeSeries, grid_phasor, short_hash
+from .timeseries import TimeSeries, grid_phasor, short_hash, turns
 
 SYNTH_SCHEMA = "axionkit-baseband/1"
 
@@ -245,17 +245,6 @@ _BLOCKED_MIN = 1 << 20
 _IRFFT_BLOCK = 1 << 15
 
 
-def _turns(r, d: int) -> np.ndarray:
-    """exp(2 pi i r / d) for integers 0 <= r < d.  Each r is reduced
-    exactly to r - d where 2 r > d, so the angle lies in [-pi, pi]."""
-    r = np.asarray(r, dtype=np.int64)
-    angle = np.where(2 * r > d, r - d, r) * (2.0 * math.pi / d)
-    out = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    return out
-
-
 def _irfft_blocked(z: np.ndarray) -> np.ndarray:
     """np.fft.irfft(z, m) to rounding, for the half spectrum z of an even
     length m = 2 (z.size - 1); z is overwritten.
@@ -271,10 +260,10 @@ def _irfft_blocked(z: np.ndarray) -> np.ndarray:
     largest divisor <= sqrt(q) (729 x 2187 for the year): inverse FFTs
     down blocks of columns, times the twiddles exp(2 pi i n1 k2 / q),
     then inverse FFTs along blocks of rows, written transposed into the
-    output viewed as q complex samples.  Every phasor is _turns of an
-    exact integer: per block, one phasor of the block's start times a
-    table shared by all blocks.  The fold's factor 1/2 rides on the
-    twiddle table, where it is exact."""
+    output viewed as q complex samples.  Every phasor is
+    timeseries.turns of an exact integer: per block, one phasor of the
+    block's start times a table shared by all blocks.  The fold's factor
+    1/2 rides on the twiddle table, where it is exact."""
     q = z.size - 1
     m = 2 * q
     x0, xq = z[0].real, z[q].real
@@ -282,7 +271,7 @@ def _irfft_blocked(z: np.ndarray) -> np.ndarray:
     if q % 2 == 0:
         z[q // 2] = 2.0 * np.conj(z[q // 2])
     half = (q + 1) // 2
-    spin = 1j * _turns(np.arange(min(_IRFFT_BLOCK, half)), m)
+    spin = 1j * turns(np.arange(min(_IRFFT_BLOCK, half)), m)
     for start in range(0, half, _IRFFT_BLOCK):
         a, b = max(start, 1), min(start + _IRFFT_BLOCK, half)
         lower = z[a:b]
@@ -291,7 +280,7 @@ def _irfft_blocked(z: np.ndarray) -> np.ndarray:
         even = lower + mirror
         odd = np.subtract(lower, mirror, out=mirror)
         odd *= spin[a - start : b - start]
-        odd *= _turns(start, m)
+        odd *= turns(start, m)
         np.add(even, odd, out=lower)
         np.subtract(even, odd, out=even)
         np.conjugate(even, out=upper)
@@ -301,10 +290,10 @@ def _irfft_blocked(z: np.ndarray) -> np.ndarray:
     grid = z[:q].reshape(n1, n2)
     width = max(1, min(n2, _IRFFT_BLOCK // n1))
     rows = np.arange(n1)
-    table = 0.5 * _turns(np.multiply.outer(rows, np.arange(width)), q)
+    table = 0.5 * turns(np.multiply.outer(rows, np.arange(width)), q)
     for first in range(0, n2, width):
         cols = np.fft.ifft(grid[:, first : first + width], axis=0)
-        cols *= _turns(rows * first, q)[:, None] * table[:, : cols.shape[1]]
+        cols *= turns(rows * first, q)[:, None] * table[:, : cols.shape[1]]
         grid[:, first : first + width] = cols
     out = np.empty(m)
     dest = out.view(complex).reshape(n2, n1)

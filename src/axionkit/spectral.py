@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EphemerisConstants, check_daily_sampling
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, turns
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,12 @@ def _rfft_power(seg: np.ndarray) -> np.ndarray:
     (four-step Cooley-Tukey, k = k1 + p k2): a real length-p transform
     down the columns of seg.reshape(p, m), then, for each block of rows
     of about _SPLIT_ROWS elements, the twiddles exp(-2 pi i k1 n2 / n)
-    and a length-m transform along the rows.  Each block is transformed
-    alone, in place, so the blocks, fixed by n, define the bytes.
+    and a length-m transform along the rows.  With n2 = b c + j, j < b =
+    isqrt(m - 1) + 1, each block's twiddles are the products of two
+    tables of timeseries.turns, at k1 j and k1 b c mod n: exact integer
+    turns, so about 2 sqrt(m) sines and cosines a row where the direct
+    form takes m.  Each block is transformed alone, in place, so the
+    blocks, fixed by n, define the bytes.
     Only rows k1 <= p // 2 are transformed; the others follow from
     |X[n - k]| = |X[k]| of a real input.  Every other length goes to
     np.fft.rfft unchanged and keeps its bytes.
@@ -103,16 +107,19 @@ def _rfft_power(seg: np.ndarray) -> np.ndarray:
     m = n // p
     cols = np.fft.rfft(seg.reshape(p, m), axis=0)  # (p // 2 + 1, m): k1 by n2
     h = cols.shape[0]
-    # k1 n2 < n / 2, so each twiddle angle lies in [-pi, 0]
-    step = (-2.0 * math.pi / n) * np.arange(m)
+    b = math.isqrt(m - 1) + 1
+    wide = -(-m // b)
+    inner, outer = np.arange(b), b * np.arange(wide)
     rows = max(1, _SPLIT_ROWS // m)
+    twiddle = np.empty((rows, wide, b), dtype=complex)
     for first in range(0, h, rows):
         block = cols[first : first + rows]
-        angle = np.multiply.outer(np.arange(first, first + block.shape[0]), step)
-        twiddle = np.empty(angle.shape, dtype=complex)
-        np.cos(angle, out=twiddle.real)
-        np.sin(angle, out=twiddle.imag)
-        block *= twiddle
+        k1 = np.arange(first, first + block.shape[0])[:, None]
+        here = twiddle[: block.shape[0]]
+        # exp(-2 pi i k1 (b c + j) / n), each factor at its turn count mod n
+        coarse, fine = turns(-k1 * outer % n, n), turns(-k1 * inner % n, n)
+        np.multiply(coarse[:, :, None], fine[:, None, :], out=here)
+        block *= here.reshape(block.shape[0], -1)[:, :m]
         block[:] = np.fft.fft(block, axis=1)
     half = np.abs(cols)  # |X[k1 + p k2]| for k1 <= p // 2
     del cols
@@ -153,18 +160,21 @@ def periodogram(series: TimeSeries, window: WindowSpec) -> Spectrum:
     taper = window.taper(nper)
     u = float(nper) if taper is None else float(np.sum(taper**2))
     step = max(1, int(round(nper * (1.0 - window.overlap))))
-    n_freq = nper // 2 + 1
-    acc = np.zeros(n_freq)
-    count = 0
-    for start in range(0, n - nper + 1, step):
+    starts = range(0, n - nper + 1, step)
+
+    def power(start):
         seg = y[start : start + nper]
-        acc += _rfft_power(seg if taper is None else seg * taper)
-        count += 1
-    psd = acc * (2.0 * dt / (u * count))
+        return _rfft_power(seg if taper is None else seg * taper)
+
+    # the first segment's power is the accumulator: 0.0 + x is x
+    psd = power(starts[0])
+    for start in starts[1:]:
+        psd += power(start)
+    psd *= 2.0 * dt / (u * len(starts))
     psd[0] *= 0.5
     if nper % 2 == 0:
         psd[-1] *= 0.5
-    return Spectrum(df=1.0 / (nper * dt), psd=psd, n_averages=count)
+    return Spectrum(df=1.0 / (nper * dt), psd=psd, n_averages=len(starts))
 
 
 def window_response(window: WindowSpec) -> float:
@@ -195,6 +205,10 @@ class TripletResult:
 # samples per block of the blocked line sums; a private constant that sets
 # the shape of the (blocks x _BLOCK) @ (_BLOCK x 2 lines) product
 _BLOCK = 4096
+# blocks per slice of that product: the year's 770 blocks in one
+# (770 x 4096) @ (4096 x 22) product woke OpenBLAS's threads, whose worker
+# then spun for about 0.1 s of CPU; slices of 8 rows stay on one thread
+_SLICE_BLOCKS = 8
 
 
 def _line_sums(t0: float, dt: float, y, omega: float, offsets) -> np.ndarray:
@@ -204,10 +218,11 @@ def _line_sums(t0: float, dt: float, y, omega: float, offsets) -> np.ndarray:
     With k = b _BLOCK + m, exp(-i w t_k) splits into the per-block phase
     exp(-i w t_{b _BLOCK}) and the in-block phase exp(-i w m dt), so the
     sums are real matrix products of the record's whole blocks, viewed
-    as rows of _BLOCK samples, with cos(w m dt) and sin(w m dt),
-    followed by a phase-weighted sum over blocks; the partial last
-    block is one short row.  The record is neither copied nor mixed, and
-    no trigonometric function runs per sample.  The per-block phase
+    as rows of _BLOCK samples, with cos(w m dt) and sin(w m dt), taken
+    _SLICE_BLOCKS rows at a time, followed by a phase-weighted sum over
+    blocks; the partial last block is one short row.  The record is
+    neither copied nor mixed, and no trigonometric function runs per
+    sample.  The per-block phase
     rounds w t as a per-sample phase would.
     """
     n = y.size
@@ -215,10 +230,14 @@ def _line_sums(t0: float, dt: float, y, omega: float, offsets) -> np.ndarray:
     in_block = dt * np.arange(_BLOCK, dtype=float)
     phase = np.outer(in_block, w)
     trig = np.hstack([np.cos(phase), np.sin(phase)])  # (_BLOCK, 2 lines)
-    full = n // _BLOCK * _BLOCK
-    products = y[:full].reshape(-1, _BLOCK) @ trig
-    if full < n:
-        products = np.vstack([products, y[full:] @ trig[: n - full]])
+    whole = n // _BLOCK
+    rows = y[: whole * _BLOCK].reshape(whole, _BLOCK)
+    products = np.empty((-(-n // _BLOCK), trig.shape[1]))
+    for first in range(0, whole, _SLICE_BLOCKS):
+        last = min(first + _SLICE_BLOCKS, whole)
+        np.matmul(rows[first:last], trig, out=products[first:last])
+    if whole < products.shape[0]:
+        products[whole] = y[whole * _BLOCK :] @ trig[: n - whole * _BLOCK]
     in_sums = products[:, : w.size] - 1j * products[:, w.size :]
     per_block = np.exp(-1j * np.outer(t0 + dt * np.arange(0, n, _BLOCK, dtype=float), w))
     return np.sum(per_block * in_sums, axis=0)

@@ -124,6 +124,20 @@ def grid_phasor(omega, t0, dt, start, stop, phase=0.0, out=None) -> np.ndarray:
     return out
 
 
+def turns(r, d: int) -> np.ndarray:
+    """exp(2 pi i r / d) for integers 0 <= r < d, r of d equal parts of a
+    turn.  Each r is reduced exactly to r - d where 2 r > d, so the angle
+    lies in [-pi, pi] and rounds once, whatever the size of r; a product
+    of such phasors holds a twiddle factor exp(2 pi i k l / d) without a
+    per-element sine of a large angle."""
+    r = np.asarray(r, dtype=np.int64)
+    angle = np.where(2 * r > d, r - d, r) * (2.0 * math.pi / d)
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def _finite(value) -> bool:
     """A JSON number within the float range: NaN and the infinities fail."""
     return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max

@@ -619,11 +619,15 @@ class TestCli:
         line = capsys.readouterr().out.strip()
         prefix = f"{path}: largest relative difference of numeric cells "
         assert line.startswith(prefix) and line.endswith(", text cells identical")
-        assert float(line[len(prefix) :].split(",")[0]) == pytest.approx(3e-9, rel=1e-3)
+        relative, absolute = line[len(prefix) :].split(", ")[:2]
+        assert float(relative) == pytest.approx(3e-9, rel=1e-3)
+        assert absolute.startswith("largest absolute ")
+        assert float(absolute.split()[-1]) == pytest.approx(3e-9 * float(psd), rel=1e-3)
         # a header cell is text
         path.write_text(regenerated.replace("f_hz,psd", "f_Hz,psd", 1))
         assert script["replay"](tmp_path / "runs") == [
-            f"{path}: largest relative difference of numeric cells 0, text cells differ"
+            f"{path}: largest relative difference of numeric cells 0, largest absolute 0, "
+            "text cells differ"
         ]
 
     def test_replay_script_measures_changed_json_leaves(self, tmp_path):
@@ -640,11 +644,14 @@ class TestCli:
         (line,) = replay(tmp_path / "runs")
         prefix = f"{path}: largest relative difference of numeric leaves "
         assert line.startswith(prefix) and line.endswith(", other leaves identical")
-        assert float(line[len(prefix) :].split(",")[0]) == pytest.approx(3e-9, rel=1e-3)
+        relative, absolute = line[len(prefix) :].split(", ")[:2]
+        assert float(relative) == pytest.approx(3e-9, rel=1e-3)
+        assert float(absolute.split()[-1]) == pytest.approx(width - width / (1 + 3e-9), rel=1e-3)
         # a string leaf
         path.write_text(json.dumps({**regenerated, "schema": "axionkit-linewidth/0"}))
         assert replay(tmp_path / "runs") == [
-            f"{path}: largest relative difference of numeric leaves 0, other leaves differ"
+            f"{path}: largest relative difference of numeric leaves 0, largest absolute 0, "
+            "other leaves differ"
         ]
         path.write_text(json.dumps({**regenerated, "extra": 1}))
         assert replay(tmp_path / "runs") == [f"{path}: keys or list lengths differ"]
@@ -814,7 +821,7 @@ class TestCli:
             ("psd", ["--dt", "9000"], "args.span-days and args.dt"),
             ("triplet", ["--span-days", "1e9", "--dt", "0.5"], "args.span-days and args.dt"),
             ("envelope", ["--dt", "1e-300"], "args.span-days and args.dt"),
-            # byte-budget caps: 2,000,000 masses, 4,761 line shapes, and
+            # byte-budget caps: 1,666,666 masses, 4,761 line shapes, and
             # 2,585 trials at 48 samples a day
             ("sensitivity", ["--mass-points", "100000000"], "args.mass-points"),
             ("linewidth", ["--masses", ",".join(["1"] * 10_000)], "args.masses"),

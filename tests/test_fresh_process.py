@@ -13,6 +13,7 @@ import pytest
 
 from axionkit import cli
 from axionkit import signals as sig
+from axionkit.constants import SIDEREAL_DAY_S
 
 
 def _python(blas_threads: int, *args: str) -> str:
@@ -90,6 +91,30 @@ def test_heterodyne_leaves_no_thread_spinning():
     assert spin_s < 0.02
 
 
+# a 200,000-sample record of white noise through triplet_statistic, after
+# a sleep that lets OpenBLAS's start-up spin end; the process CPU over
+# the 0.2 s after it
+_TRIPLET_SPIN = """
+import json, time
+import numpy as np
+from axionkit import EphemerisConstants, TimeSeries, spectral
+record = TimeSeries(0.0, 10.0, np.random.default_rng(3).normal(size=200_000), {"kind": "noise"})
+time.sleep(0.5)
+spectral.triplet_statistic(record, EphemerisConstants(), 0.0, 0.0)
+before = time.process_time()
+time.sleep(0.2)
+print(json.dumps({"spin_s": time.process_time() - before}))
+"""
+
+
+def test_triplet_leaves_no_thread_spinning():
+    # the line sums' product in one call, (49 x 4096) @ (4096 x 22) here,
+    # woke OpenBLAS's second thread, which then spun for 0.115 s; in
+    # slices of 8 blocks it stays on one thread
+    spin_s = json.loads(_python(2, "-c", _TRIPLET_SPIN))["spin_s"]
+    assert spin_s < 0.02
+
+
 # the rise of peak RSS over one 1/f draw of n = argv[1] samples, in bytes
 # (ru_maxrss counts KiB on Linux), after a small draw has loaded numpy.fft
 _PINK_PEAK = """
@@ -118,18 +143,27 @@ def test_pink_noise_peak_rss():
     assert rise < 1.4 * (spectrum + output)
 
 
-# peak RSS, in bytes, of a linewidth run over argv[2] masses into argv[1]
-_LINEWIDTH_PEAK = """
+# peak RSS, in bytes, of `axionkit argv[1] --out argv[2] argv[3:]`
+_CLI_PEAK = """
 import contextlib, io, resource, sys
 from axionkit.cli import main
-n = int(sys.argv[2])
-masses = ",".join(f"{1 + k / n:g}" for k in range(n))
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["linewidth", "--masses", masses, "--out", sys.argv[1]])
+    code = main([sys.argv[1], "--out", *sys.argv[2:]])
 if code:
     sys.exit(code)
 print(1024 * resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
+
+
+def _rss_slope(out: Path, subcommand: str, sizes, argv, units) -> float:
+    """The slope of a fresh process's peak RSS per unit of a run's size,
+    between the two sizes, each run as subcommand with argv(size), whose
+    size guard counts units(size) units."""
+    peaks = [
+        int(_python(1, "-c", _CLI_PEAK, subcommand, str(out / str(size)), *argv(size)))
+        for size in sizes
+    ]
+    return (peaks[1] - peaks[0]) / (units(sizes[1]) - units(sizes[0]))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux only")
@@ -138,8 +172,41 @@ def test_linewidth_rss_slope_within_budget(tmp_path):
     # peak RSS was 372,000 B a shape from 50 to 200 masses and 376,000 B
     # from 200 to 400 (numpy 2.4.6), headroom of 13 % and 12 % under
     # 420,000
-    peaks = {
-        n: int(_python(1, "-c", _LINEWIDTH_PEAK, str(tmp_path / str(n)), str(n)))
-        for n in (50, 200)
-    }
-    assert (peaks[200] - peaks[50]) / 150 <= cli._BYTES_PER_SHAPE
+    def masses(n):
+        return ["--masses", ",".join(f"{1 + k / n:g}" for k in range(n))]
+
+    slope = _rss_slope(tmp_path, "linewidth", (50, 200), masses, lambda n: n)
+    assert slope <= cli._BYTES_PER_SHAPE
+
+
+# a record of span days at dt = 10 s (psd, triplet: days of 86,400 s;
+# envelope: sidereal days) and its samples
+def _record(span):
+    return ["--span-days", str(span), "--dt", "10"]
+
+
+_DAY_SAMPLES = {"psd": 8640, "triplet": 8640, "envelope": SIDEREAL_DAY_S / 10}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux only")
+@pytest.mark.parametrize("subcommand", ["sensitivity", "psd", "triplet", "envelope"])
+def test_rss_slope_within_budget(tmp_path, subcommand):
+    # each size guard's bytes a unit against the slope of peak RSS between
+    # two sizes (numpy 2.4.6, OpenBLAS on one thread):
+    # - sensitivity, 20,000 to 100,000 mass points: 1,040 B a mass, 1,008-
+    #   1,083 B between 20,000 and 400,000; _BYTES_PER_MASS 1,200 leaves
+    #   11 % over the steepest;
+    # - 12 and 46 days at dt = 10 s (103,680 and 397,440 samples, 103,397
+    #   and 396,355 for envelope's sidereal days): triplet 40.6 B a
+    #   sample, psd 28.8 and envelope 16, under BYTES_PER_SAMPLE 44,
+    #   headroom 8 % for triplet; from 46 to 116 days triplet read 40.3 B
+    if subcommand == "sensitivity":
+        slope = _rss_slope(
+            tmp_path, subcommand, (20_000, 100_000), lambda n: ["--mass-points", str(n)],
+            lambda n: n,
+        )
+        assert slope <= cli._BYTES_PER_MASS
+    else:
+        day = _DAY_SAMPLES[subcommand]
+        slope = _rss_slope(tmp_path, subcommand, (12, 46), _record, lambda span: span * day)
+        assert slope <= sig.BYTES_PER_SAMPLE

@@ -69,12 +69,6 @@ def projection(t, site, eph):
     return np.einsum("...i,...i->...", direction, geo.device_axis(site))
 
 
-def rotation_stack_beta(t, site, eph, v_ref):
-    direction, speed = lab_wind(t, site, eph)
-    q = geo.device_axis(site)
-    return (speed / v_ref) * np.einsum("...i,...i->...", direction, q)
-
-
 class TestRotationChain:
     @given(lst=st.floats(0, 2 * np.pi), lat=st.floats(-90.0, 90.0))
     @settings(max_examples=60, deadline=None)
@@ -155,29 +149,130 @@ sites = st.builds(
 )
 
 
+def long_double_beta(t, site, eph, v_ref):
+    """Oracle: beta through one rotation matrix per sample, with the
+    orbital ring built from explicit rotations, and the sidereal and
+    orbital phases lst0 + Os t and Oa t + orbital_phase formed in long
+    double from the times as given, so that each sine and cosine rounds
+    once to double."""
+    t = np.asarray(t, dtype=float).astype(np.longdouble)
+    lst = site.lst0_rad + np.longdouble(eph.omega_sidereal) * t
+    theta = np.longdouble(eph.omega_annual) * t + eph.orbital_phase
+    tilt = Rotation.from_euler("x", eph.obliquity_deg, degrees=True).as_matrix()
+    orbit_plane = np.stack([-np.sin(theta), np.cos(theta), np.zeros_like(theta)], axis=-1)
+    u = eph.v_orbit * orbit_plane.astype(float) @ tilt.T
+    v_eq = eph.v_sun * geo.wind_unit_equatorial(site) - u
+    v_enu = np.einsum("...ij,...j->...i", equatorial_to_horizontal(lst, site.latitude_deg), v_eq)
+    return v_enu @ geo.device_axis(site) / v_ref
+
+
+def grid_phase_error(omega, t):
+    """Largest error of a grid_phasor phase of beta_ratio or the fit at
+    the times t against omega t_k exact.  The kernel reads t0 = t[0] and
+    dt = (t[-1] - t[0]) / (n - 1) and takes its phases at t0 + k dt,
+    which the grid check keeps within tau = _GRID_ULPS eps M of t_k, for
+    M = max(|t[0]|, |t[-1]|), give or take the check's own rounding of
+    t0 + k dt, at most 2 eps M; the phasor table's step omega dt adds
+    |omega dt| b eps over the b entries of a block (as
+    modulation_model_bound), and the block exponentials and the complex
+    multiply about 4 eps."""
+    eps = np.finfo(float).eps
+    t = np.asarray(t, dtype=float).reshape(-1)
+    n = t.size
+    big_m = max(abs(t[0]), abs(t[-1]))
+    dt = abs(t[-1] - t[0]) / max(n - 1, 1)
+    b = math.isqrt(min(n, geo._CHUNK) - 1) + 1
+    return abs(omega) * ((geo._GRID_ULPS + 2.0) * eps * big_m + dt * b * eps) + 4.0 * eps
+
+
+def beta_bound(t, eph, v_ref):
+    """Largest |beta_ratio - long_double_beta| on the grid t.  beta moves
+    by at most |v| / v_ref <= (v_sun + v_orbit) / v_ref per radian of the
+    sidereal phase (the rotated wind's equatorial part) and by at most
+    v_orbit / v_ref per radian of the orbital phase; each phase is off by
+    grid_phase_error.  The kernel's and the oracle's sums of a few products
+    round by 16 eps of the same scale."""
+    scale = (eph.v_sun + eph.v_orbit) / v_ref
+    return (
+        scale * grid_phase_error(eph.omega_sidereal, t)
+        + eph.v_orbit / v_ref * grid_phase_error(eph.omega_annual, t)
+        + 16.0 * np.finfo(float).eps * scale
+    )
+
+
 class TestProjection:
     @given(
         site=sites,
-        t=st.lists(st.floats(0.0, 10 * YEAR_S), min_size=1, max_size=20),
+        t0=st.floats(-10 * YEAR_S, 10 * YEAR_S),
+        dt=st.floats(1e-3, 1e5),
+        n=st.integers(1, 2 * geo._CHUNK + 50),
         v_orbit=st.floats(0.0, 60.0),
     )
     @settings(max_examples=80, deadline=None)
-    def test_against_rotation_stack(self, site, t, v_orbit):
+    def test_against_rotation_stack(self, site, t0, dt, n, v_orbit):
         eph = EphemerisConstants(v_orbit=v_orbit)
-        t = np.array(t)
+        t = t0 + dt * np.arange(n)
         beta = geo.beta_ratio(t, site, eph, 230.0)
-        assert np.max(np.abs(beta - rotation_stack_beta(t, site, eph, 230.0))) <= 2e-15
+        assert beta.shape == (n,)
+        assert np.max(np.abs(beta - long_double_beta(t, site, eph, 230.0))) <= beta_bound(
+            t, eph, 230.0
+        )
 
     def test_chunks_and_shapes(self, site, eph):
         # a grid longer than one chunk, the same grid as a 2-D array, a scalar
         t = np.arange(geo._CHUNK + 123) * 10.0
         beta = geo.beta_ratio(t, site, eph, 230.0)
-        assert np.max(np.abs(beta - rotation_stack_beta(t, site, eph, 230.0))) <= 2e-15
+        assert np.max(np.abs(beta - long_double_beta(t, site, eph, 230.0))) <= beta_bound(
+            t, eph, 230.0
+        )
         np.testing.assert_array_equal(
             geo.beta_ratio(t[:-1].reshape(-1, 2), site, eph, 230.0), beta[:-1].reshape(-1, 2)
         )
         scalar = geo.beta_ratio(t[-1], site, eph, 230.0)
-        assert np.ndim(scalar) == 0 and scalar == beta[-1]
+        assert np.ndim(scalar) == 0
+        assert abs(scalar - beta[-1]) <= beta_bound(t, eph, 230.0)
+        assert geo.beta_ratio(np.empty((0, 3)), site, eph, 230.0).shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.arange(-2.5e7, -2.5e7 + 2e5, 60.0),
+            np.linspace(1e6, 3e7, 10_001),
+            sig.TimeSeries(123_456.7, 10.0, np.zeros(40_000), {"kind": "grid"}).times,
+            10.0 * np.arange(3 * geo._CHUNK + 5),
+            np.linspace(0.0, 5 * 86400.0, 400).reshape(20, 20),
+        ],
+        ids=["arange-t0", "linspace", "timeseries-times", "dt-arange", "2-d"],
+    )
+    def test_accepts_grids(self, site, eph, t):
+        beta = geo.beta_ratio(t, site, eph, 230.0)
+        assert beta.shape == t.shape
+        assert np.max(np.abs(beta - long_double_beta(t, site, eph, 230.0))) <= beta_bound(
+            t, eph, 230.0
+        )
+        if t.ndim == 1:
+            fitted = geo.fit_modulation_coefficients(t, beta)
+            assert fitted.residual_rms < 1e-9
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [(7, 7.0 * 60.0 + 1e-6), (1, np.nan), (0, np.nan), (199, np.inf), (3, 10.0)],
+        ids=["jittered", "nan", "nan-first", "inf-last", "reversed-pair"],
+    )
+    def test_off_grid_time_raises_naming_its_index(self, site, eph, index, value):
+        t = 60.0 * np.arange(200)
+        t[index] = value
+        name = rf"t\[{index}\]"
+        with pytest.raises(ValueError, match=name):
+            geo.beta_ratio(t, site, eph, 230.0)
+        with pytest.raises(ValueError, match=name):
+            geo.fit_modulation_coefficients(t, np.ones_like(t))
+
+    def test_off_grid_index_is_in_the_array_shape(self, site, eph):
+        grid = 60.0 * np.arange(20.0).reshape(4, 5)
+        grid[3, 1] += 1.0
+        with pytest.raises(ValueError, match=r"t\[3, 1\] = 961.0 is off the uniform grid"):
+            geo.beta_ratio(grid, site, eph, 230.0)
 
     def test_perpendicular_axis_zero(self, eph_no_orbit):
         # equatorial site, polar wind, horizon-pointing axis toward east
@@ -269,12 +364,21 @@ class TestModulationModel:
         assert np.max(np.abs(got - expected)) <= modulation_model_bound(t0, dt, n, coeffs)
 
 
+def long_double_basis(t):
+    """The fit's nine basis columns at the times t, with the phases Os t
+    and Oa t formed in long double, so each sine and cosine rounds once
+    to double."""
+    t = np.asarray(t, dtype=float).astype(np.longdouble)
+    daily, annual = np.longdouble(OMEGA_SIDEREAL) * t, np.longdouble(OMEGA_ANNUAL) * t
+    cs, ss = np.cos(daily).astype(float), np.sin(daily).astype(float)
+    ca, sa = np.cos(annual).astype(float), np.sin(annual).astype(float)
+    return [np.ones(t.size), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa]
+
+
 def lstsq_fit_oracle(t, y):
     """The nine-term design's least-squares coefficients by np.linalg.lstsq,
     its rank by lstsq's rule, its singular values and the residual norm."""
-    cs, ss = np.cos(OMEGA_SIDEREAL * t), np.sin(OMEGA_SIDEREAL * t)
-    ca, sa = np.cos(OMEGA_ANNUAL * t), np.sin(OMEGA_ANNUAL * t)
-    design = np.column_stack([np.ones_like(t), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa])
+    design = np.column_stack(long_double_basis(t))
     coef, _, rank, singular = np.linalg.lstsq(design, y, rcond=None)
     return coef, rank, singular, float(np.linalg.norm(y - design @ coef))
 
@@ -307,8 +411,15 @@ class TestModulationFit:
         # the unnormalized wind-vector projection contains only the union of
         # the DC, daily, annual and mixed lines, so the fit is exact
         t = fit_grid()
-        fitted = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0))
-        assert fitted.residual_rms < 1e-12
+        y = geo.beta_ratio(t, site, eph, 230.0)
+        fitted = geo.fit_modulation_coefficients(t, y)
+        # at the default lst0 and orbital phase, beta_ratio and the fit take
+        # the same grid phasors, so y is a combination of the design's
+        # columns to the kernel's rounding, a few eps of max |y| per term;
+        # the residual y - design @ coef adds a rounding per term of the
+        # nine-term product
+        assert site.lst0_rad == eph.orbital_phase == 0.0
+        assert fitted.residual_rms <= 16 * np.finfo(float).eps * np.max(np.abs(y))
 
     @given(site=sites, v_orbit=st.floats(0.0, 60.0))
     @settings(max_examples=40, deadline=None)
@@ -367,9 +478,7 @@ class TestModulationFit:
     @settings(max_examples=30, deadline=None)
     def test_agrees_with_lstsq(self, n, dt, t0, c0, pure, mixed, sigma, seed):
         t = t0 + dt * np.arange(n)
-        cs, ss = np.cos(OMEGA_SIDEREAL * t), np.sin(OMEGA_SIDEREAL * t)
-        ca, sa = np.cos(OMEGA_ANNUAL * t), np.sin(OMEGA_ANNUAL * t)
-        columns = [np.ones_like(t), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa]
+        columns = long_double_basis(t)
         (a_d, phi_d), (a_a, phi_a) = pure
         truth = [c0, a_d * math.cos(phi_d), a_d * math.sin(phi_d),
                  a_a * math.cos(phi_a), a_a * math.sin(phi_a), *mixed]
@@ -383,14 +492,21 @@ class TestModulationFit:
             return
         fitted = geo.fit_modulation_coefficients(t, y)
         # Both solvers are backward stable: each solves a problem within
-        # gamma = 10 * 9 * u of the design and y, relative.  By the least-
-        # squares perturbation bound (Higham, Accuracy and Stability, thm
-        # 20.1) each lands within gamma kappa (2 |x| + (kappa + 1) |r| /
-        # s_max) of the exact x, so the two differ by at most twice that.
+        # gamma = 10 * 9 * u of its design and y, relative.  The fit's
+        # design, from grid phasors, leaves the oracle's by at most e =
+        # e_s + e_a + 3 eps an element (each phase by grid_phase_error,
+        # and a mixed product carries both), so in norm by at most
+        # sqrt(9 n) e <= 4.5 e |A|, since |A| >= |A|_F / 3 = 2 sqrt(n) / 3.
+        # By the least-squares perturbation bound (Higham, Accuracy and
+        # Stability, thm 20.1) a relative perturbation g lands within
+        # g kappa (2 |x| + (kappa + 1) |r| / s_max) of the exact x, so the
+        # two differ by at most that at g = 2 gamma + 4.5 e.
         u = np.finfo(float).eps / 2
+        e = (grid_phase_error(OMEGA_SIDEREAL, t) + grid_phase_error(OMEGA_ANNUAL, t)
+             + 6 * u)
         kappa = singular[0] / singular[-1]
         norm_x = np.linalg.norm(coef)
-        delta = 2 * (90 * u) * kappa * (2 * norm_x + (kappa + 1) * resid / singular[0])
+        delta = (2 * 90 * u + 4.5 * e) * kappa * (2 * norm_x + (kappa + 1) * resid / singular[0])
         rounding = 16 * u * (norm_x + np.max(np.abs(y)))
         assert fitted.c0 == pytest.approx(coef[0], abs=delta + rounding)
         # the pure tones as complex amplitudes c e^{i phase}, whose phases
@@ -411,9 +527,10 @@ class TestModulationFit:
         oracle_cross = float(np.dot(coef[5:9], u))
         cross_bound = 2 * delta + np.linalg.norm(coef[5:]) * sum(turns) + rounding
         assert fitted.c_cross == pytest.approx(oracle_cross, abs=cross_bound)
-        # |A dx| / sqrt(n) <= 2 |dx|: every row of the design has norm 2
+        # |A dx| / sqrt(n) <= 2 |dx|: every row of the design has norm 2;
+        # the designs' difference moves a row's product by e |x|_1 <= 3 e |x|
         assert fitted.residual_rms == pytest.approx(
-            resid / np.sqrt(n), abs=2 * 3 * delta + 9 * rounding
+            resid / np.sqrt(n), abs=2 * 3 * delta + 3 * e * norm_x + 9 * rounding
         )
 
     def test_degenerate_sampling_raises(self):

@@ -77,6 +77,38 @@ class TestPeriodogram:
         ]
         assert len(maxima) == 2
 
+    @pytest.mark.parametrize(
+        "n, window",
+        [
+            (2 * 1461, WindowSpec("rectangular", 0.0, 0.0)),  # one segment, split at 487
+            (4099, WindowSpec("hann", 0.0, 0.5)),  # one odd segment
+            (20 * 1461 + 17, WindowSpec("hann", 1461 * 10.0, 0.5)),
+            (5000, WindowSpec("hann", 512 * 10.0, 0.75)),
+        ],
+        ids=["one-split-segment", "one-odd-segment", "hann-split-overlap", "hann-overlap"],
+    )
+    def test_same_bytes_as_a_zero_start(self, rng, n, window):
+        # the accumulator is the first segment's power, not zeros plus it:
+        # 0.0 + x is x for x >= 0, so the bytes are those of zeros-plus-add
+        dt = 10.0
+        x = rng.normal(size=n)
+        got = spec.periodogram(make_series(x, dt), window)
+        nper = n if window.segment_length == 0 else int(round(window.segment_length / dt))
+        taper = window.taper(nper)
+        u = float(nper) if taper is None else float(np.sum(taper**2))
+        acc = np.zeros(nper // 2 + 1)
+        count = 0
+        for start in range(0, n - nper + 1, max(1, int(round(nper * (1.0 - window.overlap))))):
+            seg = x[start : start + nper]
+            acc += spec._rfft_power(seg if taper is None else seg * taper)
+            count += 1
+        psd = acc * (2.0 * dt / (u * count))
+        psd[0] *= 0.5
+        if nper % 2 == 0:
+            psd[-1] *= 0.5
+        assert got.n_averages == count
+        assert got.psd.tobytes() == psd.tobytes()
+
     def test_segment_longer_than_record(self, rng):
         x = rng.normal(size=128)
         with pytest.raises(ValueError, match="exceeds"):
@@ -396,7 +428,8 @@ class TestBlockedLineSums:
     @given(
         t0=st.floats(0.0, YEAR_S),
         dt=st.floats(1.0, 1800.0),
-        n=st.sampled_from([2, 1000, spec._BLOCK, 3 * spec._BLOCK, 3 * spec._BLOCK + 17]),
+        n=st.sampled_from([2, 1000, spec._BLOCK, 3 * spec._BLOCK, 3 * spec._BLOCK + 17,
+                           (2 * spec._SLICE_BLOCKS + 1) * spec._BLOCK + 17]),
         spacing=st.floats(1e-9, 5e-6),
         seed=st.integers(0, 2**32 - 1),
     )

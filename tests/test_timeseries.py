@@ -16,6 +16,7 @@ from axionkit.timeseries import (
     canonical_json,
     grid_phasor,
     short_hash,
+    turns,
     write_columns,
 )
 
@@ -435,3 +436,29 @@ class TestGridPhasor:
     def test_out_must_fit(self, out):
         with pytest.raises(ValueError, match="contiguous complex128 array of 100"):
             grid_phasor(1.0, 0.0, 1.0, 0, 100, out=out)
+
+
+class TestTurns:
+    @given(d=st.integers(1, 10**12), seed=st.integers(0, 2**32 - 1))
+    @example(d=1, seed=0)
+    @example(d=2, seed=0)
+    @example(d=3_155_760, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_long_double_angle(self, d, seed):
+        r = np.random.default_rng(seed).integers(0, d, size=200)
+        got = turns(r, d)
+        # the reduced angle rounds once, by at most pi eps, and the sine
+        # and cosine by half an ulp each
+        angle = 2 * np.pi * r.astype(np.longdouble) / d
+        expected = (np.cos(angle) + 1j * np.sin(angle)).astype(complex)
+        assert got.shape == r.shape and got.dtype == np.complex128
+        assert np.max(np.abs(got - expected)) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("d", [2, 3, 487, 6480, 3_155_760])
+    def test_conjugate_turns_are_exact(self, d):
+        # r and d - r reduce to the angles x and -x, so the phasors are
+        # conjugates bit for bit, except at r = d / 2, the half turn
+        r = np.arange(1, min(d, 5000))
+        r = r[2 * r != d]
+        np.testing.assert_array_equal(turns(d - r, d), np.conj(turns(r, d)))
+        assert turns(0, d) == 1.0
