@@ -12,7 +12,11 @@ difference of its numeric cells and whether any text cell differs, and
 beside a differing JSON file the same for its numeric and other leaves,
 which tells rounding (another CPU's SIMD paths, say) from a changed
 result.  The exit code is
-1 if any artifact differs or a run fails, 0 if all match.
+1 if any artifact differs or a run fails, 0 if all match.  A manifest
+whose recorded versions (axionkit, numpy, python, scipy) differ from the
+replaying interpreter's gets one note on stderr naming them, since byte
+identity depends on them; the note alone changes neither stdout nor the
+exit code.
 """
 
 import contextlib
@@ -103,7 +107,7 @@ def describe(old: pathlib.Path, new: pathlib.Path) -> str:
 def replay(root) -> list[str]:
     """The artifacts under root that do not regenerate byte for byte, one
     line each with how they differ (describe), and the runs that exit
-    non-zero."""
+    non-zero.  Version differences are noted on stderr."""
     mismatches = []
     with tempfile.TemporaryDirectory() as scratch:
         for manifest in sorted(pathlib.Path(root).glob("*/manifest.json")):
@@ -115,6 +119,13 @@ def replay(root) -> list[str]:
             if code != 0:
                 mismatches.append(f"{manifest}: exit code {code}")
                 continue
+            recorded = record.get("versions", {})
+            now = json.loads((out / "manifest.json").read_text())["versions"]
+            changed = [f"{key} {recorded.get(key)} -> {now[key]}" for key in now
+                       if recorded.get(key) != now[key]]
+            if changed:
+                print(f"{manifest}: replayed under other versions: {', '.join(changed)}",
+                      file=sys.stderr)
             names = {*record["outputs"], *(p.name for p in out.iterdir())} - {"manifest.json"}
             for name in sorted(names):
                 old, new = manifest.parent / name, out / name

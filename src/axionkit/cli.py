@@ -200,9 +200,10 @@ def cmd_psd(cfg: RunConfig, args: dict) -> dict:
 
     f_star = cfg.ephemeris.omega_sidereal / (2 * np.pi)
     f_a = cfg.ephemeris.omega_annual / (2 * np.pi)
-    zoom = (spectrum.frequencies > f_star - 10 * f_a) & (
-        spectrum.frequencies < f_star + 10 * f_a
-    )
+    # f_star +/- 10 f_a, widened to +/- 2 df where the bins are coarser, so
+    # that the zoom holds at least three bins on any record
+    half = max(10 * f_a, 2 * spectrum.df)
+    zoom = (spectrum.frequencies > f_star - half) & (spectrum.frequencies < f_star + half)
     return {
         "psd.csv": _csv("f_hz,psd", (spectrum.frequencies, spectrum.psd)),
         "psd_markers.json": _json(

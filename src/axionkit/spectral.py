@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EphemerisConstants, check_daily_sampling
-from .timeseries import TimeSeries, turns
+from .timeseries import TimeSeries, grid_phasor, turns
 
 
 @dataclass(frozen=True)
@@ -218,18 +218,21 @@ def _line_sums(t0: float, dt: float, y, omega: float, offsets) -> np.ndarray:
     With k = b _BLOCK + m, exp(-i w t_k) splits into the per-block phase
     exp(-i w t_{b _BLOCK}) and the in-block phase exp(-i w m dt), so the
     sums are real matrix products of the record's whole blocks, viewed
-    as rows of _BLOCK samples, with cos(w m dt) and sin(w m dt), taken
-    _SLICE_BLOCKS rows at a time, followed by a phase-weighted sum over
-    blocks; the partial last block is one short row.  The record is
+    as rows of _BLOCK samples, with the cosines and sines of w m dt,
+    taken _SLICE_BLOCKS rows at a time, followed by a phase-weighted sum
+    over blocks; the partial last block is one short row.  The record is
     neither copied nor mixed, and no trigonometric function runs per
-    sample.  The per-block phase
-    rounds w t as a per-sample phase would.
+    sample.  Each line's in-block table and per-block phasor is the
+    carrier's timeseries.grid_phasor times its offset's, so neither the
+    rate omega + d_j nor the phase omega t is rounded in double.
     """
     n = y.size
-    w = omega + np.asarray(offsets, dtype=float)
-    in_block = dt * np.arange(_BLOCK, dtype=float)
-    phase = np.outer(in_block, w)
-    trig = np.hstack([np.cos(phase), np.sin(phase)])  # (_BLOCK, 2 lines)
+
+    def phasors(start, step, size):  # exp(i w_j (start + step k)), one column a line
+        carrier = grid_phasor(omega, start, step, 0, size)
+        return np.stack([carrier * grid_phasor(d, start, step, 0, size) for d in offsets], axis=1)
+
+    trig = phasors(0.0, dt, _BLOCK).view(float)  # (_BLOCK, 2 lines): cos, sin of each line
     whole = n // _BLOCK
     rows = y[: whole * _BLOCK].reshape(whole, _BLOCK)
     products = np.empty((-(-n // _BLOCK), trig.shape[1]))
@@ -238,9 +241,9 @@ def _line_sums(t0: float, dt: float, y, omega: float, offsets) -> np.ndarray:
         np.matmul(rows[first:last], trig, out=products[first:last])
     if whole < products.shape[0]:
         products[whole] = y[whole * _BLOCK :] @ trig[: n - whole * _BLOCK]
-    in_sums = products[:, : w.size] - 1j * products[:, w.size :]
-    per_block = np.exp(-1j * np.outer(t0 + dt * np.arange(0, n, _BLOCK, dtype=float), w))
-    return np.sum(per_block * in_sums, axis=0)
+    # sum_b conj(P_b (C_b + i S_b)), P_b the per-block phasor, C_b and S_b the products
+    per_block = phasors(t0, _BLOCK * dt, products.shape[0])
+    return np.sum(per_block * products.view(complex), axis=0).conj()
 
 
 def _dirichlet_sum(n: int, dt: float, t_mid: float, omega: float, phase: float) -> float:

@@ -234,6 +234,14 @@ class TestCli:
         assert markers["resolvable"] is False  # 200 days < 1/f_annual
         assert (out / "psd.csv").read_text().split("\n", 1)[0] == "f_hz,psd"
 
+    def test_psd_plots_short_records(self, tmp_path):
+        # below about 17.5 days the bins, 1/T apart, can all miss
+        # f_star +/- 10 f_a; the zoom then widens to +/- 2 df
+        for span in np.round(np.arange(2.0, 17.5, 0.1), 1):
+            out = tmp_path / f"psd{span}"
+            assert self.run("psd", "--out", str(out), "--span-days", repr(float(span))) == 0
+            assert (out / "psd.svg").is_file()
+
     def test_triplet_requires_phases_with_external_data(self, tmp_path):
         data = tmp_path / "series.csv"
         from axionkit import TimeSeries
@@ -599,6 +607,26 @@ class TestCli:
         rows = len((run / "linewidth.csv").read_text().splitlines())
         (run / "linewidth.csv").write_text("edited\n")
         assert replay(tmp_path / "runs") == [f"{run / 'linewidth.csv'}: 1 rows, regenerated {rows:,}"]
+
+    def test_replay_script_notes_other_versions(self, tmp_path, capsys):
+        script = runpy.run_path(
+            str(Path(__file__).resolve().parent.parent / "scripts" / "replay_manifests.py")
+        )
+        run = tmp_path / "runs" / "00_linewidth"
+        assert self.run("linewidth", "--out", str(run), "--masses", "1,5") == 0
+        capsys.readouterr()
+        assert script["run"]([str(tmp_path / "runs")]) == 0
+        assert capsys.readouterr() == ("", "")
+        path = run / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["versions"]["numpy"] = "1.0.0"
+        path.write_text(json.dumps(manifest))
+        assert script["run"]([str(tmp_path / "runs")]) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"{path}: replayed under other versions: numpy 1.0.0 -> {np.__version__}\n"
+        )
 
     def test_replay_script_measures_changed_cells(self, tmp_path, capsys):
         script = runpy.run_path(

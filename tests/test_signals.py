@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import fft, integrate, signal as sps
 
-from axionkit import AxionParams, NoiseConfig, QubitParams, TimeSeries
+from axionkit import AxionParams, NoiseConfig, QubitParams, TimeSeries, cli
 from axionkit import geometry as geo
 from axionkit import signals as sig
 from axionkit.constants import (
@@ -565,12 +565,13 @@ class TestSynthesize:
                 YEAR_S, SIDEREAL_DAY_S / 2,
             )
 
+    # the per-unit costs the CLI charges, at the limits README states
     @pytest.mark.parametrize(
         "bytes_each, limit",
         [
             (sig.BYTES_PER_SAMPLE, sig.MAX_BYTES // sig.BYTES_PER_SAMPLE),
-            (1_000, 2_000_000),
-            (240_000, 8_333),
+            (cli._BYTES_PER_MASS, 1_666_666),
+            (cli._BYTES_PER_SHAPE, 4_761),
         ],
         ids=["sample", "mass-point", "line-shape"],
     )

@@ -345,6 +345,20 @@ class TestPhaseLockedDepth:
     )
     @example(t0=0.0, span_days=2.0, dt_fraction=0.08645978386037113, depth=0.0, noise=1.625,
              psi_d=1.0, psi_a=0.46875, seed=100001)
+    # draws on which line sums that round (Os + d) t in double miss the bound
+    @example(t0=10182022.5, span_days=3.625, dt_fraction=0.4466265881521553, depth=0.0,
+             noise=1.5, psi_d=2.625, psi_a=0.21875, seed=13993)
+    @example(t0=27132179.257207338, span_days=33.042522010670176,
+             dt_fraction=0.7681917007692237, depth=0.1660805202893758,
+             noise=1.7380056790405054, psi_d=6.276146109457715, psi_a=1.8829296834277989,
+             seed=3982264551)
+    @example(t0=15076138.324480837, span_days=2.849042386412088,
+             dt_fraction=0.41214581351798785, depth=0.0, noise=2.039996044758564,
+             psi_d=3.416115092995663, psi_a=4.353753653453699, seed=173673113)
+    @example(t0=15714024.113651566, span_days=3.7475777505388237,
+             dt_fraction=0.295954826185859, depth=0.005407224867970795,
+             noise=2.7248719724415693, psi_d=5.460219053590355, psi_a=1.16397389316991,
+             seed=1396079129)
     @settings(max_examples=40, deadline=None)
     def test_matches_lstsq_oracle(self, t0, span_days, dt_fraction, depth, noise,
                                   psi_d, psi_a, seed):
@@ -359,10 +373,10 @@ class TestPhaseLockedDepth:
         oracle, separation, envelope_norm, solve_error = lstsq_depth(ts, eph, psi_d, psi_a)
         got = spec.triplet_statistic(ts, eph, psi_d, psi_a).epsilon_hat
         # rounding Os t (up to 7e3 rad here) leaves a phase error of order
-        # eps Os t in each line sum and closed-form Gram term, an absolute
-        # error of that times n; it counts against the envelope template's
-        # norm, small on a short record near an envelope node, and grows
-        # by 1/(1 - rho^2) as the templates approach collinearity
+        # eps Os t in each closed-form Gram term and the oracle's templates,
+        # an absolute error of that times n; it counts against the envelope
+        # template's norm, small on a short record near an envelope node,
+        # and grows by 1/(1 - rho^2) as the templates approach collinearity
         phase_error = np.finfo(float).eps * eph.omega_sidereal * ts.times[-1]
         scale = phase_error * ts.samples.size / envelope_norm
         # the 2x2 solve then rounds on its own: a = g_bb r_a - g_ab r_b is
@@ -413,9 +427,10 @@ class TestPhaseLockedDepth:
         spec.triplet_statistic(ts, eph, 0.0, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # no copy of the record: the (_BLOCK x 2 lines) trig table and the
-        # per-block products, 1.8 MB here (1.75 B per sample); a float
-        # temporary of the record's length would add 8 B per sample
+        # no copy of the record: the lines' grid phasors over one block,
+        # the (_BLOCK x 2 lines) trig table and the per-block products,
+        # 1.5 MB here (1.44 B per sample); a float temporary of the
+        # record's length would add 8 B per sample
         assert peak <= 4 * ts.samples.size
 
 
@@ -443,7 +458,9 @@ class TestBlockedLineSums:
         offsets += [k * spacing for k in (-7, -5, -4, -3, 3, 4, 5, 7)]
         blocked = spec._line_sums(t0, dt, y, om_s, offsets)
         direct = np.array([direct_line_sum(t, y, om_s + d) for d in offsets])
-        # both sides round omega * t, up to 6e3 rad here, to about 5e-13
+        # the direct sums round omega * t, up to 6e3 rad here, to about
+        # 5e-13 rad; the blocked ones take their phases from grid_phasor
+        # and do not
         assert np.max(np.abs(blocked - direct)) <= 1e-12 * np.sum(np.abs(y))
 
     def test_triplet_powers_match_direct_sums(self, eph, rng):
