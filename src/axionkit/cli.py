@@ -88,11 +88,11 @@ def _check_args(names: str, check, *values) -> None:
 # buffers that tracemalloc misses, with headroom (test_fresh_process holds
 # each slope under its constant).  A sensitivity grid's mass: 1,008-1,083
 # bytes between 20,000 and 400,000 mass points.  A linewidth line shape of
-# _LINEWIDTH_ROWS rows: 372,000-376,000 bytes from 50 to 400 masses, two
-# thirds of it the SVG's points
+# _LINEWIDTH_ROWS rows: 168,800 bytes from 50 to 200 masses and 154,000-
+# 158,000 between 200 and 1,600, 18 % under the constant at the steepest
 _BYTES_PER_MASS = 1200
 _LINEWIDTH_ROWS = 1500
-_BYTES_PER_SHAPE = 420_000
+_BYTES_PER_SHAPE = 200_000
 
 
 def _synthesis_args(args: dict) -> tuple[float, float]:

@@ -9,6 +9,8 @@ text legend.  Output bytes are a pure function of the inputs.
 import math
 import sys
 
+import numpy as np
+
 _COLORS = ("#1f6fb4", "#e07b27", "#2e9e4f", "#c23c3c", "#7a5fa8", "#666666")
 
 _WIDTH, _HEIGHT = 720, 480
@@ -70,8 +72,8 @@ class _Axis:
         self.span_units = self.hi / self.unit - self.lo_units
         self.pixel_lo, self.pixel_hi = pixel_lo, pixel_hi
 
-    def __call__(self, value):
-        v = math.log10(value) if self.log else value
+    def __call__(self, values):
+        v = np.log10(values) if self.log else values
         frac = (v / self.unit - self.lo_units) / self.span_units
         return self.pixel_lo + frac * (self.pixel_hi - self.pixel_lo)
 
@@ -87,33 +89,28 @@ def line_plot(
 ) -> None:
     """Write an SVG of the given curves.
 
-    curves: sequence of dicts with keys x (sequence), y (sequence) and
-    optionally label (str) and markers (bool).  Non-finite and, on log
-    axes, non-positive points are dropped.
+    curves: sequence of dicts with keys x (sequence), y (sequence) of the
+    same length and optionally label (str) and markers (bool).
+    Non-finite and, on log axes, non-positive points are dropped.
     """
     cleaned = []
     for curve in curves:
-        pts = [
-            (float(x), float(y))
-            for x, y in zip(curve["x"], curve["y"])
-            if math.isfinite(x) and math.isfinite(y)
-            and (not xlog or x > 0) and (not ylog or y > 0)
-        ]
-        if pts:
-            cleaned.append((pts, curve.get("label", ""), curve.get("markers", False)))
+        x = np.asarray(curve["x"], dtype=float)
+        y = np.asarray(curve["y"], dtype=float)
+        label = curve.get("label", "")
+        if x.shape != y.shape:
+            raise ValueError(f"curve {label!r} has {x.size} x values but {y.size} y values")
+        keep = np.isfinite(x) & np.isfinite(y) & (not xlog or x > 0) & (not ylog or y > 0)
+        if keep.any():
+            cleaned.append((x[keep], y[keep], label, curve.get("markers", False)))
     if not cleaned:
         raise ValueError("nothing to plot")
 
-    xs = [p[0] for pts, *_ in cleaned for p in pts]
-    ys = [p[1] for pts, *_ in cleaned for p in pts]
-    if xlog:
-        x_lo, x_hi = min(xs), max(xs)
-    else:
-        x_lo, x_hi = _pad(min(xs), max(xs))
-    if ylog:
-        y_lo, y_hi = min(ys), max(ys)
-    else:
-        y_lo, y_hi = _pad(min(ys), max(ys))
+    def extent(i):
+        return float(min(c[i].min() for c in cleaned)), float(max(c[i].max() for c in cleaned))
+
+    x_lo, x_hi = extent(0) if xlog else _pad(*extent(0))
+    y_lo, y_hi = extent(1) if ylog else _pad(*extent(1))
 
     x_axis = _Axis(x_lo, x_hi, _MARGIN_L, _WIDTH - _MARGIN_R, xlog)
     y_axis = _Axis(y_lo, y_hi, _HEIGHT - _MARGIN_B, _MARGIN_T, ylog)
@@ -161,18 +158,18 @@ def line_plot(
             f'transform="rotate(-90 16 {_HEIGHT / 2})">{ylabel}</text>'
         )
 
-    for index, (pts, label, markers) in enumerate(cleaned):
+    # memoryview hands the formatting one Python float at a time, so no
+    # per-point list or tuple is built
+    for index, (x, y, label, markers) in enumerate(cleaned):
         color = _COLORS[index % len(_COLORS)]
-        coords = " ".join(f"{_fmt(x_axis(x))},{_fmt(y_axis(y))}" for x, y in pts)
+        px, py = memoryview(x_axis(x)), memoryview(y_axis(y))
+        coords = " ".join(map("{:.6g},{:.6g}".format, px, py))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )
         if markers:
-            for x, y in pts:
-                parts.append(
-                    f'<circle cx="{_fmt(x_axis(x))}" cy="{_fmt(y_axis(y))}" r="2.2" '
-                    f'fill="{color}"/>'
-                )
+            circle = f'<circle cx="{{:.6g}}" cy="{{:.6g}}" r="2.2" fill="{color}"/>'
+            parts.extend(map(circle.format, px, py))
         if label:
             ly = _MARGIN_T + 16 + 16 * index
             lx = _WIDTH - _MARGIN_R - 150

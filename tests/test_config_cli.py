@@ -849,10 +849,10 @@ class TestCli:
             ("psd", ["--dt", "9000"], "args.span-days and args.dt"),
             ("triplet", ["--span-days", "1e9", "--dt", "0.5"], "args.span-days and args.dt"),
             ("envelope", ["--dt", "1e-300"], "args.span-days and args.dt"),
-            # byte-budget caps: 1,666,666 masses, 4,761 line shapes, and
+            # byte-budget caps: 1,666,666 masses, 10,000 line shapes, and
             # 2,585 trials at 48 samples a day
             ("sensitivity", ["--mass-points", "100000000"], "args.mass-points"),
-            ("linewidth", ["--masses", ",".join(["1"] * 10_000)], "args.masses"),
+            ("linewidth", ["--masses", ",".join(["1"] * 10_001)], "args.masses"),
             ("daily-rms", ["--trials", "10000000000"], "args.trials"),
             # fewer than one trial per segment at the largest mass
             ("sensitivity", ["--mass-min", "1", "--mass-max", "3000", "--mass-points", "3"],
@@ -1104,3 +1104,65 @@ class TestSvgPlot:
             path, [{"x": [0, 1, 2, 3], "y": [1.0, np.nan, np.inf, 2.0]}]
         )
         assert path.exists()
+
+    def test_rejects_unequal_lengths_naming_the_curve(self, tmp_path):
+        # zip once cut the longer side of such a curve without a word
+        path = tmp_path / "unequal.svg"
+        curves = [{"x": [0, 1], "y": [0, 1], "label": "a"},
+                  {"x": np.arange(3.0), "y": [1, 2], "label": "b"}]
+        with pytest.raises(ValueError, match="^curve 'b' has 3 x values but 2 y values$"):
+            svgplot.line_plot(path, curves)
+        assert not path.exists()
+
+    # curve sets whose SVG bytes are pinned; every value is exact in binary
+    # so that only the plot's own arithmetic reaches the digest
+    _BIG = sys.float_info.max
+    _STEPS = np.arange(40) / 8.0
+    _PINNED = {
+        "linear": (
+            [{"x": [1, 2, 3], "y": [1.0, 4.0, 9.0], "label": "sq", "markers": True},
+             {"x": _STEPS, "y": (_STEPS - 1.5) ** 3, "label": "cube"},
+             {"x": (-0.0, 0.0, 0.5), "y": np.array([0.25, -0.0, 0.0])}],
+            {"xlabel": "x", "ylabel": "y", "title": "t"},
+        ),
+        "log": (
+            [{"x": 2.0 ** np.arange(-10, 14), "y": 4.0 ** np.arange(-10, 14), "label": "p"},
+             {"x": [np.nan, 1.0, 2.0, np.inf, 8.0, -np.inf, 0.0, -4.0, 64.0, 128.0],
+              "y": [1.0, np.nan, 0.5, 2.0, -np.inf, 4.0, 8.0, 16.0, 0.0, 1e-300],
+              "markers": True}],
+            {"xlog": True, "ylog": True},
+        ),
+        "semilog-nonfinite": (
+            [{"x": np.array([0.0, 1.0, np.nan, 3.0, np.inf, 5.0]),
+              "y": np.array([1.0, -np.inf, 2.0, 0.0, 3.0, -2.0]), "markers": True}],
+            {"ylog": True},
+        ),
+        "one-point": ([{"x": [2.5], "y": [-1.0], "label": "p", "markers": True}], {}),
+        "one-point-log": ([{"x": np.array([1e3]), "y": np.array([2.0])}],
+                          {"xlog": True, "ylog": True}),
+        "float-range": (
+            [{"x": [-_BIG, 0.0, _BIG], "y": [_BIG, -_BIG, _BIG / 2], "markers": True},
+             {"x": [0.0, 1.0], "y": [5e-324, -5e-324]}],
+            {},
+        ),
+        "float-range-log": (
+            [{"x": [5e-324, 1.0, _BIG], "y": [_BIG, 1e-300, 5e-324]}],
+            {"xlog": True, "ylog": True},
+        ),
+    }
+    _PINNED_SHA256 = {
+        "float-range": "8e5c2a6b220f44b0f3f665b06066d50aed7c41ede8a3fca8ffeae80d493039b9",
+        "float-range-log": "66eaeef4065756cfdb354065bf908cbcedd30eb82fc19120a6e0e207f369f2d4",
+        "linear": "f7cea4a5a6535057ea41faecd868cd731e109db8e25922a5cde66e0eed88b64b",
+        "log": "a50c3a9c6287a44d26b63e695a2964805ab5243bc49fe1b32781e699b9b4282e",
+        "one-point": "dfaad82f261be0665508b4f4d100b60faf1cd8be5f6585457cef058dc325927a",
+        "one-point-log": "46c65a6f1991d93e0f661d7048f626cae5e60c1a6f236451c3deb04b5d92d5e5",
+        "semilog-nonfinite": "2cff58fb9960627231f00d59f365f7c54f85c72e6614be9aa651ea1664dad810",
+    }
+
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_pinned_bytes(self, tmp_path, name):
+        curves, kwargs = self._PINNED[name]
+        path = tmp_path / f"{name}.svg"
+        svgplot.line_plot(path, curves, **kwargs)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self._PINNED_SHA256[name]

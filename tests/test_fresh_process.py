@@ -169,9 +169,9 @@ def _rss_slope(out: Path, subcommand: str, sizes, argv, units) -> float:
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux only")
 def test_linewidth_rss_slope_within_budget(tmp_path):
     # the size guard charges _BYTES_PER_SHAPE a line shape; the slope of
-    # peak RSS was 372,000 B a shape from 50 to 200 masses and 376,000 B
-    # from 200 to 400 (numpy 2.4.6), headroom of 13 % and 12 % under
-    # 420,000
+    # peak RSS was 168,800 B a shape from 50 to 200 masses and 154,000-
+    # 158,000 B between 200, 400, 800 and 1,600 (numpy 2.4.6), headroom
+    # of 18 % under 200,000 at the steepest
     def masses(n):
         return ["--masses", ",".join(f"{1 + k / n:g}" for k in range(n))]
 

@@ -571,7 +571,7 @@ class TestSynthesize:
         [
             (sig.BYTES_PER_SAMPLE, sig.MAX_BYTES // sig.BYTES_PER_SAMPLE),
             (cli._BYTES_PER_MASS, 1_666_666),
-            (cli._BYTES_PER_SHAPE, 4_761),
+            (cli._BYTES_PER_SHAPE, 10_000),
         ],
         ids=["sample", "mass-point", "line-shape"],
     )
