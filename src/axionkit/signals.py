@@ -337,8 +337,8 @@ def telegraph_noise(
     return state
 
 
-# samples per block of the readout channel; each block draws from its own
-# child generator, so the blocks and their seeds define the stream
+# samples per block of the readout channel, which bounds its working set;
+# the blocks draw from one generator in record order, so they move no byte
 _READOUT_BLOCK = 1 << 16
 
 # Generator.binomial inverts the CDF wherever n min(p, 1 - p) <= 30, so
@@ -426,11 +426,8 @@ def readout_channel(
     wherever scale*x stays inside the readout contrast window.
 
     The stream is read out in blocks of _READOUT_BLOCK samples, the last
-    one shorter.  One rng.integers call draws a seed in [0, 2^63) for
-    each block, and block b's counts come from default_rng(seed_b); the
-    blocks and their seeds define the record's bytes.
-
-    The counts are default_rng(seed_b).binomial(n_spins, p_obs).  Up to
+    one shorter, each drawing from rng in record order, so the counts
+    are one rng.binomial(n_spins, p_obs) over the whole record.  Up to
     _INVERSION_SPINS (60) spins, n_spins min(p, 1 - p) <= 30 for every
     p, so numpy inverts the CDF for every draw, with one uniform each;
     _binomial_by_inversion does the same as array operations, at about
@@ -439,7 +436,7 @@ def readout_channel(
     numpy redraws a far-tail count, each of order 1e-13 per draw or
     less (see there).  Above 60 spins numpy draws some counts by BTPE,
     a rejection sampler with a varying number of uniforms, so those
-    blocks call generator.binomial.  A NaN sample raises ValueError
+    blocks call rng.binomial.  A NaN sample raises ValueError
     either way.
     """
     if not 0 < scale:
@@ -447,9 +444,7 @@ def readout_channel(
     analog = np.asarray(analog)
     flat = analog.reshape(-1)
     out = np.empty(flat.shape)
-    starts = range(0, flat.size, _READOUT_BLOCK)
-    seeds = rng.integers(1 << 63, size=len(starts)).tolist()
-    for start, seed in zip(starts, seeds):
+    for start in range(0, flat.size, _READOUT_BLOCK):
         stop = start + _READOUT_BLOCK
         # p, then p_obs, in one block-sized array; the debiased estimate
         # is written into the block's slice of the output
@@ -461,11 +456,10 @@ def readout_channel(
         false_high *= 1.0 - f0
         p *= f1
         p += false_high
-        generator = np.random.default_rng(seed)
         if 1 <= n_spins <= _INVERSION_SPINS:
-            counts = _binomial_by_inversion(generator, n_spins, p)
+            counts = _binomial_by_inversion(rng, n_spins, p)
         else:
-            counts = generator.binomial(n_spins, p)
+            counts = rng.binomial(n_spins, p)
         estimate = out[start:stop]
         np.divide(counts, n_spins, out=estimate)
         estimate -= 1.0 - f0
@@ -528,10 +522,9 @@ def synthesize_observable(
     + telegraph whatever the draw order (IEEE addition commutes), so
     the bytes are those of adding the components in that order.  The
     optional readout stage quantizes through the Bernoulli channel with
-    the configured fidelities and qubit.n_spins, block by block: its
-    child generator seeds one generator per block of _READOUT_BLOCK
-    samples (readout_channel), so the blocks and their seeds define the
-    record's bytes.
+    the configured fidelities and qubit.n_spins from its own child
+    generator, in blocks of _READOUT_BLOCK samples that move no byte
+    (readout_channel).
     """
     check_record(span_s, dt)
     n = int(round(span_s / dt))

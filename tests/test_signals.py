@@ -191,20 +191,13 @@ def telegraph_noise_oracle(rng, n, dt, amplitude, rate_hz):
 
 
 def readout_channel_oracle(rng, analog, n_spins, f0, f1, scale):
-    """The binary readout as one expression per stage, applied to each
-    block of sig._READOUT_BLOCK samples with its own generator, seeded
-    from one rng.integers draw."""
-    starts = range(0, analog.size, sig._READOUT_BLOCK)
-    seeds = rng.integers(1 << 63, size=len(starts))
-    out = []
-    for start, seed in zip(starts, seeds):
-        x = analog[start : start + sig._READOUT_BLOCK]
-        p = 0.5 * (1.0 + np.clip(scale * x, -1.0, 1.0))
-        p_obs = f1 * p + (1.0 - f0) * (1.0 - p)
-        counts = np.random.default_rng(seed).binomial(n_spins, p_obs)
-        p_hat = (counts / n_spins - (1.0 - f0)) / (f0 + f1 - 1.0)
-        out.append((2.0 * p_hat - 1.0) / scale)
-    return np.concatenate(out)
+    """The binary readout as one expression per stage over the whole
+    record, with one rng.binomial draw."""
+    p = 0.5 * (1.0 + np.clip(scale * analog, -1.0, 1.0))
+    p_obs = f1 * p + (1.0 - f0) * (1.0 - p)
+    counts = rng.binomial(n_spins, p_obs)
+    p_hat = (counts / n_spins - (1.0 - f0)) / (f0 + f1 - 1.0)
+    return (2.0 * p_hat - 1.0) / scale
 
 
 class TestInPlaceBits:
