@@ -13,10 +13,10 @@ beside a differing JSON file the same for its numeric and other leaves,
 which tells rounding (another CPU's SIMD paths, say) from a changed
 result.  The exit code is
 1 if any artifact differs or a run fails, 0 if all match.  A manifest
-whose recorded versions (axionkit, numpy, python, scipy) differ from the
-replaying interpreter's gets one note on stderr naming them, since byte
-identity depends on them; the note alone changes neither stdout nor the
-exit code.
+whose recorded versions (axionkit, numpy, numpy's SIMD dispatch, python,
+scipy) differ from the replaying interpreter's gets one note on stderr
+naming them, since byte identity depends on them; the note alone changes
+neither stdout nor the exit code.
 """
 
 import contextlib

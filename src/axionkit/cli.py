@@ -3,7 +3,8 @@
 Each subcommand writes CSV (authoritative), JSON records, optional SVG
 inspection plots, and a run manifest that echoes the fully resolved
 configuration and subcommand arguments, and records the axionkit, numpy,
-python and scipy versions that byte identity depends on.  Passing a
+python and scipy versions and numpy's SIMD dispatch (its baseline and the
+CPU features found) that byte identity depends on.  Passing a
 manifest back as --config reproduces the artifacts byte for byte; the
 versions are not read back, so older manifests without some of them
 still load.
@@ -565,6 +566,7 @@ def main(argv=None) -> int:
             for name, write in command(cfg, run_args).items()
             if Path(name).suffix[1:] in cfg.output.formats
         }
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
         manifest = {
             "schema": MANIFEST_SCHEMA,
             "subcommand": args.subcommand,
@@ -573,6 +575,7 @@ def main(argv=None) -> int:
             "versions": {
                 "axionkit": __version__,
                 "numpy": np.__version__,
+                "numpy_simd": simd["baseline"] + simd["found"],
                 "python": platform.python_version(),
                 "scipy": scipy.__version__,
             },

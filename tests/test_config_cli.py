@@ -608,7 +608,9 @@ class TestCli:
         (run / "linewidth.csv").write_text("edited\n")
         assert replay(tmp_path / "runs") == [f"{run / 'linewidth.csv'}: 1 rows, regenerated {rows:,}"]
 
-    def test_replay_script_notes_other_versions(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, recorded", [("numpy", "1.0.0"), ("numpy_simd", ["X86_V2"])],
+                             ids=["numpy", "numpy_simd"])
+    def test_replay_script_notes_other_versions(self, tmp_path, capsys, key, recorded):
         script = runpy.run_path(
             str(Path(__file__).resolve().parent.parent / "scripts" / "replay_manifests.py")
         )
@@ -619,14 +621,13 @@ class TestCli:
         assert capsys.readouterr() == ("", "")
         path = run / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["versions"]["numpy"] = "1.0.0"
+        now = manifest["versions"][key]
+        manifest["versions"][key] = recorded
         path.write_text(json.dumps(manifest))
         assert script["run"]([str(tmp_path / "runs")]) == 0
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (
-            f"{path}: replayed under other versions: numpy 1.0.0 -> {np.__version__}\n"
-        )
+        assert err == f"{path}: replayed under other versions: {key} {recorded} -> {now}\n"
 
     def test_replay_script_measures_changed_cells(self, tmp_path, capsys):
         script = runpy.run_path(
@@ -712,14 +713,19 @@ class TestCli:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert self.run("envelope", "--out", str(out1), "--span-days", "30") == 0
         manifest = json.loads((out1 / "manifest.json").read_text())
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
         assert manifest["versions"] == {
             "axionkit": cli.__version__,
             "numpy": np.__version__,
+            "numpy_simd": simd["baseline"] + simd["found"],
             "python": platform.python_version(),
             "scipy": scipy.__version__,
         }
-        # a manifest written before python and scipy were recorded
-        del manifest["versions"]["python"], manifest["versions"]["scipy"]
+        assert manifest["versions"]["numpy_simd"]
+        # a manifest written before python, scipy and the SIMD dispatch
+        # were recorded
+        for key in ("python", "scipy", "numpy_simd"):
+            del manifest["versions"][key]
         old = tmp_path / "old_manifest.json"
         old.write_text(json.dumps(manifest))
         assert self.run("envelope", "--config", str(old), "--out", str(out2)) == 0
