@@ -575,7 +575,7 @@ def main(argv=None) -> int:
             "versions": {
                 "axionkit": __version__,
                 "numpy": np.__version__,
-                "numpy_simd": simd["baseline"] + simd["found"],
+                "numpy_simd": simd["baseline"] + simd.get("found", []),
                 "python": platform.python_version(),
                 "scipy": scipy.__version__,
             },

@@ -351,7 +351,7 @@ _INVERSION_CHUNK = 1 << 14
 def _binomial_by_inversion(generator: np.random.Generator, n: int, p: np.ndarray) -> np.ndarray:
     """generator.binomial(n, p) for 1 <= n <= _INVERSION_SPINS, as uint8.
 
-    numpy's inversion, as array operations a chunk at a time: one
+    numpy's inversion, as plain array expressions a chunk at a time: one
     uniform u per sample with p != 0, in order (none where p == 0, which
     counts 0); X counts the CDF terms at min(p, 1 - p) that u exceeds,
     the pmf from exp(n log q) by its ratio recurrence, and n - X is
@@ -363,49 +363,28 @@ def _binomial_by_inversion(generator: np.random.Generator, n: int, p: np.ndarray
     """
     if not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("p < 0, p > 1 or p contains NaNs")
-    counts = np.zeros(p.shape, np.uint8)
-    size = min(p.size, _INVERSION_CHUNK)
-    u, pmf, cdf, ratio, step = (np.empty(size) for _ in range(5))
-    mask = np.empty(size, bool)
-    # the mask's bytes as uint8 and the pmf ratio's factors as 0-d
-    # arrays: no step then converts a scalar or casts through a buffer,
-    # allocations that tracemalloc would charge on every step
-    above = mask.view(np.uint8)
-    steps = [np.array((n - k) / (k + 1)) for k in range(n - 1)]
+    counts = np.empty(p.shape, np.uint8)
     for start in range(0, p.size, _INVERSION_CHUNK):
         x = p[start : start + _INVERSION_CHUNK]
-        c = counts[start : start + _INVERSION_CHUNK]
-        m = x.size
-        u_, pmf_, cdf_, ratio_, step_, mask_, above_ = (
-            a[:m] for a in (u, pmf, cdf, ratio, step, mask, above)
-        )
-        np.not_equal(x, 0.0, out=mask_)
-        drawn = np.count_nonzero(mask_)
-        if drawn == m:
-            generator.random(out=u_)
+        drawn = x != 0.0
+        if drawn.all():
+            u = generator.random(x.size)
         else:
-            u_.fill(0.0)
-            u_[mask_] = generator.random(drawn)
-        # the inversion's p, its q, then the ratio p/q and the pmf at 0
-        np.subtract(1.0, x, out=step_)
-        np.minimum(x, step_, out=ratio_)
-        np.subtract(1.0, ratio_, out=pmf_)
-        ratio_ /= pmf_
-        np.log(pmf_, out=pmf_)
-        pmf_ *= n
-        np.exp(pmf_, out=pmf_)
-        np.copyto(cdf_, pmf_)
+            u = np.zeros(x.size)
+            u[drawn] = generator.random(np.count_nonzero(drawn))
+        small = np.minimum(x, 1.0 - x)
+        q = 1.0 - small
+        ratio = small / q
+        pmf = np.exp(n * np.log(q))
+        cdf = pmf.copy()
+        c = np.zeros(x.size, np.uint8)
         # n comparisons of u with the CDF, which grows by one pmf term between two
-        for s in steps:
-            np.greater(u_, cdf_, out=mask_)
-            c += above_
-            np.multiply(ratio_, s, out=step_)
-            pmf_ *= step_
-            cdf_ += pmf_
-        np.greater(u_, cdf_, out=mask_)
-        c += above_
-        np.greater(x, 0.5, out=mask_)
-        np.subtract(n, c, out=c, where=mask_)
+        for k in range(n - 1):
+            c += u > cdf
+            pmf *= ratio * ((n - k) / (k + 1))
+            cdf += pmf
+        c += u > cdf
+        counts[start : start + _INVERSION_CHUNK] = np.where(x > 0.5, n - c, c)
     return counts
 
 
@@ -421,17 +400,18 @@ def readout_channel(
 
     Each sample maps to an excitation probability p = (1 + scale*x)/2,
     passes through the assignment-error channel with fidelities (f0, f1),
-    and is estimated from n_spins Bernoulli draws.  The output is
-    debiased back to analog units, so its expectation equals the input
-    wherever scale*x stays inside the readout contrast window.
+    p_obs = p f1 + (1 - p)(1 - f0), and is estimated from n_spins
+    Bernoulli draws.  The output is debiased back to analog units, so its
+    expectation equals the input wherever scale*x stays inside the
+    readout contrast window.
 
     The stream is read out in blocks of _READOUT_BLOCK samples, the last
     one shorter, each drawing from rng in record order, so the counts
     are one rng.binomial(n_spins, p_obs) over the whole record.  Up to
     _INVERSION_SPINS (60) spins, n_spins min(p, 1 - p) <= 30 for every
     p, so numpy inverts the CDF for every draw, with one uniform each;
-    _binomial_by_inversion does the same as array operations, at about
-    a third of the CPU of numpy's per-draw loop.  Its counts equal numpy's
+    _binomial_by_inversion does the same as array expressions, at about
+    a quarter of the CPU of numpy's per-draw loop.  Its counts equal numpy's
     except where a uniform falls within rounding of a CDF boundary or
     numpy redraws a far-tail count, each of order 1e-13 per draw or
     less (see there).  Above 60 spins numpy draws some counts by BTPE,
@@ -446,27 +426,13 @@ def readout_channel(
     out = np.empty(flat.shape)
     for start in range(0, flat.size, _READOUT_BLOCK):
         stop = start + _READOUT_BLOCK
-        # p, then p_obs, in one block-sized array; the debiased estimate
-        # is written into the block's slice of the output
-        p = np.multiply(scale, flat[start:stop])
-        np.clip(p, -1.0, 1.0, out=p)
-        p += 1.0
-        p *= 0.5
-        false_high = np.subtract(1.0, p)
-        false_high *= 1.0 - f0
-        p *= f1
-        p += false_high
+        p = (np.clip(scale * flat[start:stop], -1.0, 1.0) + 1.0) * 0.5
+        p_obs = p * f1 + (1.0 - p) * (1.0 - f0)
         if 1 <= n_spins <= _INVERSION_SPINS:
-            counts = _binomial_by_inversion(rng, n_spins, p)
+            counts = _binomial_by_inversion(rng, n_spins, p_obs)
         else:
-            counts = rng.binomial(n_spins, p)
-        estimate = out[start:stop]
-        np.divide(counts, n_spins, out=estimate)
-        estimate -= 1.0 - f0
-        estimate /= f0 + f1 - 1.0
-        estimate *= 2.0
-        estimate -= 1.0
-        estimate /= scale
+            counts = rng.binomial(n_spins, p_obs)
+        out[start:stop] = (2.0 * ((counts / n_spins - (1.0 - f0)) / (f0 + f1 - 1.0)) - 1.0) / scale
     return out.reshape(analog.shape)
 
 

@@ -1,6 +1,7 @@
-"""Checks that need a fresh interpreter: the CLI's bytes and the
-heterodyne's at one and two OpenBLAS threads, a spinning BLAS worker,
-and peak RSS (ru_maxrss) against the byte budgets."""
+"""Checks that need a fresh interpreter: a CLI run at numpy's baseline
+dispatch, the CLI's bytes and the heterodyne's at one and two OpenBLAS
+threads, a spinning BLAS worker, and peak RSS (ru_maxrss) against the
+byte budgets."""
 
 import hashlib
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from axionkit import cli
@@ -16,13 +18,15 @@ from axionkit import signals as sig
 from axionkit.constants import SIDEREAL_DAY_S
 
 
-def _python(blas_threads: int, *args: str) -> str:
+def _python(blas_threads: int, *args: str, env: dict | None = None) -> str:
     """stdout of python run with args in a fresh process that imports
-    axionkit from this tree, with OpenBLAS capped at blas_threads."""
+    axionkit from this tree, with OpenBLAS capped at blas_threads and
+    env's variables set on top of this process's environment."""
     env = dict(
         os.environ,
         PYTHONPATH=str(Path(sig.__file__).parents[1]),
         OPENBLAS_NUM_THREADS=str(blas_threads),
+        **(env or {}),
     )
     run = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
@@ -31,18 +35,31 @@ def _python(blas_threads: int, *args: str) -> str:
     return run.stdout
 
 
+_CLI_MAIN = "import sys; from axionkit.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 def _cli_digests(out: Path, blas_threads: int) -> dict:
     """sha256 of every file that psd and triplet write, run in fresh
     processes with OpenBLAS capped at blas_threads."""
-    main = "import sys; from axionkit.cli import main; sys.exit(main(sys.argv[1:]))"
     # 1262.3 days at 864 s is 126,230 = 2 5 13 971 samples, a split length
     for argv in (["psd", "--span-days", "1262.3", "--dt", "864"],
                  ["triplet", "--span-days", "120"]):
-        _python(blas_threads, "-c", main, *argv, "--out", str(out / argv[0]))
+        _python(blas_threads, "-c", _CLI_MAIN, *argv, "--out", str(out / argv[0]))
     return {
         str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*")) if path.is_file()
     }
+
+
+def test_cli_runs_at_baseline_dispatch(tmp_path):
+    # with every dispatch target disabled numpy reports no "found" key,
+    # and the manifest's numpy_simd is the baseline alone
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    disabled = [os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *simd.get("found", [])]
+    _python(1, "-c", _CLI_MAIN, "linewidth", "--masses", "1", "--out", str(tmp_path),
+            env={"NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"]["numpy_simd"] == simd["baseline"]
 
 
 def test_same_bytes_at_any_blas_thread_count(tmp_path):

@@ -311,6 +311,13 @@ class TestBinomialByInversion:
         assert got.dtype == np.uint8
         assert np.array_equal(got, np.random.default_rng(seed).binomial(n, p))
 
+    def test_draw_order_across_chunks(self):
+        # an all-zero chunk draws no uniform, and the chunk after it draws
+        # on from where the chunk before it stopped
+        p = np.repeat([0.3, 0.0, 0.7], sig._INVERSION_CHUNK)
+        got = sig._binomial_by_inversion(np.random.default_rng(4), 10, p)
+        assert np.array_equal(got, np.random.default_rng(4).binomial(10, p))
+
     @pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 2.0**-52])
     def test_refuses_what_generator_binomial_refuses(self, bad):
         p = np.full(100, 0.5)
