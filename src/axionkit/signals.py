@@ -367,11 +367,8 @@ def _binomial_by_inversion(generator: np.random.Generator, n: int, p: np.ndarray
     for start in range(0, p.size, _INVERSION_CHUNK):
         x = p[start : start + _INVERSION_CHUNK]
         drawn = x != 0.0
-        if drawn.all():
-            u = generator.random(x.size)
-        else:
-            u = np.zeros(x.size)
-            u[drawn] = generator.random(np.count_nonzero(drawn))
+        u = np.zeros(x.size)
+        u[drawn] = generator.random(np.count_nonzero(drawn))
         small = np.minimum(x, 1.0 - x)
         q = 1.0 - small
         ratio = small / q
@@ -410,14 +407,13 @@ def readout_channel(
     are one rng.binomial(n_spins, p_obs) over the whole record.  Up to
     _INVERSION_SPINS (60) spins, n_spins min(p, 1 - p) <= 30 for every
     p, so numpy inverts the CDF for every draw, with one uniform each;
-    _binomial_by_inversion does the same as array expressions, at about
-    a quarter of the CPU of numpy's per-draw loop.  Its counts equal numpy's
-    except where a uniform falls within rounding of a CDF boundary or
-    numpy redraws a far-tail count, each of order 1e-13 per draw or
-    less (see there).  Above 60 spins numpy draws some counts by BTPE,
-    a rejection sampler with a varying number of uniforms, so those
-    blocks call rng.binomial.  A NaN sample raises ValueError
-    either way.
+    _binomial_by_inversion does the same as array expressions.  Its
+    counts equal numpy's except where a uniform falls within rounding of
+    a CDF boundary or numpy redraws a far-tail count, each of order
+    1e-13 per draw or less (see there).  Above 60 spins numpy draws some
+    counts by BTPE, a rejection sampler with a varying number of
+    uniforms, so those blocks call rng.binomial.  A NaN sample raises
+    ValueError either way.
     """
     if not 0 < scale:
         raise ValueError("scale must be positive")

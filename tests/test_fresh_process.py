@@ -21,13 +21,14 @@ from axionkit.constants import SIDEREAL_DAY_S
 def _python(blas_threads: int, *args: str, env: dict | None = None) -> str:
     """stdout of python run with args in a fresh process that imports
     axionkit from this tree, with OpenBLAS capped at blas_threads and
-    env's variables set on top of this process's environment."""
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(Path(sig.__file__).parents[1]),
-        OPENBLAS_NUM_THREADS=str(blas_threads),
+    env's variables set last, over this process's environment and
+    those two."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(sig.__file__).parents[1]),
+        "OPENBLAS_NUM_THREADS": str(blas_threads),
         **(env or {}),
-    )
+    }
     run = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
