@@ -24,12 +24,12 @@ from .timeseries import TimeSeries, grid_phasor, short_hash, turns
 SYNTH_SCHEMA = "axionkit-baseband/1"
 
 # the byte budget of one run, and the peak bytes per sample of synthesis:
-# one synthesize_observable at dt = 10 s raised a fresh process's peak RSS
-# by 44.8 B a sample at 10**6 samples (an irfft draw, pink_noise) and 34.0 B
-# at 3,155,760 (a blocked one), readout on or off, of which about 4.7 MB is
-# paid once: after a 20,000-sample run the rises are 40.3 and 32.6 B
-# (numpy 2.4.6, x86-64 Linux); tracemalloc sees less, since pocketfft's
-# plan and work buffer are not Python allocations
+# the slope of a fresh process's peak RSS over one synthesize_observable
+# at dt = 10 s, between two record lengths, read 35.8-40.5 B a sample from
+# 103,680 to 397,440 samples (irfft draws, pink_noise) and 32.2-32.5 B
+# from 1,105,920 to 3,155,760 (blocked ones), readout on or off (numpy
+# 2.4.6, x86-64 Linux); tracemalloc sees less, since pocketfft's plan and
+# work buffer are not Python allocations
 MAX_BYTES = 2_000_000_000
 BYTES_PER_SAMPLE = 44
 
@@ -303,10 +303,6 @@ def _irfft_blocked(z: np.ndarray) -> np.ndarray:
     return out
 
 
-# samples per block of telegraph_noise's uniforms
-_UNIFORM_BLOCK = 1 << 16
-
-
 def telegraph_noise(
     rng: np.random.Generator, n: int, dt: float, amplitude: float, rate_hz: float
 ) -> np.ndarray:
@@ -320,13 +316,7 @@ def telegraph_noise(
     if amplitude <= 0 or rate_hz <= 0:
         return np.zeros(n)
     p_flip = 0.5 * (1.0 - math.exp(-2.0 * rate_hz * dt))
-    # the uniforms of one rng.random(n), drawn in order through one buffer
-    flips = np.empty(n, dtype=bool)
-    uniforms = np.empty(min(n, _UNIFORM_BLOCK))
-    for start in range(0, n, _UNIFORM_BLOCK):
-        block = uniforms[: n - start]
-        rng.random(out=block)
-        np.less(block, p_flip, out=flips[start : start + block.size])
+    flips = rng.random(n) < p_flip
     flips[0] = False
     # the parity of the flips so far, in place: True where the state is -1
     np.logical_xor.accumulate(flips, out=flips)
@@ -337,21 +327,19 @@ def telegraph_noise(
     return state
 
 
-# samples per block of the readout channel, which bounds its working set;
-# the blocks draw from one generator in record order, so they move no byte
-_READOUT_BLOCK = 1 << 16
+# samples per chunk of the readout channel: a chunk's work arrays stay in
+# L2, and the chunks draw from one generator in record order
+_READOUT_CHUNK = 1 << 14
 
 # Generator.binomial inverts the CDF wherever n min(p, 1 - p) <= 30, so
 # for every p up to this many spins; above it some draws go to BTPE
 _INVERSION_SPINS = 60
-# samples per pass of the inversion: its work arrays stay in L2
-_INVERSION_CHUNK = 1 << 14
 
 
 def _binomial_by_inversion(generator: np.random.Generator, n: int, p: np.ndarray) -> np.ndarray:
     """generator.binomial(n, p) for 1 <= n <= _INVERSION_SPINS, as uint8.
 
-    numpy's inversion, as plain array expressions a chunk at a time: one
+    numpy's inversion, as plain array expressions over all of p: one
     uniform u per sample with p != 0, in order (none where p == 0, which
     counts 0); X counts the CDF terms at min(p, 1 - p) that u exceeds,
     the pmf from exp(n log q) by its ratio recurrence, and n - X is
@@ -363,26 +351,22 @@ def _binomial_by_inversion(generator: np.random.Generator, n: int, p: np.ndarray
     """
     if not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("p < 0, p > 1 or p contains NaNs")
-    counts = np.empty(p.shape, np.uint8)
-    for start in range(0, p.size, _INVERSION_CHUNK):
-        x = p[start : start + _INVERSION_CHUNK]
-        drawn = x != 0.0
-        u = np.zeros(x.size)
-        u[drawn] = generator.random(np.count_nonzero(drawn))
-        small = np.minimum(x, 1.0 - x)
-        q = 1.0 - small
-        ratio = small / q
-        pmf = np.exp(n * np.log(q))
-        cdf = pmf.copy()
-        c = np.zeros(x.size, np.uint8)
-        # n comparisons of u with the CDF, which grows by one pmf term between two
-        for k in range(n - 1):
-            c += u > cdf
-            pmf *= ratio * ((n - k) / (k + 1))
-            cdf += pmf
+    drawn = p != 0.0
+    u = np.zeros(p.shape)
+    u[drawn] = generator.random(np.count_nonzero(drawn))
+    small = np.minimum(p, 1.0 - p)
+    q = 1.0 - small
+    ratio = small / q
+    pmf = np.exp(n * np.log(q))
+    cdf = pmf.copy()
+    c = np.zeros(p.shape, np.uint8)
+    # n comparisons of u with the CDF, which grows by one pmf term between two
+    for k in range(n - 1):
         c += u > cdf
-        counts[start : start + _INVERSION_CHUNK] = np.where(x > 0.5, n - c, c)
-    return counts
+        pmf *= ratio * ((n - k) / (k + 1))
+        cdf += pmf
+    c += u > cdf
+    return np.where(p > 0.5, n - c, c)
 
 
 def readout_channel(
@@ -402,7 +386,7 @@ def readout_channel(
     expectation equals the input wherever scale*x stays inside the
     readout contrast window.
 
-    The stream is read out in blocks of _READOUT_BLOCK samples, the last
+    The stream is read out in chunks of _READOUT_CHUNK samples, the last
     one shorter, each drawing from rng in record order, so the counts
     are one rng.binomial(n_spins, p_obs) over the whole record.  Up to
     _INVERSION_SPINS (60) spins, n_spins min(p, 1 - p) <= 30 for every
@@ -412,7 +396,7 @@ def readout_channel(
     a CDF boundary or numpy redraws a far-tail count, each of order
     1e-13 per draw or less (see there).  Above 60 spins numpy draws some
     counts by BTPE, a rejection sampler with a varying number of
-    uniforms, so those blocks call rng.binomial.  A NaN sample raises
+    uniforms, so those chunks call rng.binomial.  A NaN sample raises
     ValueError either way.
     """
     if not 0 < scale:
@@ -420,8 +404,8 @@ def readout_channel(
     analog = np.asarray(analog)
     flat = analog.reshape(-1)
     out = np.empty(flat.shape)
-    for start in range(0, flat.size, _READOUT_BLOCK):
-        stop = start + _READOUT_BLOCK
+    for start in range(0, flat.size, _READOUT_CHUNK):
+        stop = start + _READOUT_CHUNK
         p = (np.clip(scale * flat[start:stop], -1.0, 1.0) + 1.0) * 0.5
         p_obs = p * f1 + (1.0 - p) * (1.0 - f0)
         if 1 <= n_spins <= _INVERSION_SPINS:
@@ -485,8 +469,7 @@ def synthesize_observable(
     the bytes are those of adding the components in that order.  The
     optional readout stage quantizes through the Bernoulli channel with
     the configured fidelities and qubit.n_spins from its own child
-    generator, in blocks of _READOUT_BLOCK samples that move no byte
-    (readout_channel).
+    generator (readout_channel).
     """
     check_record(span_s, dt)
     n = int(round(span_s / dt))

@@ -94,8 +94,10 @@ def _rfft_power(seg: np.ndarray) -> np.ndarray:
     isqrt(m - 1) + 1, each block's twiddles are the products of two
     tables of timeseries.turns, at k1 j and k1 b c mod n: exact integer
     turns, so about 2 sqrt(m) sines and cosines a row where the direct
-    form takes m.  Each block is transformed alone, in place, so the
-    blocks, fixed by n, define the bytes.
+    form takes m.  The blocks bound the twiddle buffer, which one pass
+    over all rows would make half a record of complex numbers; each
+    row's twiddles and transform are the same in any block, so the
+    blocks change no byte.
     Only rows k1 <= p // 2 are transformed; the others follow from
     |X[n - k]| = |X[k]| of a real input.  Every other length goes to
     np.fft.rfft unchanged and keeps its bytes.

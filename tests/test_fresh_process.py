@@ -15,7 +15,7 @@ import pytest
 
 from axionkit import cli
 from axionkit import signals as sig
-from axionkit.constants import SIDEREAL_DAY_S
+from axionkit.constants import SIDEREAL_DAY_S, YEAR_S
 
 
 def _python(blas_threads: int, *args: str, env: dict | None = None) -> str:
@@ -207,7 +207,7 @@ _DAY_SAMPLES = {"psd": 8640, "triplet": 8640, "envelope": SIDEREAL_DAY_S / 10}
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux only")
-@pytest.mark.parametrize("subcommand", ["sensitivity", "psd", "triplet", "envelope"])
+@pytest.mark.parametrize("subcommand", ["sensitivity", "psd", "triplet", "envelope", "daily-rms"])
 def test_rss_slope_within_budget(tmp_path, subcommand):
     # each size guard's bytes a unit against the slope of peak RSS between
     # two sizes (numpy 2.4.6, OpenBLAS on one thread):
@@ -218,12 +218,22 @@ def test_rss_slope_within_budget(tmp_path, subcommand):
     #   and 396,355 for envelope's sidereal days): triplet 40.6 B a
     #   sample, psd 28.8 and envelope 16, under BYTES_PER_SAMPLE 44,
     #   headroom 8 % for triplet; from 46 to 116 days triplet read 40.3 B
+    # - daily-rms, 2 trials of a year at 96 and 960 samples a sidereal
+    #   day, charged trials x YEAR_S / dt samples as its guard charges
+    #   them: 23.4 B a sample, under BYTES_PER_SAMPLE 44
     if subcommand == "sensitivity":
         slope = _rss_slope(
             tmp_path, subcommand, (20_000, 100_000), lambda n: ["--mass-points", str(n)],
             lambda n: n,
         )
         assert slope <= cli._BYTES_PER_MASS
+    elif subcommand == "daily-rms":
+        slope = _rss_slope(
+            tmp_path, subcommand, (96, 960),
+            lambda per_day: ["--trials", "2", "--samples-per-day", str(per_day)],
+            lambda per_day: 2 * YEAR_S * per_day / SIDEREAL_DAY_S,
+        )
+        assert slope <= sig.BYTES_PER_SAMPLE
     else:
         day = _DAY_SAMPLES[subcommand]
         slope = _rss_slope(tmp_path, subcommand, (12, 46), _record, lambda span: span * day)

@@ -231,8 +231,8 @@ class TestInPlaceBits:
         ],
     )
     def test_readout_channel(self, n_spins, f0, f1, scale):
-        # one partial block, and two and a half blocks
-        for n in (5000, 5 * sig._READOUT_BLOCK // 2):
+        # one partial chunk, and two and a half chunks
+        for n in (sig._READOUT_CHUNK // 3, 5 * sig._READOUT_CHUNK // 2):
             analog = np.random.default_rng(8).normal(size=n)
             got = sig.readout_channel(np.random.default_rng(9), analog, n_spins, f0, f1, scale)
             expected = readout_channel_oracle(
@@ -296,27 +296,29 @@ class TestBinomialByInversion:
     @given(
         n=st.integers(1, sig._INVERSION_SPINS),
         values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
-        size=st.sampled_from([1, sig._INVERSION_CHUNK + 1]),
+        size=st.sampled_from([1, sig._READOUT_CHUNK]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=60, values=SPECIAL_P, size=sig._INVERSION_CHUNK + 1, seed=0)
-    @example(n=1, values=SPECIAL_P[::-1], size=sig._INVERSION_CHUNK + 1, seed=1)
-    @example(n=10, values=[0.0], size=sig._INVERSION_CHUNK + 1, seed=2)
+    @example(n=60, values=SPECIAL_P, size=sig._READOUT_CHUNK, seed=0)
+    @example(n=1, values=SPECIAL_P[::-1], size=sig._READOUT_CHUNK, seed=1)
+    @example(n=10, values=[0.0], size=sig._READOUT_CHUNK, seed=2)
     @example(n=7, values=[1.0 - 2.0**-53], size=1, seed=3)
     @settings(max_examples=60, deadline=None)
     def test_matches_generator_binomial(self, n, values, size, seed):
-        # the p pattern repeats over the record and across the chunk edge
+        # the p pattern repeats over one sample or one readout chunk
         p = np.resize(np.array(values), size)
         got = sig._binomial_by_inversion(np.random.default_rng(seed), n, p)
         assert got.dtype == np.uint8
         assert np.array_equal(got, np.random.default_rng(seed).binomial(n, p))
 
     def test_draw_order_across_chunks(self):
-        # an all-zero chunk draws no uniform, and the chunk after it draws
-        # on from where the chunk before it stopped
-        p = np.repeat([0.3, 0.0, 0.7], sig._INVERSION_CHUNK)
-        got = sig._binomial_by_inversion(np.random.default_rng(4), 10, p)
-        assert np.array_equal(got, np.random.default_rng(4).binomial(10, p))
+        # readout_channel's chunks at p_obs 0.3, 0 and 0.7: the all-zero
+        # chunk draws no uniform, and the chunk after it draws on from
+        # where the chunk before it stopped
+        analog = np.repeat([-0.4, -1.0, 0.4], sig._READOUT_CHUNK)
+        got = sig.readout_channel(np.random.default_rng(4), analog, 10, 1.0, 1.0, 1.0)
+        expected = readout_channel_oracle(np.random.default_rng(4), analog, 10, 1.0, 1.0, 1.0)
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 2.0**-52])
     def test_refuses_what_generator_binomial_refuses(self, bad):
@@ -419,8 +421,8 @@ class TestReadoutChannel:
 
     @pytest.mark.parametrize("n_spins", [10, 400])
     def test_nan_sample_raises(self, n_spins):
-        analog = np.random.default_rng(24).normal(size=3 * sig._READOUT_BLOCK // 2)
-        analog[sig._READOUT_BLOCK + 5] = np.nan
+        analog = np.random.default_rng(24).normal(size=3 * sig._READOUT_CHUNK // 2)
+        analog[sig._READOUT_CHUNK + 5] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             sig.readout_channel(np.random.default_rng(25), analog, n_spins, 0.95, 0.95, 0.25)
 

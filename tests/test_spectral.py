@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -176,6 +177,16 @@ class TestSplitTransform:
         expected = np.abs(np.fft.rfft(x)) ** 2
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
+
+    @pytest.mark.parametrize("n", [3_155_760, 126_230])  # a year at dt = 10 s, the psd figure
+    def test_row_blocks_move_no_byte(self, n):
+        # the row blocks bound the twiddle buffer; each row's twiddles and
+        # transform are the same whatever block it falls in
+        x = np.random.default_rng(n).normal(size=n)
+        expected = spec._rfft_power(x)
+        for rows in (7, 1 << 10, 1 << 20):
+            with mock.patch.object(spec, "_SPLIT_ROWS", rows):
+                assert np.array_equal(spec._rfft_power(x), expected)
 
     @pytest.mark.parametrize(
         "n, p",
