@@ -14,8 +14,8 @@ noise.seed and output.formats (--set noise.seed=N, --set
 output.formats=[...]), applied after every --set, so the manifest
 records the seed once, in config.noise.seed.  Each subcommand argument
 is declared once in _COMMANDS with the parser that checks its domain,
-and resolved from the command line, then the manifest's args, then its
-default.
+and resolved from the command line, then the manifest's args (when the
+manifest is of the same subcommand), then its default.
 
 A subcommand computes and returns its artifacts as {name: write(path)}
 without touching the file system; main writes them and the manifest
@@ -111,13 +111,13 @@ def cmd_envelope(cfg: RunConfig, args: dict) -> dict:
         "args.span-days and args.dt", signals.check_size,
         span_s / min(dt, SIDEREAL_DAY_S), signals.BYTES_PER_SAMPLE, "samples",
     )
-    coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
+    coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris)
 
     days = np.arange(0.0, span_days)
     lo, hi = geometry.daily_envelope(days + 0.5, coeffs)
     t = np.arange(0.0, span_s, dt)
     beta_abs = np.abs(
-        geometry.beta_ratio(t, cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
+        geometry.beta_ratio(t, cfg.geometry, cfg.ephemeris, cfg.ephemeris.v_sun)
     )
     stride = max(1, t.size // 8000)
     return {
@@ -146,7 +146,7 @@ def cmd_daily_rms(cfg: RunConfig, args: dict) -> dict:
     _check_args(
         "args.trials", signals.check_size, trials * YEAR_S / dt, signals.BYTES_PER_SAMPLE, "samples"
     )
-    coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris, cfg.halo.v_ref)
+    coeffs = geometry.modulation_coefficients(cfg.geometry, cfg.ephemeris)
 
     days = np.arange(0.0, 365.0)
     theory = geometry.daily_rms(days + 0.5, coeffs)
@@ -559,7 +559,7 @@ def main(argv=None) -> int:
     if args.formats is not None:
         overrides.append(f"output.formats={json.dumps(args.formats.split(','))}")
     try:
-        cfg, manifest_args = load_config(args.config, overrides)
+        cfg, manifest_args = load_config(args.config, overrides, args.subcommand)
         run_args = _resolve_args(spec, args, manifest_args)
         artifacts = {
             name: write

@@ -4,9 +4,9 @@ A run configuration is a JSON object with one section per parameter
 group.  Unknown keys anywhere are rejected with the offending dotted
 path; every field has a default, so the empty object is a valid
 configuration.  A previously written run manifest can be passed in
-place of a configuration file; load_config extracts its config and its
-subcommand arguments.  A retired key loads only at its former default;
-the axion section holds retired keys only.
+place of a configuration file; load_config extracts its config and, for
+a run of the same subcommand, its arguments.  A retired key loads only
+at its former default; the axion section holds retired keys only.
 """
 
 import dataclasses
@@ -156,14 +156,15 @@ def build_config(data: dict) -> RunConfig:
     return RunConfig(**sections)
 
 
-def load_config(path, overrides=()) -> tuple[RunConfig, dict]:
+def load_config(path, overrides=(), subcommand=None) -> tuple[RunConfig, dict]:
     """Read a config file, or a run manifest, and apply --set overrides.
 
     path None means no file: the defaults.  Returns the validated
-    RunConfig and the subcommand arguments a manifest carries; a plain
-    config file carries none.  The top-level seed of a manifest written
-    before the seed moved into noise.seed is folded into noise.seed
-    ahead of the overrides.
+    RunConfig and the arguments a manifest carries for subcommand; a
+    plain config file carries none, and a manifest of another
+    subcommand lends its config only.  The top-level seed of a manifest
+    written before the seed moved into noise.seed is folded into
+    noise.seed ahead of the overrides.
     """
     data, run_args = {}, {}
     if path is not None:
@@ -187,7 +188,8 @@ def load_config(path, overrides=()) -> tuple[RunConfig, dict]:
                 raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
             if seed is not None:
                 overrides = [f"noise.seed={seed}", *overrides]
-            run_args = args
+            if data.get("subcommand", subcommand) == subcommand:
+                run_args = args
             data = data.get("config", {})
     return build_config(apply_overrides(data, overrides)), run_args
 

@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .constants import OBLIQUITY_DEG, OMEGA_ANNUAL, OMEGA_SIDEREAL, SIDEREAL_DAY_S, YEAR_S
+from .constants import C_KM_S, OBLIQUITY_DEG, OMEGA_ANNUAL, OMEGA_SIDEREAL, SIDEREAL_DAY_S, YEAR_S
 from .timeseries import grid_phasor
 
 
@@ -68,8 +68,12 @@ class EphemerisConstants:
     """Orbital speeds and phases, with the fixed sidereal and annual
     angular rates (class constants, not settings) of the modulation.
 
-    v_sun is the Sun's speed through the halo, the same speed as
+    v_sun is the Sun's speed through the halo, the speed beta_ratio is
+    normalized by in modulation_coefficients, and the same speed as
     HaloParams.v_ref; a run configuration must set the two equal.
+    Speeds are in km/s: v_sun at least 1 and v_orbit non-negative, both
+    below c, as for HaloParams; |beta| <= 1 + v_orbit / v_sun then stays
+    below 3e5.
     """
 
     omega_sidereal: ClassVar[float] = OMEGA_SIDEREAL
@@ -80,8 +84,14 @@ class EphemerisConstants:
     orbital_phase: float = 0.0
 
     def __post_init__(self):
-        if self.v_sun <= 0 or self.v_orbit < 0:
-            raise ValueError("v_sun must be positive and v_orbit non-negative")
+        if not 1.0 <= self.v_sun < C_KM_S:
+            raise ValueError(
+                f"v_sun must be at least 1 km/s and below c = {C_KM_S} km/s, got {self.v_sun}"
+            )
+        if not 0.0 <= self.v_orbit < C_KM_S:
+            raise ValueError(
+                f"v_orbit must be non-negative and below c = {C_KM_S} km/s, got {self.v_orbit}"
+            )
 
 
 def check_daily_sampling(dt: float) -> None:
@@ -198,47 +208,6 @@ def _chunked(n, kernel, dtype=float):
 _GRID_ULPS = 8.0
 
 
-def _grid(t: np.ndarray) -> tuple[float, float]:
-    """(t0, dt) of the uniform grid t_k = t0 + k dt that the n times of t,
-    flattened, hold: t0 = t[0] and dt = (t[-1] - t[0]) / (n - 1), or 0
-    when n < 2 (an empty t gives t0 = 0).
-
-    Raises ValueError naming the first t_k that leaves t0 + k dt by more
-    than _GRID_ULPS eps max(|t[0]|, |t[-1]|); a NaN or infinite time
-    fails.  The check runs on chunks of _CHUNK samples, so it forms no
-    temporary of t's size.
-    """
-    flat = t.reshape(-1)
-    n = flat.size
-    if n == 0:
-        return 0.0, 0.0
-    t0, last = float(flat[0]), float(flat[-1])
-    dt = (last - t0) / (n - 1) if n > 1 else 0.0
-    tolerance = _GRID_ULPS * np.finfo(float).eps * max(abs(t0), abs(last))
-
-    def off_grid(k):
-        index = ", ".join(str(int(i)) for i in np.unravel_index(k, t.shape))
-        value = float(flat[k])
-        reason = "is not finite" if not math.isfinite(value) else (
-            f"is off the uniform grid t0 + k dt (t0 = {t0!r}, dt = {dt!r}) "
-            f"by more than {tolerance:.3g}"
-        )
-        return ValueError(f"t[{index}] = {value!r} {reason}; times must be a uniform grid")
-
-    if not math.isfinite(tolerance):
-        raise off_grid(0 if not math.isfinite(t0) else n - 1)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        offset = np.arange(start, stop, dtype=float)
-        offset *= dt
-        offset += t0
-        offset -= flat[start:stop]
-        np.abs(offset, out=offset)
-        if not offset.max() <= tolerance:  # a NaN fails too
-            raise off_grid(start + int(np.argmax(~(offset <= tolerance))))
-    return t0, dt
-
-
 def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
     """Normalized signal amplitude (v_lab/v_ref) * cos(theta).
 
@@ -258,20 +227,46 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
 
     t, of any shape, must hold a uniform grid t_k = t0 + k dt in its
     flattened order, as a time array made by np.arange, np.linspace or
-    TimeSeries.times does: each chunk's sidereal and orbital sines and
-    cosines are the imaginary and real parts of two
-    timeseries.grid_phasor on that grid, so no sine or cosine is taken
-    per sample.  Raises ValueError naming the first time off the grid
-    (_grid).
+    TimeSeries.times does; this is the one function that reads a grid
+    from times.  t0 = t[0] and dt = (t[-1] - t[0]) / (n - 1), or 0 when
+    n < 2.  Each chunk's sidereal and orbital sines and cosines are the
+    imaginary and real parts of two timeseries.grid_phasor on that grid,
+    so no sine or cosine is taken per sample.  Each chunk first checks its
+    times: raises ValueError naming, by its index in t's shape, the first
+    t_k off t0 + k dt by more than _GRID_ULPS eps max(|t[0]|, |t[-1]|); a
+    NaN or infinite time fails.
     """
     t = np.asarray(t, dtype=float)
-    t0, dt = _grid(t)
+    flat = t.reshape(-1)
+    n = flat.size
+    t0, last = (float(flat[0]), float(flat[-1])) if n else (0.0, 0.0)
+    dt = (last - t0) / (n - 1) if n > 1 else 0.0
+    tolerance = _GRID_ULPS * np.finfo(float).eps * max(abs(t0), abs(last))
+
+    def off_grid(k):
+        index = ", ".join(str(int(i)) for i in np.unravel_index(k, t.shape))
+        value = float(flat[k])
+        reason = "is not finite" if not math.isfinite(value) else (
+            f"is off the uniform grid t0 + k dt (t0 = {t0!r}, dt = {dt!r}) "
+            f"by more than {tolerance:.3g}"
+        )
+        return ValueError(f"t[{index}] = {value!r} {reason}; times must be a uniform grid")
+
+    if not math.isfinite(tolerance):
+        raise off_grid(0 if not math.isfinite(t0) else n - 1)
     lam = math.radians(site.latitude_deg)
     sin_l, cos_l = math.sin(lam), math.cos(lam)
     q_e, q_n, q_u = device_axis(site)
     h = cos_l * q_u - sin_l * q_n
 
     def kernel(start, stop):
+        offset = np.arange(start, stop, dtype=float)
+        offset *= dt
+        offset += t0
+        offset -= flat[start:stop]
+        np.abs(offset, out=offset)
+        if not offset.max() <= tolerance:  # a NaN fails too
+            raise off_grid(start + int(np.argmax(~(offset <= tolerance))))
         # exp(i (lst0 + Os t)) and exp(i (Oa t + orbital_phase))
         lst = grid_phasor(eph.omega_sidereal, t0, dt, start, stop, -site.lst0_rad)
         orbit = grid_phasor(eph.omega_annual, t0, dt, start, stop, -eph.orbital_phase)
@@ -283,7 +278,7 @@ def beta_ratio(t, site: SiteGeometry, eph: EphemerisConstants, v_ref: float):
         dot /= v_ref
         return dot
 
-    return _chunked(t.size, kernel).reshape(t.shape)[()]
+    return _chunked(n, kernel).reshape(t.shape)[()]
 
 
 def modulation_model(t0: float, dt: float, n: int, coeffs: ModulationCoefficients) -> np.ndarray:
@@ -315,8 +310,9 @@ def modulation_model(t0: float, dt: float, n: int, coeffs: ModulationCoefficient
 _FIT_ROWS = 512
 
 
-def fit_modulation_coefficients(t, series) -> ModulationCoefficients:
-    """Least-squares harmonic fit of a projection series.
+def fit_modulation_coefficients(t0: float, dt: float, series) -> ModulationCoefficients:
+    """Least-squares harmonic fit of a projection series sampled on the
+    grid t_k = t0 + k dt.
 
     The basis is {1, cos/sin(Os t), cos/sin(Oa t)} plus the four mixed
     products; the mixed block is then collapsed onto the single
@@ -326,11 +322,11 @@ def fit_modulation_coefficients(t, series) -> ModulationCoefficients:
     Phases come out modulo 2 pi.  residual_rms is the nine-term fit's residual,
     which does not count what the collapse drops.
 
-    t must be a uniform grid t_k = t0 + k dt, as for beta_ratio: the
-    basis' cosines and sines are the real and imaginary parts of
-    timeseries.grid_phasor at Os and Oa, on the chunks of _CHUNK samples
+    The basis' cosines and sines are the real and imaginary parts of
+    timeseries.grid_phasor at Os and Oa on the chunks of _CHUNK samples
     on which beta_ratio takes its phasors, so no sine or cosine is taken
-    per sample.  Raises ValueError naming the first time off the grid.
+    per sample, and on beta_ratio's grid at lst0 = orbital_phase = 0 the
+    two take the same phasors.
 
     The least-squares problem is solved through the triangular factor R
     of the QR factorization of [design | y], whose last column holds
@@ -338,29 +334,27 @@ def fit_modulation_coefficients(t, series) -> ModulationCoefficients:
     directly.  R is factored from the Rs of blocks of _FIT_ROWS rows, so
     no factorization is large enough for BLAS to thread it.
 
-    Raises ValueError if the design matrix is rank deficient
-    (for example when the sampling aliases the sidereal rate), by
-    lstsq's rule: singular values at most eps max(M, N) s_max count as
-    zero.
+    Raises ValueError if series is not 1-D, or if the design matrix is
+    rank deficient (for example when the sampling aliases the sidereal
+    rate), by lstsq's rule: singular values at most eps max(M, N) s_max
+    count as zero.
     """
-    t = np.asarray(t, dtype=float)
     y = np.asarray(series, dtype=float)
-    if t.ndim != 1 or t.shape != y.shape:
-        raise ValueError("t and series must be 1-D arrays of equal length")
-    t0, dt = _grid(t)
+    if y.ndim != 1:
+        raise ValueError("series must be a 1-D array")
 
     def phasor(omega):
-        return _chunked(t.size, lambda a, b: grid_phasor(omega, t0, dt, a, b), complex)
+        return _chunked(y.size, lambda a, b: grid_phasor(omega, t0, dt, a, b), complex)
 
     daily, annual = phasor(OMEGA_SIDEREAL), phasor(OMEGA_ANNUAL)
     cs, ss, ca, sa = daily.real, daily.imag, annual.real, annual.imag
     # [design | y]: its R holds the design's R and, in its last column,
     # Q^T y; it is the R of the stacked Rs of its blocks of _FIT_ROWS rows
     rows = np.column_stack(
-        [np.ones(t.size), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa, y]
+        [np.ones(y.size), cs, ss, ca, sa, cs * ca, cs * sa, ss * ca, ss * sa, y]
     )
     design = rows[:, :-1]
-    starts = range(0, max(len(rows), 1), _FIT_ROWS)  # one empty block if t is empty
+    starts = range(0, max(len(rows), 1), _FIT_ROWS)  # one empty block if series is empty
     r = np.concatenate([np.linalg.qr(rows[i : i + _FIT_ROWS], mode="r") for i in starts])
     r = np.linalg.qr(r, mode="r")
     # R's singular values are the design's, ranked by lstsq's rule
@@ -403,14 +397,13 @@ def fit_modulation_coefficients(t, series) -> ModulationCoefficients:
 
 
 @lru_cache(maxsize=16)
-def modulation_coefficients(
-    site: SiteGeometry, eph: EphemerisConstants, v_ref: float
-) -> ModulationCoefficients:
-    """Year-long harmonic fit of the normalized signal amplitude for the
-    given geometry, cached per (site, ephemeris, reference speed)."""
+def modulation_coefficients(site: SiteGeometry, eph: EphemerisConstants) -> ModulationCoefficients:
+    """Year-long harmonic fit of beta_ratio at v_ref = eph.v_sun, the Sun's
+    speed through the halo, on 16 samples a sidereal day from t = 0;
+    cached per (site, ephemeris)."""
     dt = SIDEREAL_DAY_S / 16.0
     t = np.arange(0.0, YEAR_S, dt)
-    return fit_modulation_coefficients(t, beta_ratio(t, site, eph, v_ref))
+    return fit_modulation_coefficients(0.0, dt, beta_ratio(t, site, eph, eph.v_sun))
 
 
 def daily_mean_and_excursion(day, coeffs: ModulationCoefficients):

@@ -28,7 +28,8 @@ class HaloParams:
     v0 is at least 1 km/s and v_esc below the speed of light: the line's
     fractional width v0^2/(2c^2) is then at least 5.6e-12, some 25,000
     double-precision steps of its frequency, and the non-relativistic map
-    from speed to frequency holds.
+    from speed to frequency holds.  v_ref too is at least 1 km/s and below
+    c, the range of EphemerisConstants.v_sun.
 
     The defaults are the Standard Halo Model: v0 = 220 km/s, the speed
     at which the fractional linewidth is 3.9e-7, the coherence time at
@@ -52,8 +53,10 @@ class HaloParams:
             raise ValueError(f"v_esc must be below c = {C_KM_S} km/s, got {self.v_esc}")
         if not self.rho_dm > 0:
             raise ValueError(f"rho_dm must be positive, got {self.rho_dm}")
-        if not self.v_ref > 0:
-            raise ValueError(f"v_ref must be positive, got {self.v_ref}")
+        if not 1.0 <= self.v_ref < C_KM_S:
+            raise ValueError(
+                f"v_ref must be at least 1 km/s and below c = {C_KM_S} km/s, got {self.v_ref}"
+            )
 
 
 def _truncated_norm(z: float) -> float:

@@ -429,6 +429,12 @@ def check_size(count: float, bytes_each: int, unit: str) -> None:
         )
 
 
+# the largest n max|y| of a synthesized record: every later figure of the
+# record (its mean squares, the readout scale, |rfft|^2, the line-sum
+# powers) is at most (n max|y|)^2, and the PSD's 2 dt / n keeps it finite
+_MAX_RECORD_SCALE = 1e150
+
+
 def check_record(span_s: float, dt: float) -> None:
     """Raise ValueError unless synthesize_observable accepts the record:
     dt resolves the daily tone, the span covers two sidereal days, and
@@ -470,12 +476,16 @@ def synthesize_observable(
     optional readout stage quantizes through the Bernoulli channel with
     the configured fidelities and qubit.n_spins from its own child
     generator (readout_channel).
+
+    Raises UnrealizableNoiseError, naming noise.white_psd,
+    noise.pink_amplitude and noise.rtn_amplitude, when the summed
+    record's n max|y| passes _MAX_RECORD_SCALE, before the readout.
     """
     check_record(span_s, dt)
     n = int(round(span_s / dt))
 
     if coeffs is None:
-        coeffs = geometry.modulation_coefficients(site, eph, halo.v_ref)
+        coeffs = geometry.modulation_coefficients(site, eph)
     clean = geometry.modulation_model(t0, dt, n, coeffs)
     beta0 = modulation_index(axion, halo, 1.0, halo.v_ref)
 
@@ -501,6 +511,14 @@ def synthesize_observable(
     y += pink
     del pink
     y += telegraph_noise(rngs[2], n, dt, rtn_amp, noise.rtn_rate_hz)
+    peak = max(y.max(), -y.min())  # max |y| without a record-length temporary
+    if not peak <= _MAX_RECORD_SCALE / n:  # a NaN fails too
+        raise UnrealizableNoiseError(
+            f"noise.white_psd = {white_psd:g}, noise.pink_amplitude = {pink_amp:g} and "
+            f"noise.rtn_amplitude = {rtn_amp:g}: the record's largest |sample|, {peak:.3g}, "
+            f"times its {n} samples passes {_MAX_RECORD_SCALE:g}, past which its squares "
+            "and its spectrum overflow; lower the noise amplitudes"
+        )
 
     readout_scale = None
     if readout:

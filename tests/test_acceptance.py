@@ -254,7 +254,7 @@ class TestCriterion6DailyRmsRobustness:
         per_day = 48
         dt = SIDEREAL_DAY_S / per_day
 
-        coeffs = geo.modulation_coefficients(site, eph, halo.v_ref)
+        coeffs = geo.modulation_coefficients(site, eph)
         days = np.arange(365.0)
         theory = geo.daily_rms(days + 0.5, coeffs)
         theory_norm = theory / theory.mean()

@@ -1,10 +1,8 @@
 import dataclasses
 import hashlib
 import json
-import os
 import re
 import runpy
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -488,6 +486,21 @@ class TestCli:
              "geometry.latitude_deg = 0"),
             (["sensitivity", "--set", "geometry.wind_dec_deg=0"], "geometry.wind_dec_deg = 0"),
             (["psd", "--set", "noise.white_psd=1e300"], "noise.pink_amplitude"),
+            # records whose squares would overflow
+            (["psd", "--span-days", "30", "--dt", "2000", "--set", "noise.rtn_amplitude=1e160"],
+             "noise.rtn_amplitude"),
+            (["triplet", "--span-days", "30", "--set", "noise.rtn_amplitude=1e300"],
+             "noise.rtn_amplitude"),
+            (["daily-rms", "--trials", "2", "--set", "noise.rtn_amplitude=1e300"],
+             "noise.rtn_amplitude"),
+            # speeds below 1 km/s, negative or at least c, each named by its key
+            (["envelope", "--set", "ephemeris.v_orbit=1e300"], "ephemeris.v_orbit must"),
+            (["psd", "--span-days", "30", "--dt", "2000", "--set", "ephemeris.v_orbit=1e300"],
+             "ephemeris.v_orbit must"),
+            (["linewidth", "--set", "ephemeris.v_orbit=-1"], "ephemeris.v_orbit must"),
+            (["linewidth", "--set", "ephemeris.v_sun=0.5", "--set", "halo.v_ref=0.5"],
+             "ephemeris.v_sun must"),
+            (["linewidth", "--set", "halo.v_ref=3e5"], "halo.v_ref must"),
             # halos whose line is unresolvable or whose speeds exceed c
             (["linewidth", "--masses", "1", "--set", "halo.v0=1e-120",
               "--set", "halo.v_esc=1e-119"], "halo.v0 "),
@@ -509,8 +522,11 @@ class TestCli:
         ids=["formats-typo", "negative-seed", "negative-noise-seed", "retired-sidereal-rate",
              "retired-t1", "retired-turntable", "retired-coupling", "retired-gamma",
              "retired-section-unknown-key", "infinite-rho-dm", "nan-latitude", "equatorial-site",
-             "equatorial-wind", "pink-amplitude-from-white", "unresolvable-halo",
-             "superluminal-halo", "infinite-trial-count", "infinite-integration-time",
+             "equatorial-wind", "pink-amplitude-from-white", "overflowing-psd",
+             "overflowing-triplet", "overflowing-daily-rms", "superluminal-orbit-envelope",
+             "superluminal-orbit-psd", "negative-orbit", "slow-sun", "superluminal-v-ref",
+             "unresolvable-halo", "superluminal-halo", "infinite-trial-count",
+             "infinite-integration-time",
              "underflowing-integration-time", "subnormal-integration-time"],
     )
     def test_bad_run_setting_exit_code(self, tmp_path, capsys, argv, key):
@@ -529,6 +545,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"axionkit: config error: args.{next(iter(args))}")
         assert not out.exists()
+
+    def test_manifest_of_another_subcommand_lends_config_only(self, tmp_path):
+        # psd's span counts days of 86,400 s and its dt is psd's own
+        psd = tmp_path / "psd"
+        assert self.run("psd", "--out", str(psd), "--span-days", "30", "--dt", "2000",
+                        "--set", "halo.v0=230") == 0
+        out = tmp_path / "envelope"
+        assert self.run("envelope", "--config", str(psd / "manifest.json"), "--out", str(out),
+                        "--formats", "json") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["args"] == {"span-days": 366.0, "dt": 600.0}
+        assert manifest["config"]["halo"]["v0"] == 230.0
 
     def test_sun_speed_mismatch_exit_code(self, tmp_path, capsys):
         out = tmp_path / "vref"
@@ -976,48 +1004,6 @@ def test_one_home_for_budget_and_layouts():
 
     assert mentions("write_columns") == ["cli.py", "timeseries.py"]
     assert mentions("MAX_BYTES") == ["signals.py"]
-
-
-def _fresh_python(code: str) -> str:
-    """stdout of code run in a new interpreter that imports this axionkit."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert run.returncode == 0, run.stderr
-    return run.stdout.strip()
-
-
-def test_cli_import_skips_scipy_signal():
-    # scipy.signal, which imports scipy.stats, costs about a second of
-    # every process's start-up, and scipy.special and scipy.fft about 0.3 s
-    # each; no subcommand needs any of them
-    slow = ("scipy.signal", "scipy.stats", "scipy.special", "scipy.fft")
-    code = f"import sys, axionkit.cli; print(sorted(m for m in {slow} if m in sys.modules))"
-    assert _fresh_python(code) == "[]"
-
-
-def test_cli_import_starts_no_thread_pool(tmp_path):
-    # the package starts no thread of its own, not even over a default psd
-    # run's year-scale blocks; a thread pool would import concurrent.futures
-    # (and with it logging) and leave its threads alive at exit
-    code = (
-        "import sys, threading, axionkit.cli; "
-        "print('concurrent.futures' in sys.modules, threading.active_count()); "
-        f"code = axionkit.cli.main(['psd', '--out', {str(tmp_path)!r}]); "
-        "print(code, 'concurrent.futures' in sys.modules, threading.active_count())"
-    )
-    lines = _fresh_python(code).splitlines()
-    assert lines[0] == "False 1"
-    assert lines[-1] == "0 False 1"
-
-
-def test_bessel_table_imports_scipy_special_when_called():
-    code = (
-        "import sys, axionkit.cli; from axionkit import signals; "
-        "print('scipy.special' in sys.modules, signals.bessel_sideband_table(1.0, 1).tolist())"
-    )
-    assert _fresh_python(code) == "False [0.7651976865579666, 0.44005058574493355]"
 
 
 def test_publish_error_names_the_destination(tmp_path):

@@ -1,7 +1,7 @@
-"""Checks that need a fresh interpreter: a CLI run at numpy's baseline
-dispatch, the CLI's bytes and the heterodyne's at one and two OpenBLAS
-threads, a spinning BLAS worker, and peak RSS (ru_maxrss) against the
-byte budgets."""
+"""Checks that need a fresh interpreter: what importing the CLI imports
+and starts, a CLI run at numpy's baseline dispatch, the CLI's bytes and
+the heterodyne's at one and two OpenBLAS threads, a spinning BLAS
+worker, and peak RSS (ru_maxrss) against the byte budgets."""
 
 import hashlib
 import json
@@ -50,6 +50,38 @@ def _cli_digests(out: Path, blas_threads: int) -> dict:
         str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*")) if path.is_file()
     }
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal, which imports scipy.stats, costs about a second of
+    # every process's start-up, and scipy.special and scipy.fft about 0.3 s
+    # each; no subcommand needs any of them
+    slow = ("scipy.signal", "scipy.stats", "scipy.special", "scipy.fft")
+    code = f"import sys, axionkit.cli; print(sorted(m for m in {slow} if m in sys.modules))"
+    assert _python(1, "-c", code).strip() == "[]"
+
+
+def test_cli_import_starts_no_thread_pool(tmp_path):
+    # the package starts no thread of its own, not even over a default psd
+    # run's year-scale blocks; a thread pool would import concurrent.futures
+    # (and with it logging) and leave its threads alive at exit
+    code = (
+        "import sys, threading, axionkit.cli; "
+        "print('concurrent.futures' in sys.modules, threading.active_count()); "
+        f"code = axionkit.cli.main(['psd', '--out', {str(tmp_path)!r}]); "
+        "print(code, 'concurrent.futures' in sys.modules, threading.active_count())"
+    )
+    lines = _python(1, "-c", code).splitlines()
+    assert lines[0] == "False 1"
+    assert lines[-1] == "0 False 1"
+
+
+def test_bessel_table_imports_scipy_special_when_called():
+    code = (
+        "import sys, axionkit.cli; from axionkit import signals; "
+        "print('scipy.special' in sys.modules, signals.bessel_sideband_table(1.0, 1).tolist())"
+    )
+    assert _python(1, "-c", code).strip() == "False [0.7651976865579666, 0.44005058574493355]"
 
 
 def test_cli_runs_at_baseline_dispatch(tmp_path):

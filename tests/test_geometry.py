@@ -27,8 +27,12 @@ from axionkit import signals as sig
 from axionkit.constants import OMEGA_ANNUAL, OMEGA_SIDEREAL, SIDEREAL_DAY_S, YEAR_S
 
 
+def fit_dt(samples_per_day=16):
+    return SIDEREAL_DAY_S / samples_per_day
+
+
 def fit_grid(samples_per_day=16, days=366):
-    return np.arange(0, days * samples_per_day) * (SIDEREAL_DAY_S / samples_per_day)
+    return np.arange(0, days * samples_per_day) * fit_dt(samples_per_day)
 
 
 def equatorial_to_horizontal(lst_rad, latitude_deg):
@@ -167,10 +171,11 @@ def long_double_beta(t, site, eph, v_ref):
 
 
 def grid_phase_error(omega, t):
-    """Largest error of a grid_phasor phase of beta_ratio or the fit at
-    the times t against omega t_k exact.  The kernel reads t0 = t[0] and
-    dt = (t[-1] - t[0]) / (n - 1) and takes its phases at t0 + k dt,
-    which the grid check keeps within tau = _GRID_ULPS eps M of t_k, for
+    """Largest error of a grid_phasor phase of beta_ratio at the times t
+    against omega t_k exact, which bounds the fit's on the grid that t
+    rounds too.  beta_ratio reads t0 = t[0] and dt = (t[-1] - t[0]) /
+    (n - 1) and takes its phases at t0 + k dt, which the grid check
+    keeps within tau = _GRID_ULPS eps M of t_k, for
     M = max(|t[0]|, |t[-1]|), give or take the check's own rounding of
     t0 + k dt, at most 2 eps M; the phasor table's step omega dt adds
     |omega dt| b eps over the b entries of a block (as
@@ -251,7 +256,7 @@ class TestProjection:
             t, eph, 230.0
         )
         if t.ndim == 1:
-            fitted = geo.fit_modulation_coefficients(t, beta)
+            fitted = geo.fit_modulation_coefficients(t[0], (t[-1] - t[0]) / (t.size - 1), beta)
             assert fitted.residual_rms < 1e-9
 
     @pytest.mark.parametrize(
@@ -265,8 +270,6 @@ class TestProjection:
         name = rf"t\[{index}\]"
         with pytest.raises(ValueError, match=name):
             geo.beta_ratio(t, site, eph, 230.0)
-        with pytest.raises(ValueError, match=name):
-            geo.fit_modulation_coefficients(t, np.ones_like(t))
 
     def test_off_grid_index_is_in_the_array_shape(self, site, eph):
         grid = 60.0 * np.arange(20.0).reshape(4, 5)
@@ -357,7 +360,7 @@ class TestModulationModel:
              "whole-chunks"],
     )
     def test_matches_the_expression(self, site, eph, t0, dt, n):
-        coeffs = geo.modulation_coefficients(site, eph, eph.v_sun)
+        coeffs = geo.modulation_coefficients(site, eph)
         got = geo.modulation_model(t0, dt, n, coeffs)
         expected = modulation_model_oracle(t0 + dt * np.arange(n), coeffs)
         assert got.shape == (n,) and got.dtype == np.float64
@@ -390,8 +393,8 @@ class TestModulationFit:
             phase_daily=1.1, phase_annual=2.4,
         )
         t = fit_grid()
-        model = geo.modulation_model(0.0, SIDEREAL_DAY_S / 16, t.size, truth)
-        fitted = geo.fit_modulation_coefficients(t, model)
+        model = geo.modulation_model(0.0, fit_dt(), t.size, truth)
+        fitted = geo.fit_modulation_coefficients(0.0, fit_dt(), model)
         assert fitted.c0 == pytest.approx(truth.c0, abs=1e-6)
         assert fitted.c_daily == pytest.approx(truth.c_daily, abs=1e-6)
         assert fitted.c_annual == pytest.approx(truth.c_annual, abs=1e-6)
@@ -403,7 +406,7 @@ class TestModulationFit:
     def test_pole_geometry_has_no_daily_terms(self, eph_no_orbit):
         site = SiteGeometry(latitude_deg=90.0)
         t = fit_grid()
-        fitted = geo.fit_modulation_coefficients(t, projection(t, site, eph_no_orbit))
+        fitted = geo.fit_modulation_coefficients(0.0, fit_dt(), projection(t, site, eph_no_orbit))
         assert abs(fitted.c_daily) < 1e-9
         assert abs(fitted.c_cross) < 1e-9
 
@@ -412,7 +415,7 @@ class TestModulationFit:
         # the DC, daily, annual and mixed lines, so the fit is exact
         t = fit_grid()
         y = geo.beta_ratio(t, site, eph, 230.0)
-        fitted = geo.fit_modulation_coefficients(t, y)
+        fitted = geo.fit_modulation_coefficients(0.0, fit_dt(), y)
         # at the default lst0 and orbital phase, beta_ratio and the fit take
         # the same grid phasors, so y is a combination of the design's
         # columns to the kernel's rounding, a few eps of max |y| per term;
@@ -427,7 +430,8 @@ class TestModulationFit:
         # the fixed sensor axis keeps beta_ratio inside the nine-term basis
         eph = EphemerisConstants(v_orbit=v_orbit)
         t = fit_grid(samples_per_day=8)
-        fitted = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0))
+        y = geo.beta_ratio(t, site, eph, 230.0)
+        fitted = geo.fit_modulation_coefficients(0.0, fit_dt(8), y)
         assert fitted.residual_rms < 1e-12
 
     def test_default_geometry_against_lockin_oracle(self, site, eph):
@@ -435,7 +439,7 @@ class TestModulationFit:
         subtraction (suppresses leakage across non-orthogonal bins)."""
         t = fit_grid()
         y = geo.beta_ratio(t, site, eph, 230.0)
-        fitted = geo.fit_modulation_coefficients(t, y)
+        fitted = geo.fit_modulation_coefficients(0.0, fit_dt(), y)
 
         def demod(resid, om):
             return np.mean(resid * np.exp(-1j * om * t))
@@ -488,9 +492,9 @@ class TestModulationFit:
         coef, rank, singular, resid = lstsq_fit_oracle(t, y)
         if rank < 9:
             with pytest.raises(ValueError, match=f"rank {rank} < 9"):
-                geo.fit_modulation_coefficients(t, y)
+                geo.fit_modulation_coefficients(t0, dt, y)
             return
-        fitted = geo.fit_modulation_coefficients(t, y)
+        fitted = geo.fit_modulation_coefficients(t0, dt, y)
         # Both solvers are backward stable: each solves a problem within
         # gamma = 10 * 9 * u of its design and y, relative.  The fit's
         # design, from grid phasors, leaves the oracle's by at most e =
@@ -535,9 +539,8 @@ class TestModulationFit:
 
     def test_degenerate_sampling_raises(self):
         # sampling at exactly the sidereal period aliases the daily columns
-        t = np.arange(0, 400) * SIDEREAL_DAY_S
         with pytest.raises(ValueError, match="rank"):
-            geo.fit_modulation_coefficients(t, np.ones_like(t))
+            geo.fit_modulation_coefficients(0.0, SIDEREAL_DAY_S, np.ones(400))
 
     @given(scale=st.floats(0.1, 50.0))
     @settings(max_examples=30, deadline=None)
@@ -545,8 +548,8 @@ class TestModulationFit:
         site, eph = SiteGeometry(), EphemerisConstants()
         t = fit_grid(samples_per_day=8)
         y = geo.beta_ratio(t, site, eph, 230.0)
-        base = geo.fit_modulation_coefficients(t, y).annual_depth
-        scaled = geo.fit_modulation_coefficients(t, scale * y).annual_depth
+        base = geo.fit_modulation_coefficients(0.0, fit_dt(8), y).annual_depth
+        scaled = geo.fit_modulation_coefficients(0.0, fit_dt(8), scale * y).annual_depth
         assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_envelope_depth_canonicalization(self):
@@ -586,7 +589,7 @@ class TestDailySummaries:
 
     def test_envelope_tracks_dense_series(self, site, eph):
         t = fit_grid()
-        coeffs = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0))
+        coeffs = geo.fit_modulation_coefficients(0.0, fit_dt(), geo.beta_ratio(t, site, eph, 230.0))
         t_day = np.arange(0.0, SIDEREAL_DAY_S, 30.0)
         for day in range(0, 366, 30):
             series = geo.beta_ratio(day * SIDEREAL_DAY_S + t_day, site, eph, 230.0)
@@ -615,7 +618,7 @@ class TestDailySummaries:
 
     def test_daily_rms_tracks_dense_series(self, site, eph):
         t = fit_grid()
-        coeffs = geo.fit_modulation_coefficients(t, geo.beta_ratio(t, site, eph, 230.0))
+        coeffs = geo.fit_modulation_coefficients(0.0, fit_dt(), geo.beta_ratio(t, site, eph, 230.0))
         t_day = np.arange(0.0, SIDEREAL_DAY_S, 30.0)
         for day in range(0, 366, 45):
             series = geo.beta_ratio(day * SIDEREAL_DAY_S + t_day, site, eph, 230.0)
@@ -688,7 +691,7 @@ _EPHEMERIS_CALLS = {
         lambda eph: geo.wind_velocity_equatorial(_GRID, SiteGeometry(), eph),
     "geometry.beta_ratio": lambda eph: geo.beta_ratio(_GRID, SiteGeometry(), eph, 230.0),
     "geometry.modulation_coefficients":
-        lambda eph: geo.modulation_coefficients(SiteGeometry(), eph, 230.0),
+        lambda eph: geo.modulation_coefficients(SiteGeometry(), eph),
     "signals.synthesize_observable": lambda eph: sig.synthesize_observable(
         SiteGeometry(), eph, AxionParams(), HaloParams(), QubitParams(), NoiseConfig(seed=1),
         3 * SIDEREAL_DAY_S, 1800.0,

@@ -539,7 +539,7 @@ class TestSynthesize:
             ts = sig.synthesize_observable(
                 site, eph, axion, halo, qubit, NoiseConfig(seed=seed), YEAR_S, 1800.0
             )
-            fits.append(geo.fit_modulation_coefficients(ts.times, ts.samples))
+            fits.append(geo.fit_modulation_coefficients(ts.t0, ts.dt, ts.samples))
         clean = sig.synthesize_observable(
             site, eph, axion, halo, qubit, NoiseConfig.zero(), YEAR_S, 1800.0
         )
